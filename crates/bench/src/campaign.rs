@@ -127,8 +127,10 @@ pub struct CampaignResult {
     pub calibrations: usize,
     /// Total calibration overhead in seconds (network occupancy).
     pub calibration_overhead: f64,
-    /// RPCA solver wall-clock seconds, summed.
-    pub rpca_wall_seconds: f64,
+    /// Wall-clock seconds of every model build, summed: each
+    /// `Advisor::calibrate_par` call, i.e. the TP-matrix calibration plus
+    /// both APG solves (α and 1/β) and the constant extraction.
+    pub model_wall_seconds: f64,
 }
 
 /// Instantaneous all-link performance of the cloud at time `t` — the
@@ -163,7 +165,7 @@ pub fn run_pooled(c: &Campaign, pools: usize) -> CampaignResult {
         base.topomap.merge(&r.topomap);
         base.calibrations += r.calibrations;
         base.calibration_overhead += r.calibration_overhead;
-        base.rpca_wall_seconds += r.rpca_wall_seconds;
+        base.model_wall_seconds += r.model_wall_seconds;
         norm_sum += r.norm_ne;
     }
     base.norm_ne = norm_sum / pools as f64;
@@ -196,14 +198,14 @@ pub fn run_campaign(c: &Campaign) -> CampaignResult {
     // (the mean) clairvoyant knowledge of that run's network state.
     const CAL_OFFSET: f64 = 450.0;
 
-    let mut rpca_wall = 0.0;
+    let mut model_wall = 0.0;
     let t0 = std::time::Instant::now();
     // The synthetic cloud's probes are pure, so calibration rounds fan out
     // across threads (bit-identical to the serial path — see Advisor).
     advisor
         .calibrate_par(&cloud, CAL_OFFSET)
         .expect("initial calibration");
-    rpca_wall += t0.elapsed().as_secs_f64();
+    model_wall += t0.elapsed().as_secs_f64();
     let mut calibration_overhead = advisor.model().unwrap().calibration_overhead;
     let mut heur_guide = estimate(&advisor.model().unwrap().tp, EstimatorKind::HeuristicMean)
         .expect("heuristic estimate")
@@ -216,7 +218,7 @@ pub fn run_campaign(c: &Campaign) -> CampaignResult {
         norm_ne: advisor.model().unwrap().estimate.norm_ne,
         calibrations: 1,
         calibration_overhead: 0.0,
-        rpca_wall_seconds: 0.0,
+        model_wall_seconds: 0.0,
     };
 
     // Offset runs by half an interval so they never coincide with the
@@ -274,7 +276,7 @@ pub fn run_campaign(c: &Campaign) -> CampaignResult {
             advisor
                 .calibrate_par(&cloud, t + CAL_OFFSET)
                 .expect("re-calibration");
-            rpca_wall += t0.elapsed().as_secs_f64();
+            model_wall += t0.elapsed().as_secs_f64();
             calibration_overhead += advisor.model().unwrap().calibration_overhead;
             result.calibrations += 1;
             heur_guide = estimate(&advisor.model().unwrap().tp, EstimatorKind::HeuristicMean)
@@ -285,7 +287,7 @@ pub fn run_campaign(c: &Campaign) -> CampaignResult {
     }
 
     result.calibration_overhead = calibration_overhead;
-    result.rpca_wall_seconds = rpca_wall;
+    result.model_wall_seconds = model_wall;
     result
 }
 

@@ -33,10 +33,13 @@ pub mod svd;
 
 pub use eigen::{eigh, EighResult};
 pub use mat::Mat;
-pub use norms::{count_above, fro_norm, inf_norm, l1_norm, zero_norm_frac};
+pub use norms::{blocked_sums, count_above, fro_norm, inf_norm, l1_norm, zero_norm_frac};
 pub use qr::{qr_thin, QrResult};
 pub use randomized::{randomized_svd, RandomizedSvdOptions};
-pub use shrink::{soft_threshold, soft_threshold_into, svt, SvtResult};
+pub use shrink::{
+    for_each_chunk_pair, shrink_scalar, soft_threshold, soft_threshold_into, svt, svt_into,
+    SvtResult,
+};
 pub use svd::{svd_jacobi, svd_thin, svd_trunc, Svd};
 
 /// Relative tolerance used by default when deciding whether a singular or

@@ -6,7 +6,7 @@ use serde::{Deserialize, Serialize};
 use std::ops::{Index, IndexMut};
 
 /// Element count above which matrix multiplication parallelizes over rows.
-const PAR_MATMUL_FLOPS: usize = 1 << 20;
+pub(crate) const PAR_MATMUL_FLOPS: usize = 1 << 20;
 
 /// A dense, row-major matrix of `f64`.
 ///
@@ -226,21 +226,39 @@ impl Mat {
 
     /// Gram matrix of the rows: `self * selfᵀ` (shape `rows × rows`).
     ///
-    /// Exploits symmetry — only the upper triangle is computed.
+    /// Exploits symmetry — only the upper triangle is computed. Entry
+    /// `(i, j)` is the dot product of rows `i` and `j` summed in ascending
+    /// column order from `-0.0`, exactly as `Iterator::sum` would; four
+    /// such sums run side by side so their add latencies overlap. Rows fan
+    /// out across threads above the matmul flop threshold.
     pub fn gram_rows(&self) -> Mat {
-        let m = self.rows;
+        const LANES: usize = 4;
+        let (m, n) = self.shape();
         let mut g = Mat::zeros(m, m);
         let rows: Vec<&[f64]> = (0..m).map(|i| self.row(i)).collect();
-        let upper: Vec<(usize, Vec<f64>)> = (0..m)
-            .into_par_iter()
-            .map(|i| {
-                let ri = rows[i];
-                let vals: Vec<f64> = (i..m)
-                    .map(|j| ri.iter().zip(rows[j]).map(|(a, b)| a * b).sum())
-                    .collect();
-                (i, vals)
-            })
-            .collect();
+        let row_upper = |i: usize| {
+            let ri = rows[i];
+            let mut vals = Vec::with_capacity(m - i);
+            for j0 in (i..m).step_by(LANES) {
+                let lanes = (m - j0).min(LANES);
+                // Spare lanes repeat the last row and are dropped.
+                let rj: [&[f64]; LANES] =
+                    std::array::from_fn(|l| &rows[j0 + l.min(lanes - 1)][..n]);
+                let mut acc = [-0.0f64; LANES];
+                for (c, &a) in ri.iter().enumerate() {
+                    for (s, r) in acc.iter_mut().zip(&rj) {
+                        *s += a * r[c];
+                    }
+                }
+                vals.extend_from_slice(&acc[..lanes]);
+            }
+            (i, vals)
+        };
+        let upper: Vec<(usize, Vec<f64>)> = if m * m * n / 2 >= PAR_MATMUL_FLOPS {
+            (0..m).into_par_iter().map(row_upper).collect()
+        } else {
+            (0..m).map(row_upper).collect()
+        };
         for (i, vals) in upper {
             for (off, v) in vals.into_iter().enumerate() {
                 let j = i + off;

@@ -20,12 +20,44 @@ const PAR_NORM_ELEMS: usize = 1 << 15;
 /// Blocked sum of `f(x)` over `data`: deterministic regardless of
 /// parallelism (see [`SUM_BLOCK`]).
 fn blocked_sum(data: &[f64], f: impl Fn(f64) -> f64 + Sync) -> f64 {
-    let block_total = |block: &[f64]| block.iter().map(|&x| f(x)).sum::<f64>();
-    if data.len() >= PAR_NORM_ELEMS {
-        let partials: Vec<f64> = data.par_chunks(SUM_BLOCK).map(block_total).collect();
-        partials.into_iter().sum()
+    let [total] = blocked_sums(data.len(), |i| [f(data[i])]);
+    total
+}
+
+/// `K` sums over the index range `0..len` in one pass: `sums[k]` is the sum
+/// of `term(i)[k]` over every `i`.
+///
+/// Each sum is taken in the crate's fixed reduction order — sequential
+/// within each [`SUM_BLOCK`]-element block, then block partials in block
+/// order — so `sums[k]` is bit-identical to [`fro_norm`]'s inner sum over
+/// the same terms, for any thread count. Fans out over blocks from
+/// `PAR_NORM_ELEMS` elements on, like the norms here.
+pub fn blocked_sums<const K: usize>(
+    len: usize,
+    term: impl Fn(usize) -> [f64; K] + Sync,
+) -> [f64; K] {
+    // Accumulators start at -0.0, the identity `Iterator::sum` folds from.
+    let block_total = |b: usize| {
+        let mut acc = [-0.0; K];
+        for i in b * SUM_BLOCK..((b + 1) * SUM_BLOCK).min(len) {
+            for (a, t) in acc.iter_mut().zip(term(i)) {
+                *a += t;
+            }
+        }
+        acc
+    };
+    let add = |mut total: [f64; K], part: [f64; K]| {
+        for (t, p) in total.iter_mut().zip(part) {
+            *t += p;
+        }
+        total
+    };
+    let blocks = len.div_ceil(SUM_BLOCK);
+    if len >= PAR_NORM_ELEMS {
+        let partials: Vec<[f64; K]> = (0..blocks).into_par_iter().map(block_total).collect();
+        partials.into_iter().fold([-0.0; K], add)
     } else {
-        data.chunks(SUM_BLOCK).map(block_total).sum()
+        (0..blocks).map(block_total).fold([-0.0; K], add)
     }
 }
 
@@ -93,6 +125,29 @@ pub fn l1_norm_frac(e: &Mat, reference: &Mat) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn blocked_sums_match_the_norms_bit_for_bit() {
+        // Both sides of the parallel threshold and a ragged last block.
+        for len in [1, 1000, 1025, PAR_NORM_ELEMS - 1, PAR_NORM_ELEMS + 517] {
+            let m = Mat::from_vec(
+                1,
+                len,
+                (0..len)
+                    .map(|i| ((i * 7919) % 1013) as f64 * 0.37 - 150.0)
+                    .collect(),
+            );
+            let x = m.as_slice();
+            let [sq, abs] = blocked_sums(len, |i| [x[i] * x[i], x[i].abs()]);
+            assert_eq!(sq.sqrt().to_bits(), fro_norm(&m).to_bits(), "len {len}");
+            assert_eq!(abs.to_bits(), l1_norm(&m).to_bits(), "len {len}");
+            let serial: f64 = x
+                .chunks(SUM_BLOCK)
+                .map(|b| b.iter().map(|v| v * v).sum::<f64>())
+                .sum();
+            assert_eq!(sq.to_bits(), serial.to_bits(), "len {len}");
+        }
+    }
 
     #[test]
     fn fro_of_345() {

@@ -4,9 +4,11 @@
 //!   entry toward zero by `τ`, clamping at zero.
 //! * [`svt`] — singular-value thresholding, the proximal operator of
 //!   `τ‖·‖*` (nuclear norm): soft-threshold the singular values.
+//!   [`svt_into`] is the same operator over caller buffers.
 
-use crate::svd::svd_trunc;
-use crate::{Mat, Result};
+use crate::mat::PAR_MATMUL_FLOPS;
+use crate::svd::row_gram_factors;
+use crate::{LinalgError, Mat, Result};
 use rayon::prelude::*;
 
 /// Element count above which shrinkage fans out across threads. The
@@ -40,8 +42,39 @@ pub fn soft_threshold_into(m: &mut Mat, tau: f64) {
     }
 }
 
+/// One elementwise pass with two outputs, such as a proximal step that
+/// splits one gradient into two blocks: calls `f(offset, x_chunk,
+/// y_chunk)` on aligned, equally long chunks covering `x` and `y`, where
+/// `offset` is the chunk's first index. Chunks fan out across threads
+/// above the shrinkage threshold; `f` must compute each element from its
+/// index alone, which makes the result independent of the thread count.
+pub fn for_each_chunk_pair(
+    x: &mut [f64],
+    y: &mut [f64],
+    f: impl Fn(usize, &mut [f64], &mut [f64]) + Sync,
+) {
+    assert_eq!(
+        x.len(),
+        y.len(),
+        "for_each_chunk_pair: outputs differ in length"
+    );
+    if x.len() >= PAR_SHRINK_ELEMS {
+        let mut pairs: Vec<(&mut [f64], &mut [f64])> = x
+            .chunks_mut(SHRINK_CHUNK)
+            .zip(y.chunks_mut(SHRINK_CHUNK))
+            .collect();
+        pairs
+            .par_chunks_mut(1)
+            .enumerate()
+            .for_each(|(c, pair)| f(c * SHRINK_CHUNK, pair[0].0, pair[0].1));
+    } else {
+        f(0, x, y);
+    }
+}
+
+/// Scalar soft-thresholding: `sign(x) · max(|x| − tau, 0)`.
 #[inline]
-fn shrink_scalar(x: f64, tau: f64) -> f64 {
+pub fn shrink_scalar(x: f64, tau: f64) -> f64 {
     if x > tau {
         x - tau
     } else if x < -tau {
@@ -66,28 +99,91 @@ pub struct SvtResult {
 ///
 /// Only singular triplets with `σ > τ` are computed (the truncated SVD never
 /// materializes the rest), which is what keeps RPCA iterations cheap on wide
-/// matrices whose low-rank part has tiny rank.
+/// matrices whose low-rank part has tiny rank. Allocates its result; see
+/// [`svt_into`] for the caller-buffer form.
 pub fn svt(a: &Mat, tau: f64) -> Result<SvtResult> {
-    let svd = svd_trunc(a, tau)?;
-    let shrunk: Vec<f64> = svd.s.iter().map(|&s| s - tau).collect();
-    let rank = shrunk.len();
-    let nuclear = shrunk.iter().sum();
-    if rank == 0 {
-        return Ok(SvtResult {
-            mat: Mat::zeros(a.rows(), a.cols()),
-            rank: 0,
-            nuclear: 0.0,
+    let mut mat = Mat::zeros(a.rows(), a.cols());
+    let (rank, nuclear) = svt_into(a, tau, &mut mat, &mut Vec::new())?;
+    Ok(SvtResult { mat, rank, nuclear })
+}
+
+/// [`svt`] into caller buffers: overwrites `out` (the shape of `a`) with
+/// `U (Σ − τI)₊ Vᵀ` and returns `(rank, nuclear norm)` of the result.
+///
+/// `vt` is scratch for `Vᵀ`: it is kept row-major (`rank` rows of length
+/// `max(m, n)`), which is the order the reconstruction reads, so `V` is
+/// never transposed. Give it capacity `m·n` and reuse it, and repeated
+/// calls allocate nothing proportional to `a`. A tall `a` (`m > n`) is
+/// decomposed through its transpose, one `m × n` copy per call.
+///
+/// Bit-identical to the thresholded `svd_trunc(a, τ)` reconstruction
+/// `(U·diag(σ − τ))·Vᵀ` through [`Mat::matmul`], for any thread count.
+///
+/// # Errors
+/// [`LinalgError::ShapeMismatch`] when `out` differs from `a` in shape;
+/// [`LinalgError::Empty`] for an empty `a`.
+pub fn svt_into(a: &Mat, tau: f64, out: &mut Mat, vt: &mut Vec<f64>) -> Result<(usize, f64)> {
+    let (m, n) = a.shape();
+    if out.shape() != a.shape() {
+        return Err(LinalgError::ShapeMismatch {
+            op: "svt_into",
+            lhs: a.shape(),
+            rhs: out.shape(),
         });
     }
-    // U diag(shrunk) Vᵀ
-    let mut us = svd.u.clone();
-    for i in 0..us.rows() {
-        for (v, &s) in us.row_mut(i).iter_mut().zip(shrunk.iter()) {
-            *v *= s;
-        }
+    if m == 0 || n == 0 {
+        return Err(LinalgError::Empty);
     }
-    let mat = us.matmul(&svd.v.transpose())?;
-    Ok(SvtResult { mat, rank, nuclear })
+    let shrink = |s: &[f64]| -> Vec<f64> { s.iter().map(|&s| s - tau).collect() };
+    let shrunk = if m <= n {
+        let (s, u) = row_gram_factors(a, tau, vt)?;
+        let shrunk = shrink(&s);
+        write_product(out, |i, k| u[(i, k)] * shrunk[k], vt);
+        shrunk
+    } else {
+        // The roles swap: the accumulated rows in `vt` are the columns of
+        // U, and the Gram eigenvectors are V.
+        let (s, v) = row_gram_factors(&a.transpose(), tau, vt)?;
+        let shrunk = shrink(&s);
+        write_product(
+            out,
+            |i, k| vt[k * m + i] * shrunk[k],
+            v.transpose().as_slice(),
+        );
+        shrunk
+    };
+    let rank = shrunk.len();
+    let nuclear = if rank == 0 { 0.0 } else { shrunk.iter().sum() };
+    Ok((rank, nuclear))
+}
+
+/// `out = US · Vᵀ` for `US[i][k] = us(i, k)` and `Vᵀ` given row-major as
+/// `vt` (`vt.len() / out.cols()` rows). Each element accumulates its terms
+/// in ascending `k`, skipping zero `US` entries — the order and skip of
+/// [`Mat::matmul`] — and rows fan out above the same flop threshold.
+fn write_product(out: &mut Mat, us: impl Fn(usize, usize) -> f64 + Sync, vt: &[f64]) {
+    let (m, n) = out.shape();
+    let k = vt.len() / n;
+    let row = |(i, o): (usize, &mut [f64])| {
+        o.fill(0.0);
+        for (kk, v_row) in vt.chunks_exact(n).enumerate() {
+            let a = us(i, kk);
+            if a == 0.0 {
+                continue;
+            }
+            for (o, &b) in o.iter_mut().zip(v_row) {
+                *o += a * b;
+            }
+        }
+    };
+    if m * k * n >= PAR_MATMUL_FLOPS {
+        out.as_mut_slice()
+            .par_chunks_mut(n)
+            .enumerate()
+            .for_each(row);
+    } else {
+        out.as_mut_slice().chunks_mut(n).enumerate().for_each(row);
+    }
 }
 
 #[cfg(test)]

@@ -115,6 +115,30 @@ pub fn svd_trunc(a: &Mat, min_sv: f64) -> Result<Svd> {
 
 /// Core Gram-trick SVD for `m ≤ n`: eigendecompose `A Aᵀ`.
 fn svd_via_row_gram(a: &Mat, min_sv: f64) -> Result<Svd> {
+    let n = a.cols();
+    let mut vt = Vec::new();
+    let (s, u) = row_gram_factors(a, min_sv, &mut vt)?;
+    let mut v = Mat::zeros(n, s.len());
+    for (col, v_row) in vt.chunks_exact(n).enumerate() {
+        for (c, &val) in v_row.iter().enumerate() {
+            v[(c, col)] = val;
+        }
+    }
+    Ok(Svd { u, s, v })
+}
+
+/// The Gram-trick factors of `a` (`m ≤ n`) for singular values strictly
+/// greater than `min_sv`: returns `(s, U)` with `U` of shape `m × k`, and
+/// leaves `Vᵀ` in `vt` as `k` rows of length `n`, row-major — the layout a
+/// reconstruction `U Σ Vᵀ` streams, so no caller has to transpose `V`.
+///
+/// `vt` is cleared and refilled; a caller that keeps it across calls with
+/// capacity `m·n` never reallocates.
+pub(crate) fn row_gram_factors(
+    a: &Mat,
+    min_sv: f64,
+    vt: &mut Vec<f64>,
+) -> Result<(Vec<f64>, Mat)> {
     let (m, n) = a.shape();
     debug_assert!(m <= n);
     let g = a.gram_rows();
@@ -132,8 +156,9 @@ fn svd_via_row_gram(a: &Mat, min_sv: f64) -> Result<Svd> {
     // When min_sv == 0.0 keep exactly min(m,n) = m triplets (all of them).
     let k = keep.len();
     let mut u = Mat::zeros(m, k);
-    let mut v = Mat::zeros(n, k);
     let mut s = Vec::with_capacity(k);
+    vt.clear();
+    vt.resize(k * n, 0.0);
     for (col, &(sigma, idx)) in keep.iter().enumerate() {
         s.push(sigma);
         for r in 0..m {
@@ -144,7 +169,7 @@ fn svd_via_row_gram(a: &Mat, min_sv: f64) -> Result<Svd> {
             // c accumulates row contributions in ascending row order, so
             // the parallel split over c is bit-identical to a serial pass.
             let coeffs: Vec<f64> = (0..m).map(|row| eig.vectors[(row, idx)] / sigma).collect();
-            let mut v_col = vec![0.0; n];
+            let v_col = &mut vt[col * n..(col + 1) * n];
             let accumulate = |(chunk_idx, chunk): (usize, &mut [f64])| {
                 let base = chunk_idx * PAR_V_COLS;
                 for (row, &coeff) in coeffs.iter().enumerate() {
@@ -168,13 +193,10 @@ fn svd_via_row_gram(a: &Mat, min_sv: f64) -> Result<Svd> {
                     .enumerate()
                     .for_each(accumulate);
             }
-            for (c, &val) in v_col.iter().enumerate() {
-                v[(c, col)] = val;
-            }
         }
-        // else: leave V column at zero; σ ≈ 0 makes it irrelevant.
+        // else: leave the Vᵀ row at zero; σ ≈ 0 makes it irrelevant.
     }
-    Ok(Svd { u, s, v })
+    Ok((s, u))
 }
 
 /// One-sided Jacobi SVD.

@@ -8,7 +8,9 @@
 //! comparing with exact equality on inputs large enough to take the
 //! parallel path.
 
-use cloudconst_linalg::{fro_norm, l1_norm, qr_thin, soft_threshold, svd_thin, Mat};
+use cloudconst_linalg::{
+    fro_norm, l1_norm, qr_thin, soft_threshold, svd_thin, svd_trunc, svt_into, Mat,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -154,6 +156,35 @@ fn svd_v_accumulation_parallel_is_bit_identical_to_serial() {
             );
         }
     }
+}
+
+#[test]
+fn svt_into_is_bit_identical_to_the_svd_reconstruction() {
+    // Reference: truncated SVD, U scaled by σ − τ, times the transposed V
+    // through matmul. Wide 40×9000 takes the parallel V accumulation and
+    // row fan-out; tall and small shapes take the serial and transposed
+    // paths. One scratch is reused across shapes and ranks.
+    let mut vt = Vec::new();
+    for (rows, cols, seed) in [(40, 9000, 9), (9000, 12, 10), (7, 30, 11)] {
+        let a = random_mat(rows, cols, seed);
+        let s0 = svd_thin(&a).unwrap().s;
+        for tau in [s0[0] * 0.5, s0[s0.len() / 2], 0.0] {
+            let svd = svd_trunc(&a, tau).unwrap();
+            let mut us = svd.u.clone();
+            for i in 0..us.rows() {
+                for (v, &s) in us.row_mut(i).iter_mut().zip(&svd.s) {
+                    *v *= s - tau;
+                }
+            }
+            let want = us.matmul(&svd.v.transpose()).unwrap();
+            let mut got = Mat::full(rows, cols, f64::NAN);
+            let (rank, _) = svt_into(&a, tau, &mut got, &mut vt).unwrap();
+            assert_eq!(rank, svd.s.len(), "{rows}x{cols} τ={tau}");
+            assert_bits_eq(got.as_slice(), want.as_slice(), "svt_into");
+        }
+    }
+    let mut wrong = Mat::zeros(3, 3);
+    assert!(svt_into(&random_mat(3, 4, 12), 0.1, &mut wrong, &mut vt).is_err());
 }
 
 #[test]

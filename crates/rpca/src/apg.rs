@@ -12,11 +12,23 @@
 //! parameter `μ` is geometrically decreased (continuation) from `δ·‖A‖₂`
 //! down to a floor `μ̄`; as `μ → μ̄` the solution approaches the constrained
 //! optimum. Each iteration costs one truncated SVD of the low-rank iterate —
-//! cheap because [`cloudconst_linalg::svt`] only materializes singular
+//! cheap because [`cloudconst_linalg::svt_into`] only materializes singular
 //! values above the threshold.
+//!
+//! A solve allocates its working set once — `D`, `D_prev`, `E`, `E_prev`,
+//! the gradient's `D` half, the next `D` and `E`, and the SVT's `Vᵀ`
+//! scratch — and each iteration makes three passes over it: the
+//! extrapolation, gradient and `E` shrinkage in one elementwise pass; the
+//! Gram/SVT of the `D` half written straight into the next `D`; and one
+//! blocked reduction for the four norms of the stopping test. Each element
+//! is a fixed expression of its index and each norm sums in `fro_norm`'s
+//! block order, so the output is the same bits for any thread count; the
+//! workspace's `apg_golden` test pins those bits.
 
 use crate::{default_lambda, spectral_norm, Result, RpcaError, RpcaResult};
-use cloudconst_linalg::{fro_norm, soft_threshold, svt, Mat};
+use cloudconst_linalg::{
+    blocked_sums, for_each_chunk_pair, fro_norm, shrink_scalar, svt_into, Mat,
+};
 use serde::{Deserialize, Serialize};
 
 /// Options for [`apg`].
@@ -94,10 +106,18 @@ pub fn apg(a: &Mat, opts: &ApgOptions) -> Result<RpcaResult> {
     let mu_init = opts.mu_init_factor * a_norm2;
     let mu_floor = opts.mu_floor_factor * mu_init;
 
+    // The whole working set, allocated once per solve: the iterates X_k
+    // and X_{k−1}, the D half of the gradient step, the next iterates,
+    // and the SVT's Vᵀ scratch. The extrapolations Y_D, Y_E and the full
+    // gradient are never stored; each pass recomputes them per element.
     let mut d = Mat::zeros(m, n);
     let mut d_prev = Mat::zeros(m, n);
     let mut e = Mat::zeros(m, n);
     let mut e_prev = Mat::zeros(m, n);
+    let mut gd = Mat::zeros(m, n);
+    let mut d_next = Mat::zeros(m, n);
+    let mut e_next = Mat::zeros(m, n);
+    let mut vt = Vec::with_capacity(m * n);
     let mut t: f64 = 1.0;
     let mut t_prev: f64 = 1.0;
     let mut mu = mu_init;
@@ -105,47 +125,57 @@ pub fn apg(a: &Mat, opts: &ApgOptions) -> Result<RpcaResult> {
 
     for k in 0..opts.max_iters {
         let beta = (t_prev - 1.0) / t;
+        let xa = a.as_slice();
+        let (xd, xd_prev) = (d.as_slice(), d_prev.as_slice());
+        let (xe, xe_prev) = (e.as_slice(), e_prev.as_slice());
 
-        // Momentum extrapolation: Y = X_k + β (X_k − X_{k−1}).
-        let mut yd = d.clone();
-        yd.axpy(beta, &d.sub(&d_prev)?)?;
-        let mut ye = e.clone();
-        ye.axpy(beta, &e.sub(&e_prev)?)?;
+        // Pass A. Momentum extrapolation Y = X_k + β (X_k − X_{k−1}), then
+        // the gradient of the smooth term at (Y_D, Y_E): G = Y_D + Y_E − A
+        // for both blocks; the Lipschitz constant of the joint gradient is
+        // 2, so the step is ½. The E half is shrunk at once.
+        let tau_e = lambda * mu / 2.0;
+        for_each_chunk_pair(gd.as_mut_slice(), e_next.as_mut_slice(), |lo, gd, en| {
+            let r = lo..lo + gd.len();
+            let (a, d, dp) = (&xa[r.clone()], &xd[r.clone()], &xd_prev[r.clone()]);
+            let (e, ep, en) = (&xe[r.clone()], &xe_prev[r], &mut en[..gd.len()]);
+            for i in 0..gd.len() {
+                let (yd, ye) = (
+                    extrapolate(d[i], dp[i], beta),
+                    extrapolate(e[i], ep[i], beta),
+                );
+                let g = (yd + ye) - a[i];
+                gd[i] = yd - 0.5 * g;
+                en[i] = shrink_scalar(ye - 0.5 * g, tau_e);
+            }
+        });
 
-        // Gradient of the smooth term at (Y_D, Y_E): G = Y_D + Y_E − A for
-        // both blocks; Lipschitz constant of the joint gradient is 2, so the
-        // step is ½.
-        let g = yd.add(&ye)?.sub(a)?;
-        let gd = yd.zip_with(&g, "apg-gd", |y, gv| y - 0.5 * gv)?;
-        let ge = ye.zip_with(&g, "apg-ge", |y, gv| y - 0.5 * gv)?;
+        // Gram + SVT: D_{k+1} = U (Σ − μ/2)₊ Vᵀ of the D half.
+        rank = svt_into(&gd, mu / 2.0, &mut d_next, &mut vt)?.0;
 
-        let svt_res = svt(&gd, mu / 2.0)?;
-        let d_next = svt_res.mat;
-        rank = svt_res.rank;
-        let e_next = soft_threshold(&ge, lambda * mu / 2.0);
-
-        // Stationarity measure from the reference implementation:
+        // Norms pass. Stationarity measure from the reference
+        // implementation:
         //   S = 2 (Y − X_{k+1}) + (X_{k+1} − Y) summed over blocks
         // i.e. S_D = 2(Y_D − D_{k+1}) + (D_{k+1} + E_{k+1} − Y_D − Y_E), and
-        // symmetrically for E (both blocks share the second term).
-        let sum_next = d_next.add(&e_next)?;
-        let sum_y = yd.add(&ye)?;
-        let common = sum_next.sub(&sum_y)?;
-        let sd = yd
-            .sub(&d_next)?
-            .scale(2.0)
-            .add(&common)?;
-        let se = ye
-            .sub(&e_next)?
-            .scale(2.0)
-            .add(&common)?;
-        let stat = (fro_norm(&sd).powi(2) + fro_norm(&se).powi(2)).sqrt();
-        let xscale = (fro_norm(&d_next).powi(2) + fro_norm(&e_next).powi(2))
-            .sqrt()
-            .max(1.0);
+        // symmetrically for E (both blocks share the second term). The
+        // four squared norms share fro_norm's block order, so each equals
+        // fro_norm of the matrix it would have been.
+        let (dn, en) = (d_next.as_slice(), e_next.as_slice());
+        let [sd2, se2, dn2, en2] = blocked_sums(m * n, |i| {
+            let yd = extrapolate(xd[i], xd_prev[i], beta);
+            let ye = extrapolate(xe[i], xe_prev[i], beta);
+            let common = (dn[i] + en[i]) - (yd + ye);
+            let sd = (yd - dn[i]) * 2.0 + common;
+            let se = (ye - en[i]) * 2.0 + common;
+            [sd * sd, se * se, dn[i] * dn[i], en[i] * en[i]]
+        });
+        let stat = (sd2.sqrt().powi(2) + se2.sqrt().powi(2)).sqrt();
+        let xscale = (dn2.sqrt().powi(2) + en2.sqrt().powi(2)).sqrt().max(1.0);
 
-        d_prev = std::mem::replace(&mut d, d_next);
-        e_prev = std::mem::replace(&mut e, e_next);
+        // X_{k−1} ← X_k ← X_{k+1}; the oldest buffer becomes next scratch.
+        std::mem::swap(&mut d_prev, &mut d);
+        std::mem::swap(&mut d, &mut d_next);
+        std::mem::swap(&mut e_prev, &mut e);
+        std::mem::swap(&mut e, &mut e_next);
         t_prev = t;
         t = (1.0 + (4.0 * t_prev * t_prev + 1.0).sqrt()) / 2.0;
         mu = (opts.eta * mu).max(mu_floor);
@@ -179,6 +209,12 @@ pub fn apg(a: &Mat, opts: &ApgOptions) -> Result<RpcaResult> {
             rank,
         }),
     })
+}
+
+/// Momentum extrapolation of one element: `x + β (x − x_prev)`.
+#[inline]
+fn extrapolate(x: f64, x_prev: f64, beta: f64) -> f64 {
+    x + beta * (x - x_prev)
 }
 
 /// Numerical rank of the final iterate (relative threshold 1e-9), for the

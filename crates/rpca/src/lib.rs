@@ -33,7 +33,7 @@ pub use ialm::{ialm, IalmOptions};
 pub use metrics::{norm_ne, norm_ne_l1, norm_ne_l1_masked, norm_ne_masked, relative_difference};
 pub use rank1::{rank1_rpca, Rank1Options, Rank1Result};
 
-use cloudconst_linalg::{svd_trunc, LinalgError, Mat};
+use cloudconst_linalg::{eigh, LinalgError, Mat};
 
 /// Result of an RPCA decomposition `A ≈ D + E`.
 #[derive(Debug, Clone)]
@@ -113,8 +113,28 @@ pub fn default_lambda(rows: usize, cols: usize) -> f64 {
 }
 
 /// Spectral norm (largest singular value) of a matrix.
+///
+/// Read off the largest eigenvalue of the Gram matrix of the smaller
+/// dimension, `σ_max = √max(λ₀, 0)`, without building any singular
+/// vector. Bit-identical to `svd_trunc(a, 0.0).s[0]`, which takes σ from
+/// the same Gram eigenvalues.
+///
+/// # Errors
+/// [`LinalgError::Empty`] for an empty matrix.
 pub fn spectral_norm(a: &Mat) -> Result<f64, LinalgError> {
-    Ok(svd_trunc(a, 0.0)?.s.first().copied().unwrap_or(0.0))
+    let (m, n) = a.shape();
+    if m == 0 || n == 0 {
+        return Err(LinalgError::Empty);
+    }
+    let gram = if m <= n {
+        a.gram_rows()
+    } else {
+        a.transpose().gram_rows()
+    };
+    let lam0 = eigh(&gram)?.values.first().copied().unwrap_or(0.0);
+    let sigma = lam0.max(0.0).sqrt();
+    // The SVD keeps only σ > 0 and reports +0.0 when none survives.
+    Ok(if sigma > 0.0 { sigma } else { 0.0 })
 }
 
 #[cfg(test)]
@@ -131,6 +151,37 @@ mod tests {
     fn spectral_norm_diag() {
         let a = Mat::diag(&[1.0, -7.0, 3.0]);
         assert!((spectral_norm(&a).unwrap() - 7.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn spectral_norm_matches_svd_bit_for_bit() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x5eed);
+        let shapes = [
+            (1, 1),
+            (3, 17),
+            (10, 256),
+            (6, 6),
+            (40, 7),
+            (257, 3),
+            (2, 1),
+        ];
+        for (case, &(m, n)) in shapes.iter().cycle().take(4 * shapes.len()).enumerate() {
+            let data = (0..m * n).map(|_| rng.random_range(-5.0..5.0)).collect();
+            let a = Mat::from_vec(m, n, data);
+            let svd = cloudconst_linalg::svd_trunc(&a, 0.0).unwrap();
+            assert_eq!(
+                spectral_norm(&a).unwrap().to_bits(),
+                svd.s[0].to_bits(),
+                "case {case}: {m}x{n}"
+            );
+        }
+        let zero = Mat::zeros(3, 5);
+        assert_eq!(spectral_norm(&zero).unwrap().to_bits(), 0.0f64.to_bits());
+        assert!(matches!(
+            spectral_norm(&Mat::zeros(0, 4)),
+            Err(LinalgError::Empty)
+        ));
     }
 
     #[test]
