@@ -13,8 +13,7 @@
 //! not of call order. Two consequences worth stating:
 //!
 //! * **Replayable**: rerunning a calibration with the same plan reproduces
-//!   every loss and straggler bit for bit, on both the serial and the
-//!   parallel path.
+//!   every loss and straggler bit for bit, on every calibration path.
 //! * **Transient by default**: a retry happens at a *later* simulated time
 //!   (after backoff), so it draws a fresh fault decision — transient loss
 //!   clears, exactly like the real thing. Persistent failures are modelled
@@ -23,9 +22,7 @@
 use crate::hash;
 use crate::placement::Placement;
 use crate::synthetic::SyntheticCloud;
-use cloudconst_netmodel::{
-    FallibleNetworkProbe, NetworkProbe, ProbeAttempt, PureFallibleNetworkProbe, PureNetworkProbe,
-};
+use cloudconst_netmodel::{FallibleNetworkProbe, NetworkProbe, ProbeAttempt, PureNetworkProbe};
 use serde::{Deserialize, Serialize};
 
 /// Fault-stream tags (disjoint from the cloud's 0xA1–0xE8 noise streams).
@@ -381,11 +378,6 @@ impl FaultyCloud {
     pub fn plan(&self) -> &FaultPlan {
         &self.plan
     }
-
-    fn attempt(&self, i: usize, j: usize, bytes: u64, now: f64, deadline: f64) -> ProbeAttempt {
-        let true_secs = self.inner.probe_pure(i, j, bytes, now);
-        self.plan.apply(i, j, bytes, now, deadline, true_secs)
-    }
 }
 
 impl NetworkProbe for FaultyCloud {
@@ -407,22 +399,9 @@ impl FallibleNetworkProbe for FaultyCloud {
     fn n(&self) -> usize {
         self.inner.n()
     }
-    fn try_probe(&mut self, i: usize, j: usize, bytes: u64, now: f64, deadline: f64)
-        -> ProbeAttempt {
-        self.attempt(i, j, bytes, now, deadline)
-    }
-}
-
-impl PureFallibleNetworkProbe for FaultyCloud {
-    fn try_probe_pure(
-        &self,
-        i: usize,
-        j: usize,
-        bytes: u64,
-        now: f64,
-        deadline: f64,
-    ) -> ProbeAttempt {
-        self.attempt(i, j, bytes, now, deadline)
+    fn try_probe(&self, i: usize, j: usize, bytes: u64, now: f64, deadline: f64) -> ProbeAttempt {
+        let true_secs = self.inner.probe_pure(i, j, bytes, now);
+        self.plan.apply(i, j, bytes, now, deadline, true_secs)
     }
 }
 
@@ -444,7 +423,7 @@ mod tests {
         for t in [0.0, 123.0, 9999.5] {
             for (i, j) in [(0, 1), (3, 7), (5, 5)] {
                 let truth = c.probe_pure(i, j, BETA_PROBE_BYTES, t);
-                match faulty.try_probe_pure(i, j, BETA_PROBE_BYTES, t, 1e9) {
+                match faulty.try_probe(i, j, BETA_PROBE_BYTES, t, 1e9) {
                     ProbeAttempt::Ok(s) => assert_eq!(s.to_bits(), truth.to_bits()),
                     other => panic!("fault-free attempt failed: {other:?}"),
                 }
@@ -454,9 +433,9 @@ mod tests {
 
     #[test]
     fn fault_free_faulty_cloud_calibrates_bit_identically() {
-        // The satellite determinism contract: a fault-free FaultyCloud
-        // must round-trip bit-identically to the bare SyntheticCloud on
-        // the serial AND parallel paths, including run metadata.
+        // The determinism contract: a fault-free FaultyCloud must
+        // round-trip bit-identically to the bare SyntheticCloud on every
+        // calibration path, including run metadata.
         let c = SyntheticCloud::new(CloudConfig::ec2_like(16, 77));
         let faulty = FaultyCloud::new(c.clone(), FaultPlan::none(1));
         let cal = Calibrator::new();
@@ -467,10 +446,9 @@ mod tests {
 
         let plain = cal.calibrate(&mut c.clone(), 450.0);
         let plain_par = cal.calibrate_par(&c, 450.0);
-        let ft = cal.calibrate_faulty(&mut faulty.clone(), 450.0, &retry);
-        let ft_par = cal.calibrate_faulty_par(&faulty, 450.0, &retry);
+        let ft = cal.calibrate_faulty_par(&faulty, 450.0, &retry);
 
-        for (label, run) in [("serial", &ft), ("parallel", &ft_par)] {
+        for (label, run) in [("fallible", &ft), ("shared-reference", &plain_par)] {
             assert_eq!(run.rounds, plain.rounds, "{label} rounds");
             assert_eq!(
                 run.overhead.to_bits(),
@@ -487,7 +465,6 @@ mod tests {
                 }
             }
         }
-        assert_eq!(plain_par.overhead.to_bits(), plain.overhead.to_bits());
     }
 
     #[test]
@@ -506,7 +483,7 @@ mod tests {
                 continue;
             }
             total += 1;
-            if faulty.try_probe_pure(i, j, 1, t, 1e9) == ProbeAttempt::Lost {
+            if faulty.try_probe(i, j, 1, t, 1e9) == ProbeAttempt::Lost {
                 lost += 1;
             }
         }
@@ -526,19 +503,19 @@ mod tests {
         };
         let faulty = FaultyCloud::new(cloud(6), plan);
         // Inside the window, both directions die; unrelated links do not.
-        assert_eq!(faulty.try_probe_pure(2, 4, 1, 150.0, 1e9), ProbeAttempt::Lost);
-        assert_eq!(faulty.try_probe_pure(4, 2, 1, 150.0, 1e9), ProbeAttempt::Lost);
+        assert_eq!(faulty.try_probe(2, 4, 1, 150.0, 1e9), ProbeAttempt::Lost);
+        assert_eq!(faulty.try_probe(4, 2, 1, 150.0, 1e9), ProbeAttempt::Lost);
         assert!(matches!(
-            faulty.try_probe_pure(0, 1, 1, 150.0, 1e9),
+            faulty.try_probe(0, 1, 1, 150.0, 1e9),
             ProbeAttempt::Ok(_)
         ));
         // Outside the window the VM answers again.
         assert!(matches!(
-            faulty.try_probe_pure(2, 4, 1, 200.0, 1e9),
+            faulty.try_probe(2, 4, 1, 200.0, 1e9),
             ProbeAttempt::Ok(_)
         ));
         assert!(matches!(
-            faulty.try_probe_pure(2, 4, 1, 99.9, 1e9),
+            faulty.try_probe(2, 4, 1, 99.9, 1e9),
             ProbeAttempt::Ok(_)
         ));
     }
@@ -556,9 +533,9 @@ mod tests {
         let faulty = FaultyCloud::new(cloud(6), plan);
         for k in 0..20 {
             let t = k as f64;
-            assert_eq!(faulty.try_probe_pure(1, 3, 1, t, 1e9), ProbeAttempt::Lost);
+            assert_eq!(faulty.try_probe(1, 3, 1, t, 1e9), ProbeAttempt::Lost);
             assert!(matches!(
-                faulty.try_probe_pure(3, 1, 1, t, 1e9),
+                faulty.try_probe(3, 1, 1, t, 1e9),
                 ProbeAttempt::Ok(_)
             ));
         }
@@ -574,14 +551,14 @@ mod tests {
         let c = cloud(6);
         let faulty = FaultyCloud::new(c.clone(), plan);
         let truth = c.probe_pure(0, 1, BETA_PROBE_BYTES, 10.0);
-        match faulty.try_probe_pure(0, 1, BETA_PROBE_BYTES, 10.0, 1e9) {
+        match faulty.try_probe(0, 1, BETA_PROBE_BYTES, 10.0, 1e9) {
             ProbeAttempt::Ok(s) => assert!((s - 3.0 * truth).abs() < 1e-12 * truth.max(1.0)),
             other => panic!("straggler under huge deadline: {other:?}"),
         }
         // A deadline under the inflated time turns the straggler into a
         // timeout.
         assert_eq!(
-            faulty.try_probe_pure(0, 1, BETA_PROBE_BYTES, 10.0, 2.0 * truth),
+            faulty.try_probe(0, 1, BETA_PROBE_BYTES, 10.0, 2.0 * truth),
             ProbeAttempt::TimedOut
         );
     }
@@ -595,7 +572,7 @@ mod tests {
         let faulty = FaultyCloud::new(cloud(6), plan);
         let mut timed_out = 0;
         for k in 0..400 {
-            if faulty.try_probe_pure(0, 1, 1, k as f64, 1e9) == ProbeAttempt::TimedOut {
+            if faulty.try_probe(0, 1, 1, k as f64, 1e9) == ProbeAttempt::TimedOut {
                 timed_out += 1;
             }
         }
@@ -611,8 +588,8 @@ mod tests {
             let t = k as f64 * 1.7;
             let (i, j) = (k % 8, (k * 5 + 2) % 8);
             assert_eq!(
-                a.try_probe_pure(i, j, BETA_PROBE_BYTES, t, 2.0),
-                b.try_probe_pure(i, j, BETA_PROBE_BYTES, t, 2.0)
+                a.try_probe(i, j, BETA_PROBE_BYTES, t, 2.0),
+                b.try_probe(i, j, BETA_PROBE_BYTES, t, 2.0)
             );
         }
     }
@@ -663,7 +640,7 @@ mod tests {
                         continue;
                     }
                     let touches = dark.contains(&i) || dark.contains(&j);
-                    let got = faulty.try_probe_pure(i, j, 1, t, 1e9);
+                    let got = faulty.try_probe(i, j, 1, t, 1e9);
                     if touches {
                         assert_eq!(got, ProbeAttempt::Lost, "({i},{j}) at {t}");
                     } else {
@@ -710,7 +687,7 @@ mod tests {
                     continue;
                 }
                 let truth = c.probe_pure(i, j, BETA_PROBE_BYTES, 42.0);
-                let got = match faulty.try_probe_pure(i, j, BETA_PROBE_BYTES, 42.0, 1e9) {
+                let got = match faulty.try_probe(i, j, BETA_PROBE_BYTES, 42.0, 1e9) {
                     ProbeAttempt::Ok(s) => s,
                     other => panic!("congestion never loses probes: {other:?}"),
                 };
@@ -741,7 +718,7 @@ mod tests {
         let mut lost = 0;
         let mut ok = 0;
         for w in 0..100 {
-            match faulty.try_probe_pure(i, j, 1, w as f64 * 50.0 + 1.0, 1e9) {
+            match faulty.try_probe(i, j, 1, w as f64 * 50.0 + 1.0, 1e9) {
                 ProbeAttempt::Lost => lost += 1,
                 ProbeAttempt::Ok(_) => ok += 1,
                 other => panic!("{other:?}"),

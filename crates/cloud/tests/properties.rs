@@ -1,7 +1,7 @@
 //! Property-based tests of the synthetic cloud's guarantees.
 
 use cloudconst_cloud::{Blackout, CloudConfig, FaultPlan, FaultyCloud, FlakyLink, SyntheticCloud};
-use cloudconst_netmodel::{NetworkProbe, ProbeAttempt, PureFallibleNetworkProbe};
+use cloudconst_netmodel::{FallibleNetworkProbe, NetworkProbe, ProbeAttempt};
 use proptest::prelude::*;
 
 proptest! {
@@ -106,13 +106,13 @@ proptest! {
         for k in 0..64usize {
             let (i, j) = (k % n, (k * 3 + 1) % n);
             let t = t0 + k as f64 * 0.25;
-            fwd.push(a.try_probe_pure(i, j, 1 << 20, t, 2.0));
+            fwd.push(a.try_probe(i, j, 1 << 20, t, 2.0));
         }
         let mut rev = vec![ProbeAttempt::Lost; 64];
         for k in (0..64usize).rev() {
             let (i, j) = (k % n, (k * 3 + 1) % n);
             let t = t0 + k as f64 * 0.25;
-            rev[k] = b.try_probe_pure(i, j, 1 << 20, t, 2.0);
+            rev[k] = b.try_probe(i, j, 1 << 20, t, 2.0);
         }
         prop_assert_eq!(fwd, rev);
     }
@@ -123,7 +123,7 @@ proptest! {
         let faulty = FaultyCloud::new(cloud.clone(), FaultPlan::none(seed ^ 0xF));
         for i in 0..n {
             for j in 0..n {
-                match faulty.try_probe_pure(i, j, 1 << 20, t, 1e9) {
+                match faulty.try_probe(i, j, 1 << 20, t, 1e9) {
                     ProbeAttempt::Ok(s) => {
                         let truth = cloudconst_netmodel::PureNetworkProbe::probe_pure(
                             &cloud, i, j, 1 << 20, t,

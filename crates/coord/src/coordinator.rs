@@ -259,10 +259,8 @@ impl Coordinator {
             logs.push(log);
         }
 
-        let mut total = ProbeLog::new(n);
-        for log in &logs {
-            total.absorb_counters(log);
-        }
+        let run = FaultyTpRun { tp, overhead, logs };
+        let total = run.aggregate_log();
         let report = CampaignReport {
             n: n as u64,
             shards: self.config.shards as u64,
@@ -280,14 +278,7 @@ impl Coordinator {
             shards_alive: alive.len() as u64,
             wire: transport.stats(),
         };
-        Ok(ShardedRun {
-            run: FaultyTpRun {
-                tp,
-                overhead,
-                logs,
-            },
-            report,
-        })
+        Ok(ShardedRun { run, report })
     }
 
     /// Send `tasks`, pump the wire until every one is answered, re-sending

@@ -16,7 +16,7 @@
 //! maxima equals the unsharded fold.
 
 use crate::transport::ShardId;
-use cloudconst_netmodel::{pairing_rounds, CalibrationConfig};
+use cloudconst_netmodel::CalibrationConfig;
 
 /// The per-round shard assignments of one calibration.
 #[derive(Debug, Clone)]
@@ -31,14 +31,11 @@ impl ShardPlan {
     /// given protocol config. Panics on `shards == 0`.
     pub fn new(n: usize, shards: usize, config: &CalibrationConfig) -> Self {
         assert!(shards >= 1, "at least one shard required");
-        let rounds: Vec<Vec<(usize, usize)>> = if config.concurrent {
-            pairing_rounds(n)
-        } else {
-            (0..n)
-                .flat_map(|i| (0..n).filter(move |&j| j != i).map(move |j| vec![(i, j)]))
-                .collect()
-        };
-        ShardPlan { n, shards, rounds }
+        ShardPlan {
+            n,
+            shards,
+            rounds: config.schedule(n),
+        }
     }
 
     /// Cluster size.

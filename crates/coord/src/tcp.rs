@@ -39,7 +39,7 @@ use crate::transport::{ShardId, Transport, WireStats};
 use crate::wire::{AuthReject, Hello, HelloAck, Message};
 use crate::worker::ShardWorker;
 use crate::CoordError;
-use cloudconst_netmodel::PureFallibleNetworkProbe;
+use cloudconst_netmodel::FallibleNetworkProbe;
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -326,7 +326,7 @@ impl TcpWorkerServer {
     /// ephemeral loopback port.
     pub fn spawn<P>(probe: P, shards: usize, key: AuthKey) -> io::Result<Self>
     where
-        P: PureFallibleNetworkProbe + Clone + Send + 'static,
+        P: FallibleNetworkProbe + Clone + Send + 'static,
     {
         Self::spawn_on("127.0.0.1:0", probe, shards, key)
     }
@@ -335,7 +335,7 @@ impl TcpWorkerServer {
     pub fn spawn_on<A, P>(addr: A, probe: P, shards: usize, key: AuthKey) -> io::Result<Self>
     where
         A: ToSocketAddrs,
-        P: PureFallibleNetworkProbe + Clone + Send + 'static,
+        P: FallibleNetworkProbe + Clone + Send + 'static,
     {
         assert!(shards >= 1, "at least one shard required");
         let listener = TcpListener::bind(addr)?;
@@ -443,7 +443,7 @@ impl Drop for TcpWorkerServer {
     }
 }
 
-fn serve_conn<P: PureFallibleNetworkProbe>(
+fn serve_conn<P: FallibleNetworkProbe>(
     mut stream: TcpStream,
     shared: Arc<ServerShared<P>>,
     shutdown: Arc<AtomicBool>,
@@ -516,7 +516,7 @@ fn serve_conn<P: PureFallibleNetworkProbe>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cloudconst_netmodel::{FallibleNetworkProbe, ProbeAttempt};
+    use cloudconst_netmodel::ProbeAttempt;
 
     #[derive(Clone)]
     struct Fixed;
@@ -524,12 +524,7 @@ mod tests {
         fn n(&self) -> usize {
             4
         }
-        fn try_probe(&mut self, i: usize, j: usize, b: u64, t: f64, d: f64) -> ProbeAttempt {
-            self.try_probe_pure(i, j, b, t, d)
-        }
-    }
-    impl PureFallibleNetworkProbe for Fixed {
-        fn try_probe_pure(&self, i: usize, j: usize, _b: u64, _t: f64, _d: f64) -> ProbeAttempt {
+        fn try_probe(&self, i: usize, j: usize, _b: u64, _t: f64, _d: f64) -> ProbeAttempt {
             ProbeAttempt::Ok(if i == j { 0.0 } else { 0.25 })
         }
     }

@@ -20,7 +20,7 @@
 use crate::worker::ShardWorker;
 use crate::CoordError;
 use cloudconst_cloud::hash;
-use cloudconst_netmodel::PureFallibleNetworkProbe;
+use cloudconst_netmodel::FallibleNetworkProbe;
 use serde::Serialize;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -91,7 +91,7 @@ pub struct LoopbackTransport<P> {
     stats: WireStats,
 }
 
-impl<P: PureFallibleNetworkProbe + Clone> LoopbackTransport<P> {
+impl<P: FallibleNetworkProbe + Clone> LoopbackTransport<P> {
     /// Spin up `shards` workers, each owning a clone of `probe`.
     pub fn new(probe: P, shards: usize) -> Self {
         assert!(shards >= 1, "at least one shard required");
@@ -106,7 +106,7 @@ impl<P: PureFallibleNetworkProbe + Clone> LoopbackTransport<P> {
     }
 }
 
-impl<P: PureFallibleNetworkProbe> Transport for LoopbackTransport<P> {
+impl<P: FallibleNetworkProbe> Transport for LoopbackTransport<P> {
     fn n(&self) -> usize {
         self.workers[0].n()
     }
@@ -181,7 +181,7 @@ pub struct SimTransport<P> {
     shard_sends: Vec<u64>,
 }
 
-impl<P: PureFallibleNetworkProbe + Clone> SimTransport<P> {
+impl<P: FallibleNetworkProbe + Clone> SimTransport<P> {
     /// Spin up `shards` workers behind a simulated wire.
     pub fn new(probe: P, shards: usize, cfg: SimConfig) -> Self {
         assert!(shards >= 1, "at least one shard required");
@@ -210,7 +210,7 @@ impl<P: PureFallibleNetworkProbe + Clone> SimTransport<P> {
     }
 }
 
-impl<P: PureFallibleNetworkProbe> SimTransport<P> {
+impl<P: FallibleNetworkProbe> SimTransport<P> {
     /// Draw whether wire frame `seq` is lost.
     fn lost(&self, seq: u64) -> bool {
         self.cfg.loss_prob > 0.0
@@ -218,7 +218,7 @@ impl<P: PureFallibleNetworkProbe> SimTransport<P> {
     }
 }
 
-impl<P: PureFallibleNetworkProbe> Transport for SimTransport<P> {
+impl<P: FallibleNetworkProbe> Transport for SimTransport<P> {
     fn n(&self) -> usize {
         self.workers[0].n()
     }
@@ -284,7 +284,7 @@ impl<P: PureFallibleNetworkProbe> Transport for SimTransport<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cloudconst_netmodel::{FallibleNetworkProbe, ProbeAttempt};
+    use cloudconst_netmodel::ProbeAttempt;
 
     #[derive(Clone)]
     struct Fixed;
@@ -292,12 +292,7 @@ mod tests {
         fn n(&self) -> usize {
             4
         }
-        fn try_probe(&mut self, i: usize, j: usize, b: u64, t: f64, d: f64) -> ProbeAttempt {
-            self.try_probe_pure(i, j, b, t, d)
-        }
-    }
-    impl PureFallibleNetworkProbe for Fixed {
-        fn try_probe_pure(&self, i: usize, j: usize, _b: u64, _t: f64, _d: f64) -> ProbeAttempt {
+        fn try_probe(&self, i: usize, j: usize, _b: u64, _t: f64, _d: f64) -> ProbeAttempt {
             ProbeAttempt::Ok(if i == j { 0.0 } else { 0.25 })
         }
     }

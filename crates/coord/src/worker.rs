@@ -2,11 +2,15 @@
 //!
 //! A [`ShardWorker`] executes [`ShardTask`]s against its own probe
 //! backend, accumulates measured cells across a snapshot, and ships them
-//! as a [`PartialTpMatrix`] when the coordinator flushes. Its per-cell
-//! bookkeeping — counter accumulation, `attempts = max(small, large)`,
-//! `LinkPerf::fit` on doubly-measured cells, `Failed` otherwise — is a
-//! line-for-line mirror of the unsharded calibrator's `drive_faulty`,
+//! as a [`PartialTpMatrix`] when the coordinator flushes. Each pair's
+//! phase is one [`run_attempt_series`], and each round's two phases are
+//! folded by the unsharded calibrator's own kernel step, [`fold_round`],
 //! which is what makes the merged result bit-identical.
+//!
+//! Task frames come from outside the program, so every task is checked
+//! before it is probed: pairs must name two distinct instances of the
+//! cluster, and a round's large phase must carry exactly the pairs of its
+//! small phase. A violation is a [`CoordError::Protocol`], never a panic.
 //!
 //! Workers are idempotent: every request's response frame is cached by
 //! task id, so a re-dispatched duplicate (its ack was lost on the wire)
@@ -15,40 +19,39 @@
 use crate::wire::{CellResult, FlushRequest, Message, PartialTpMatrix, Phase, PhaseAck, ShardTask};
 use crate::CoordError;
 use cloudconst_netmodel::{
-    run_attempt_series, AttemptSeries, LinkPerf, ProbeOutcome, PureFallibleNetworkProbe,
+    fold_round, run_attempt_series, AttemptSeries, FallibleNetworkProbe, ProbeLog,
 };
-use rayon::prelude::*;
 use std::collections::BTreeMap;
 
-/// Pair count below which a task's chunk is probed serially (mirrors the
-/// unsharded calibrator's threshold; thread handoff would cost more).
-const PAR_MIN_PAIRS: usize = 8;
+/// A round's small phase awaiting its large phase: probe size, pairs and
+/// per-pair series.
+type SmallPhase = (u64, Vec<(usize, usize)>, Vec<AttemptSeries>);
 
 /// One worker shard: a probe backend plus per-snapshot accumulation state.
 pub struct ShardWorker<P> {
     probe: P,
     shard: usize,
-    /// Small-phase results awaiting their round's large phase:
-    /// `round → (small_bytes, per-pair series)`.
-    small: BTreeMap<u32, (u64, Vec<AttemptSeries>)>,
+    /// Small-phase results awaiting their round's large phase, by round.
+    small: BTreeMap<u32, SmallPhase>,
     /// Cells finished this snapshot, in schedule order.
     cells: Vec<CellResult>,
-    /// `[attempts, successes, retries, timeouts, losses]` this snapshot.
-    counters: [u64; 5],
+    /// Probe counters (and cell outcomes) of this snapshot.
+    log: ProbeLog,
     /// Response cache for idempotent re-dispatch: `seq → (snapshot, frame)`.
     seen: BTreeMap<u64, (u32, Vec<u8>)>,
     cur_snapshot: u32,
 }
 
-impl<P: PureFallibleNetworkProbe> ShardWorker<P> {
+impl<P: FallibleNetworkProbe> ShardWorker<P> {
     /// A worker for shard `shard` probing through `probe`.
     pub fn new(probe: P, shard: usize) -> Self {
+        let log = ProbeLog::new(probe.n());
         ShardWorker {
             probe,
             shard,
             small: BTreeMap::new(),
             cells: Vec::new(),
-            counters: [0; 5],
+            log,
             seen: BTreeMap::new(),
             cur_snapshot: 0,
         }
@@ -78,6 +81,7 @@ impl<P: PureFallibleNetworkProbe> ShardWorker<P> {
         if let Some((_, cached)) = self.seen.get(&t.seq) {
             return Ok(cached.clone());
         }
+        let pairs = self.checked_pairs(&t)?;
         if t.snapshot != self.cur_snapshot {
             // A new snapshot implies every barrier of the previous one
             // completed; its cached responses can never be re-requested.
@@ -86,84 +90,45 @@ impl<P: PureFallibleNetworkProbe> ShardWorker<P> {
         }
 
         // The whole retry series per pair is a pure function of
-        // `(pair, bytes, at, retry)`, so chunk order — and thread order —
-        // cannot affect the values.
-        let probe = &self.probe;
-        let series: Vec<AttemptSeries> = if t.pairs.len() >= PAR_MIN_PAIRS {
-            (0..t.pairs.len())
-                .into_par_iter()
-                .map(|k| {
-                    let (i, j) = t.pairs[k];
-                    run_attempt_series(
-                        |at| {
-                            probe.try_probe_pure(i as usize, j as usize, t.bytes, at, t.retry.deadline)
-                        },
-                        t.at,
-                        &t.retry,
-                    )
-                })
-                .collect()
-        } else {
-            t.pairs
-                .iter()
-                .map(|&(i, j)| {
-                    run_attempt_series(
-                        |at| {
-                            probe.try_probe_pure(i as usize, j as usize, t.bytes, at, t.retry.deadline)
-                        },
-                        t.at,
-                        &t.retry,
-                    )
-                })
-                .collect()
-        };
+        // `(pair, bytes, at, retry)`, so how the round is chunked across
+        // shards cannot affect the values.
+        let series: Vec<AttemptSeries> = pairs
+            .iter()
+            .map(|&(i, j)| {
+                run_attempt_series(
+                    |at| self.probe.try_probe(i, j, t.bytes, at, t.retry.deadline),
+                    t.at,
+                    &t.retry,
+                )
+            })
+            .collect();
         let max_consumed = series.iter().map(|s| s.consumed).fold(0.0, f64::max);
 
         match t.phase {
             Phase::Small => {
-                self.small.insert(t.round, (t.bytes, series));
+                self.small.insert(t.round, (t.bytes, pairs, series));
             }
             Phase::Large => {
-                let (small_bytes, small) = self
+                let (small_bytes, _, small) = self
                     .small
                     .remove(&t.round)
-                    .ok_or(CoordError::Protocol("large phase before small"))?;
-                if small.len() != t.pairs.len() {
-                    return Err(CoordError::Protocol("phase pair lists disagree"));
-                }
-                for (k, &(i, j)) in t.pairs.iter().enumerate() {
-                    let (s, l) = (small[k], series[k]);
-                    for ph in [s, l] {
-                        self.counters[0] += ph.attempts as u64;
-                        if ph.measured.is_some() {
-                            self.counters[1] += 1;
-                        }
-                        self.counters[2] += (ph.attempts - 1) as u64;
-                        self.counters[3] += ph.timeouts as u64;
-                        self.counters[4] += ph.losses as u64;
-                    }
-                    let attempts = s.attempts.max(l.attempts);
-                    let cell = match (s.measured, l.measured) {
-                        (Some(ts), Some(tl)) => {
-                            let link = LinkPerf::fit(small_bytes, ts, t.bytes, tl);
-                            CellResult {
-                                i,
-                                j,
-                                outcome: ProbeOutcome::Ok(attempts),
-                                alpha: link.alpha,
-                                beta: link.beta,
-                            }
-                        }
-                        _ => CellResult {
-                            i,
-                            j,
-                            outcome: ProbeOutcome::Failed(attempts),
-                            alpha: 0.0,
-                            beta: 0.0,
-                        },
-                    };
-                    self.cells.push(cell);
-                }
+                    .expect("checked_pairs found the small phase");
+                let cells = &mut self.cells;
+                fold_round(
+                    &mut self.log,
+                    &pairs,
+                    (small_bytes, &small),
+                    (t.bytes, &series),
+                    |i, j, outcome, link| {
+                        cells.push(CellResult {
+                            i: i as u32,
+                            j: j as u32,
+                            outcome,
+                            alpha: link.map_or(0.0, |l| l.alpha),
+                            beta: link.map_or(0.0, |l| l.beta),
+                        })
+                    },
+                );
             }
         }
 
@@ -175,6 +140,33 @@ impl<P: PureFallibleNetworkProbe> ShardWorker<P> {
         .encode();
         self.seen.insert(t.seq, (t.snapshot, ack.clone()));
         Ok(ack)
+    }
+
+    /// The task's pairs, once they are known to be well formed: every
+    /// pair joins two distinct instances of the cluster, and a large
+    /// phase follows its round's small phase with the same pairs.
+    fn checked_pairs(&self, t: &ShardTask) -> Result<Vec<(usize, usize)>, CoordError> {
+        let n = self.n();
+        let pairs: Vec<(usize, usize)> = t
+            .pairs
+            .iter()
+            .map(|&(i, j)| (i as usize, j as usize))
+            .collect();
+        if pairs.iter().any(|&(i, j)| i >= n || j >= n || i == j) {
+            return Err(CoordError::Protocol(
+                "task pair outside the cluster or a self-link",
+            ));
+        }
+        if t.phase == Phase::Large {
+            let (_, small_pairs, _) = self
+                .small
+                .get(&t.round)
+                .ok_or(CoordError::Protocol("large phase before small"))?;
+            if *small_pairs != pairs {
+                return Err(CoordError::Protocol("phase pair lists disagree"));
+            }
+        }
+        Ok(pairs)
     }
 
     /// Shard failover: a peer died mid-snapshot and the coordinator is
@@ -189,7 +181,7 @@ impl<P: PureFallibleNetworkProbe> ShardWorker<P> {
         }
         self.small.clear();
         self.cells.clear();
-        self.counters = [0; 5];
+        self.log = ProbeLog::new(self.n());
         let ack = Message::Ack(PhaseAck {
             seq: f.seq,
             shard: self.shard as u32,
@@ -207,21 +199,21 @@ impl<P: PureFallibleNetworkProbe> ShardWorker<P> {
         if !self.small.is_empty() {
             return Err(CoordError::Protocol("flush with a round's large phase missing"));
         }
-        let [attempts, successes, retries, timeouts, losses] = self.counters;
+        let n = self.n();
+        let log = std::mem::replace(&mut self.log, ProbeLog::new(n));
         let partial = Message::Partial(PartialTpMatrix {
             seq: f.seq,
             shard: self.shard as u32,
             snapshot: f.snapshot,
-            n: self.n() as u32,
-            attempts,
-            successes,
-            retries,
-            timeouts,
-            losses,
+            n: n as u32,
+            attempts: log.attempts,
+            successes: log.successes,
+            retries: log.retries,
+            timeouts: log.timeouts,
+            losses: log.losses,
             cells: std::mem::take(&mut self.cells),
         })
         .encode();
-        self.counters = [0; 5];
         self.seen.insert(f.seq, (f.snapshot, partial.clone()));
         Ok(partial)
     }
@@ -231,37 +223,90 @@ impl<P: PureFallibleNetworkProbe> ShardWorker<P> {
 mod tests {
     use super::*;
     use crate::wire::{FlushRequest, Message, Phase, ShardTask};
-    use cloudconst_netmodel::{FallibleNetworkProbe, ProbeAttempt, RetryPolicy};
+    use cloudconst_netmodel::{ProbeAttempt, RetryPolicy};
 
-    /// Every probe takes a fixed time; 4 endpoints.
+    /// Every probe takes a fixed time; 8 endpoints.
     struct Fixed;
     impl FallibleNetworkProbe for Fixed {
         fn n(&self) -> usize {
-            4
+            8
         }
-        fn try_probe(&mut self, i: usize, j: usize, b: u64, t: f64, d: f64) -> ProbeAttempt {
-            self.try_probe_pure(i, j, b, t, d)
-        }
-    }
-    impl PureFallibleNetworkProbe for Fixed {
-        fn try_probe_pure(&self, i: usize, j: usize, _b: u64, _t: f64, _d: f64) -> ProbeAttempt {
+        fn try_probe(&self, i: usize, j: usize, _b: u64, _t: f64, _d: f64) -> ProbeAttempt {
             ProbeAttempt::Ok(if i == j { 0.0 } else { 0.25 })
         }
     }
 
-    fn task(seq: u64, phase: Phase) -> Vec<u8> {
+    fn task_with(seq: u64, phase: Phase, pairs: Vec<(u32, u32)>) -> Vec<u8> {
         Message::Task(ShardTask {
             seq,
             shard: 0,
             snapshot: 0,
             round: 0,
             phase,
-            bytes: 64,
+            bytes: if phase == Phase::Small { 1 } else { 64 },
             at: 0.0,
             retry: RetryPolicy::default(),
-            pairs: vec![(0, 1)],
+            pairs,
         })
         .encode()
+    }
+
+    fn task(seq: u64, phase: Phase) -> Vec<u8> {
+        task_with(seq, phase, vec![(0, 1)])
+    }
+
+    fn assert_protocol_error(got: Result<Vec<u8>, CoordError>, what: &str) {
+        assert!(
+            matches!(got, Err(CoordError::Protocol(_))),
+            "{what}: got {got:?}"
+        );
+    }
+
+    #[test]
+    fn large_phase_with_other_pairs_than_its_small_phase_is_rejected() {
+        let mut w = ShardWorker::new(Fixed, 0);
+        w.handle(&task_with(1, Phase::Small, vec![(0, 1)])).unwrap();
+        // Fitting (2,3) from (0,1)'s latency would be a silent wrong answer.
+        assert_protocol_error(
+            w.handle(&task_with(2, Phase::Large, vec![(2, 3)])),
+            "(2,3) after (0,1)",
+        );
+        // The round's small phase survives the rejected frame.
+        w.handle(&task_with(3, Phase::Large, vec![(0, 1)])).unwrap();
+    }
+
+    #[test]
+    fn pair_outside_the_cluster_is_rejected() {
+        let mut w = ShardWorker::new(Fixed, 0);
+        assert_protocol_error(
+            w.handle(&task_with(1, Phase::Small, vec![(0, 9)])),
+            "(0,9) at n=8",
+        );
+        assert_protocol_error(
+            w.handle(&task_with(2, Phase::Small, vec![(0, 200)])),
+            "(0,200) at n=8",
+        );
+        assert_protocol_error(
+            w.handle(&task_with(3, Phase::Small, vec![(5, 5)])),
+            "self-link",
+        );
+        // Nothing was accepted, so a flush ships an empty fragment.
+        let flush = Message::Flush(FlushRequest {
+            seq: 4,
+            shard: 0,
+            snapshot: 0,
+        })
+        .encode();
+        match Message::decode(&w.handle(&flush).unwrap()).unwrap() {
+            Message::Partial(p) => assert!(p.cells.is_empty() && p.attempts == 0),
+            other => panic!("flush must ship a partial, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn large_phase_before_small_is_rejected() {
+        let mut w = ShardWorker::new(Fixed, 0);
+        assert_protocol_error(w.handle(&task(1, Phase::Large)), "large before small");
     }
 
     #[test]

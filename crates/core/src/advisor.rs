@@ -3,9 +3,8 @@
 use crate::estimator::{estimate_with_opts, ConstantEstimate, DegradedPolicy, EstimatorKind};
 use crate::{CoreError, Result};
 use cloudconst_netmodel::{
-    CalibrationConfig, Calibrator, FallibleNetworkProbe, FaultyTpRun, ImputePolicy,
-    NetworkProbe, PerfMatrix, ProbeLog, ProbeOutcome, PureFallibleNetworkProbe,
-    PureNetworkProbe, RetryPolicy, TpMatrix,
+    CalibrationConfig, Calibrator, FallibleNetworkProbe, FaultyTpRun, ImputePolicy, NetworkProbe,
+    PerfMatrix, ProbeLog, ProbeOutcome, PureNetworkProbe, RetryPolicy, TpMatrix,
 };
 use cloudconst_rpca::{ApgOptions, RpcaError};
 use serde::{Deserialize, Serialize};
@@ -26,7 +25,7 @@ pub struct AdvisorConfig {
     /// Probe protocol parameters.
     pub calibration: CalibrationConfig,
     /// Per-probe deadline and retry/backoff for the fault-aware
-    /// calibration path ([`Advisor::calibrate_faulty`]).
+    /// calibration path ([`Advisor::calibrate_faulty_par`]).
     pub retry: RetryPolicy,
     /// How unobserved TP-matrix cells are filled on the fault-aware path.
     pub impute: ImputePolicy,
@@ -327,67 +326,51 @@ impl Advisor {
         &mut self.cfg
     }
 
+    /// The calibrator for the configured protocol.
+    fn calibrator(&self) -> Calibrator {
+        Calibrator {
+            config: self.cfg.calibration.clone(),
+        }
+    }
+
     /// Lines 1–2: calibrate a fresh TP-matrix and rebuild the model.
     /// Returns the new state.
     pub fn calibrate<P: NetworkProbe>(&mut self, probe: &mut P, now: f64) -> Result<&ModelState> {
-        let calibrator = Calibrator {
-            config: self.cfg.calibration.clone(),
-        };
-        let (tp, overhead) =
-            calibrator.calibrate_tp(probe, now, self.cfg.snapshot_interval, self.cfg.time_step);
+        let (tp, overhead) = self.calibrator().calibrate_tp(
+            probe,
+            now,
+            self.cfg.snapshot_interval,
+            self.cfg.time_step,
+        );
         self.install_model(tp, overhead, now)
     }
 
-    /// Lines 1–2 through a pure probe: each round's pair measurements run
-    /// on worker threads (see [`Calibrator::calibrate_par`]). Produces a
-    /// model bit-identical to [`Advisor::calibrate`] on the same probe.
+    /// Lines 1–2 through a pure probe held by shared reference (see
+    /// [`Calibrator::calibrate_par`]). Produces a model bit-identical to
+    /// [`Advisor::calibrate`] on the same probe.
     pub fn calibrate_par<P: PureNetworkProbe>(
         &mut self,
         probe: &P,
         now: f64,
     ) -> Result<&ModelState> {
-        let calibrator = Calibrator {
-            config: self.cfg.calibration.clone(),
-        };
-        let (tp, overhead) =
-            calibrator.calibrate_tp_par(probe, now, self.cfg.snapshot_interval, self.cfg.time_step);
+        let (tp, overhead) = self.calibrator().calibrate_tp_par(
+            probe,
+            now,
+            self.cfg.snapshot_interval,
+            self.cfg.time_step,
+        );
         self.install_model(tp, overhead, now)
     }
 
     /// Fault-aware lines 1–2: calibrate through the fallible probe path
     /// with the configured retry/backoff, impute-and-mask unobserved
-    /// cells, update link-failure streaks and the quarantine list, then
-    /// rebuild the model under the configured [`DegradedPolicy`].
-    pub fn calibrate_faulty<P: FallibleNetworkProbe>(
-        &mut self,
-        probe: &mut P,
-        now: f64,
-    ) -> Result<&ModelState> {
-        let calibrator = Calibrator {
-            config: self.cfg.calibration.clone(),
-        };
-        let run = calibrator.calibrate_tp_faulty(
-            probe,
-            now,
-            self.cfg.snapshot_interval,
-            self.cfg.time_step,
-            &self.cfg.retry,
-            self.cfg.impute,
-        );
-        self.finish_faulty(run, now)
-    }
-
-    /// Parallel twin of [`Advisor::calibrate_faulty`]; bit-identical to it
-    /// for pure fallible probes.
-    pub fn calibrate_faulty_par<P: PureFallibleNetworkProbe>(
+    /// cells, then adopt the run (see [`Advisor::adopt_faulty_run`]).
+    pub fn calibrate_faulty_par<P: FallibleNetworkProbe>(
         &mut self,
         probe: &P,
         now: f64,
     ) -> Result<&ModelState> {
-        let calibrator = Calibrator {
-            config: self.cfg.calibration.clone(),
-        };
-        let run = calibrator.calibrate_tp_faulty_par(
+        let run = self.calibrator().calibrate_tp_faulty_par(
             probe,
             now,
             self.cfg.snapshot_interval,
@@ -395,21 +378,17 @@ impl Advisor {
             &self.cfg.retry,
             self.cfg.impute,
         );
-        self.finish_faulty(run, now)
+        self.adopt_faulty_run(run, now)
     }
 
-    /// Adopt a fault-aware calibration run produced *outside* the advisor's
-    /// own probe loop — e.g. the sharded coordinator's merged
+    /// Adopt a fault-aware calibration run — the advisor's own
+    /// [`Advisor::calibrate_faulty_par`], or one produced *outside* the
+    /// advisor's probe loop, e.g. the sharded coordinator's merged
     /// `ShardedRun.run` (`cloudconst-coord`), which is bit-identical to
-    /// what [`Advisor::calibrate_faulty_par`] would have produced on the
-    /// same probe. Updates link health and the quarantine list from the
-    /// run's per-snapshot logs, then rebuilds the model under the
-    /// configured [`DegradedPolicy`], exactly like the internal paths.
+    /// the internal run on the same probe. Updates link-failure streaks
+    /// and the quarantine list from the run's per-snapshot logs, then
+    /// rebuilds the model under the configured [`DegradedPolicy`].
     pub fn adopt_faulty_run(&mut self, run: FaultyTpRun, now: f64) -> Result<&ModelState> {
-        self.finish_faulty(run, now)
-    }
-
-    fn finish_faulty(&mut self, run: FaultyTpRun, now: f64) -> Result<&ModelState> {
         self.update_link_health(&run.logs);
         self.probe_stats = Some(run.aggregate_log());
         let FaultyTpRun { tp, overhead, .. } = run;

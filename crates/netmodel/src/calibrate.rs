@@ -10,21 +10,23 @@
 //! Each pair is probed with a 1-byte message (latency α) and an 8 MB
 //! message (bandwidth β), exactly the SKaMPI `Pingpong_Send_Recv` recipe
 //! the paper uses.
+//!
+//! Every calibration path runs one serial round kernel: the schedule comes
+//! from [`CalibrationConfig::schedule`], each round probes its α then its β
+//! phase with the clock advancing by the slowest pair of each, and
+//! [`fold_round`] turns the two phases into probe-log counters and fitted
+//! cells. The entry points differ only in how one phase is measured. The
+//! sharded workers of `cloudconst-coord` call the same [`fold_round`].
 
 use crate::alpha_beta::LinkPerf;
 use crate::fallible::{
     run_attempt_series, AdaptiveRetryPolicy, AttemptSeries, FallibleNetworkProbe, ProbeLog,
-    ProbeOutcome, PureFallibleNetworkProbe, RetryPlan, RetryPolicy,
+    ProbeOutcome, RetryPolicy,
 };
 use crate::perf_matrix::PerfMatrix;
 use crate::tp_matrix::{ImputePolicy, TpMatrix};
 use crate::{NetworkProbe, PureNetworkProbe, ALPHA_PROBE_BYTES, BETA_PROBE_BYTES};
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
-
-/// Pair count below which a calibration round is probed serially even on
-/// the parallel path (thread handoff would cost more than the probes).
-const PAR_MIN_PAIRS: usize = 8;
 
 /// Round-robin (circle method) schedule of directed probe rounds.
 ///
@@ -80,6 +82,60 @@ impl Default for CalibrationConfig {
     }
 }
 
+impl CalibrationConfig {
+    /// The probe rounds of one `n`-instance snapshot: the
+    /// [`pairing_rounds`], or one directed pair per round in `(i, j)` order
+    /// when `concurrent` is false.
+    pub fn schedule(&self, n: usize) -> Vec<Vec<(usize, usize)>> {
+        if self.concurrent {
+            pairing_rounds(n)
+        } else {
+            (0..n)
+                .flat_map(|i| (0..n).filter(move |&j| j != i).map(move |j| vec![(i, j)]))
+                .collect()
+        }
+    }
+}
+
+/// Fold one round's two phases into `log`: the attempt counters of both
+/// phases accumulate, and each pair's cell ends `Ok` with the α-β fit of
+/// its two measurements, or `Failed` when either phase measured nothing —
+/// either way with `attempts = max(small, large)`. `cell` receives every
+/// pair's final outcome and, for measured cells, the fitted link.
+///
+/// `small` and `large` hold the phases' probe sizes and per-pair series in
+/// `pairs` order.
+pub fn fold_round(
+    log: &mut ProbeLog,
+    pairs: &[(usize, usize)],
+    (small_bytes, small): (u64, &[AttemptSeries]),
+    (large_bytes, large): (u64, &[AttemptSeries]),
+    mut cell: impl FnMut(usize, usize, ProbeOutcome, Option<LinkPerf>),
+) {
+    for (k, &(i, j)) in pairs.iter().enumerate() {
+        let (s, l) = (small[k], large[k]);
+        for ph in [s, l] {
+            log.attempts += ph.attempts as u64;
+            log.retries += (ph.attempts - 1) as u64;
+            log.timeouts += ph.timeouts as u64;
+            log.losses += ph.losses as u64;
+            if ph.measured.is_some() {
+                log.successes += 1;
+            }
+        }
+        let attempts = s.attempts.max(l.attempts);
+        let (outcome, link) = match (s.measured, l.measured) {
+            (Some(ts), Some(tl)) => (
+                ProbeOutcome::Ok(attempts),
+                Some(LinkPerf::fit(small_bytes, ts, large_bytes, tl)),
+            ),
+            _ => (ProbeOutcome::Failed(attempts), None),
+        };
+        log.set_outcome(i, j, outcome);
+        cell(i, j, outcome, link);
+    }
+}
+
 /// Outcome of one all-link calibration.
 #[derive(Debug, Clone)]
 pub struct CalibrationRun {
@@ -95,7 +151,7 @@ pub struct CalibrationRun {
     /// Number of probe rounds executed.
     pub rounds: usize,
     /// Per-cell probe outcomes and aggregate attempt counters. The
-    /// infallible paths record an all-success log.
+    /// infallible paths record every link as measured first try.
     pub outcomes: ProbeLog,
 }
 
@@ -113,130 +169,27 @@ impl Calibrator {
     }
 
     /// Measure the full all-link performance matrix starting at `now`.
+    /// Each phase of a round goes through
+    /// [`NetworkProbe::probe_concurrent`], so backends that model
+    /// contention between simultaneous transfers see the whole round.
     pub fn calibrate<P: NetworkProbe>(&self, probe: &mut P, now: f64) -> CalibrationRun {
         let n = probe.n();
-        let mut perf = PerfMatrix::ideal(n);
-        let mut clock = now;
-        let mut rounds = 0;
-
-        let run_round = |probe: &mut P,
-                             pairs: &[(usize, usize)],
-                             clock: &mut f64,
-                             perf: &mut PerfMatrix| {
-            // Latency probes first, then bandwidth probes, each phase
-            // advancing the clock by the slowest member of the round.
-            let t_small = probe.probe_concurrent(pairs, self.config.small_bytes, *clock);
-            *clock += t_small.iter().cloned().fold(0.0, f64::max);
-            let t_large = probe.probe_concurrent(pairs, self.config.large_bytes, *clock);
-            *clock += t_large.iter().cloned().fold(0.0, f64::max);
-            for (k, &(i, j)) in pairs.iter().enumerate() {
-                perf.set(
-                    i,
-                    j,
-                    LinkPerf::fit(
-                        self.config.small_bytes,
-                        t_small[k],
-                        self.config.large_bytes,
-                        t_large[k],
-                    ),
-                );
-            }
-        };
-
-        if self.config.concurrent {
-            for pairs in pairing_rounds(n) {
-                run_round(probe, &pairs, &mut clock, &mut perf);
-                rounds += 1;
-            }
-        } else {
-            for i in 0..n {
-                for j in 0..n {
-                    if i != j {
-                        run_round(probe, &[(i, j)], &mut clock, &mut perf);
-                        rounds += 1;
-                    }
-                }
-            }
-        }
-
-        CalibrationRun {
-            perf,
-            overhead: clock - now,
-            rounds,
-            outcomes: ProbeLog::all_ok(n),
-        }
+        self.drive(n, now, |pairs, bytes, at| {
+            let times = probe.probe_concurrent(pairs, bytes, at);
+            times.into_iter().map(AttemptSeries::ok).collect()
+        })
     }
 
-    /// Parallel twin of [`Calibrator::calibrate`] for probes with pure
-    /// measurements: the `⌊N/2⌋` pairs of each round are probed on worker
-    /// threads. Rounds still run in schedule order and the clock advances
-    /// exactly as in the serial path, so the result is bit-identical to
-    /// `calibrate` on the same probe — pinned by the
-    /// `parallel_calibration_is_bit_identical` test below.
+    /// [`Calibrator::calibrate`] through a shared reference, for probes
+    /// with pure measurements. Bit-identical to `calibrate` on the same
+    /// probe.
     pub fn calibrate_par<P: PureNetworkProbe>(&self, probe: &P, now: f64) -> CalibrationRun {
-        let n = probe.n();
-        let mut perf = PerfMatrix::ideal(n);
-        let mut clock = now;
-        let mut rounds = 0;
-
-        let probe_round = |pairs: &[(usize, usize)], bytes: u64, at: f64| -> Vec<f64> {
-            if pairs.len() >= PAR_MIN_PAIRS {
-                (0..pairs.len())
-                    .into_par_iter()
-                    .map(|k| {
-                        let (i, j) = pairs[k];
-                        probe.probe_pure(i, j, bytes, at)
-                    })
-                    .collect()
-            } else {
-                pairs
-                    .iter()
-                    .map(|&(i, j)| probe.probe_pure(i, j, bytes, at))
-                    .collect()
-            }
-        };
-
-        let mut run_round = |pairs: &[(usize, usize)]| {
-            let t_small = probe_round(pairs, self.config.small_bytes, clock);
-            clock += t_small.iter().cloned().fold(0.0, f64::max);
-            let t_large = probe_round(pairs, self.config.large_bytes, clock);
-            clock += t_large.iter().cloned().fold(0.0, f64::max);
-            for (k, &(i, j)) in pairs.iter().enumerate() {
-                perf.set(
-                    i,
-                    j,
-                    LinkPerf::fit(
-                        self.config.small_bytes,
-                        t_small[k],
-                        self.config.large_bytes,
-                        t_large[k],
-                    ),
-                );
-            }
-        };
-
-        if self.config.concurrent {
-            for pairs in pairing_rounds(n) {
-                run_round(&pairs);
-                rounds += 1;
-            }
-        } else {
-            for i in 0..n {
-                for j in 0..n {
-                    if i != j {
-                        run_round(&[(i, j)]);
-                        rounds += 1;
-                    }
-                }
-            }
-        }
-
-        CalibrationRun {
-            perf,
-            overhead: clock - now,
-            rounds,
-            outcomes: ProbeLog::all_ok(n),
-        }
+        self.drive(probe.n(), now, |pairs, bytes, at| {
+            pairs
+                .iter()
+                .map(|&(i, j)| AttemptSeries::ok(probe.probe_pure(i, j, bytes, at)))
+                .collect()
+        })
     }
 
     /// Measure the all-link matrix through a fallible probe: every (pair,
@@ -245,90 +198,40 @@ impl Calibrator {
     /// [`ProbeOutcome::Failed`] instead of fabricating a value.
     ///
     /// With a fault-free backend every attempt succeeds first try, backoff
-    /// never engages, and the result — matrix, overhead and round count —
-    /// is bit-identical to [`Calibrator::calibrate`] (pinned by tests).
-    pub fn calibrate_faulty<P: FallibleNetworkProbe>(
+    /// never engages, and the result — matrix, overhead, round count and
+    /// log — is bit-identical to [`Calibrator::calibrate`] (pinned by
+    /// tests).
+    pub fn calibrate_faulty_par<P: FallibleNetworkProbe>(
         &self,
-        probe: &mut P,
+        probe: &P,
         now: f64,
         retry: &RetryPolicy,
     ) -> CalibrationRun {
-        let n = probe.n();
-        self.drive_faulty(n, now, |pairs, bytes, at| {
+        self.calibrate_faulty_planned(probe, now, |_, _| retry.clone())
+    }
+
+    /// One fallible snapshot in which directed link `(i, j)` runs the retry
+    /// policy `policy_for(i, j)`. The policies are fixed before the
+    /// snapshot starts, so every attempt series stays a pure function of
+    /// `(pair, bytes, time)`.
+    fn calibrate_faulty_planned<P: FallibleNetworkProbe>(
+        &self,
+        probe: &P,
+        now: f64,
+        policy_for: impl Fn(usize, usize) -> RetryPolicy,
+    ) -> CalibrationRun {
+        self.drive(probe.n(), now, |pairs, bytes, at| {
             pairs
                 .iter()
                 .map(|&(i, j)| {
-                    run_attempt_series(|t| probe.try_probe(i, j, bytes, t, retry.deadline), at, retry)
+                    let retry = policy_for(i, j);
+                    run_attempt_series(
+                        |t| probe.try_probe(i, j, bytes, t, retry.deadline),
+                        at,
+                        &retry,
+                    )
                 })
                 .collect()
-        })
-    }
-
-    /// Parallel twin of [`Calibrator::calibrate_faulty`]: each round's
-    /// pairs run their whole retry series on worker threads. Bit-identical
-    /// to the serial path for pure fallible probes.
-    pub fn calibrate_faulty_par<P: PureFallibleNetworkProbe>(
-        &self,
-        probe: &P,
-        now: f64,
-        retry: &RetryPolicy,
-    ) -> CalibrationRun {
-        let n = probe.n();
-        self.drive_faulty(n, now, |pairs, bytes, at| {
-            if pairs.len() >= PAR_MIN_PAIRS {
-                (0..pairs.len())
-                    .into_par_iter()
-                    .map(|k| {
-                        let (i, j) = pairs[k];
-                        run_attempt_series(
-                            |t| probe.try_probe_pure(i, j, bytes, t, retry.deadline),
-                            at,
-                            retry,
-                        )
-                    })
-                    .collect()
-            } else {
-                pairs
-                    .iter()
-                    .map(|&(i, j)| {
-                        run_attempt_series(
-                            |t| probe.try_probe_pure(i, j, bytes, t, retry.deadline),
-                            at,
-                            retry,
-                        )
-                    })
-                    .collect()
-            }
-        })
-    }
-
-    /// One snapshot under a per-link [`RetryPlan`]: like
-    /// [`Calibrator::calibrate_faulty_par`], but each directed link runs
-    /// the attempt cap the plan granted it. The plan is fixed before the
-    /// snapshot starts, so every attempt series stays a pure function of
-    /// `(pair, bytes, time)` and the parallel fan-out is deterministic.
-    pub fn calibrate_faulty_planned_par<P: PureFallibleNetworkProbe>(
-        &self,
-        probe: &P,
-        now: f64,
-        plan: &RetryPlan,
-    ) -> CalibrationRun {
-        let n = probe.n();
-        self.drive_faulty(n, now, |pairs, bytes, at| {
-            let series = |k: usize| {
-                let (i, j) = pairs[k];
-                let retry = plan.policy_for(i, j);
-                run_attempt_series(
-                    |t| probe.try_probe_pure(i, j, bytes, t, retry.deadline),
-                    at,
-                    &retry,
-                )
-            };
-            if pairs.len() >= PAR_MIN_PAIRS {
-                (0..pairs.len()).into_par_iter().map(series).collect()
-            } else {
-                (0..pairs.len()).map(series).collect()
-            }
         })
     }
 
@@ -338,7 +241,7 @@ impl Calibrator {
     /// on the links that have actually been failing while clean links run
     /// the lean cold schedule. The first snapshot has no history and runs
     /// all-cold.
-    pub fn calibrate_tp_faulty_adaptive_par<P: PureFallibleNetworkProbe>(
+    pub fn calibrate_tp_faulty_adaptive_par<P: FallibleNetworkProbe>(
         &self,
         probe: &P,
         start: f64,
@@ -351,7 +254,7 @@ impl Calibrator {
         let mut history: Option<ProbeLog> = None;
         self.drive_tp_faulty(start, interval, steps, impute, |t| {
             let plan = adaptive.plan(n, history.as_ref(), &[]);
-            let run = self.calibrate_faulty_planned_par(probe, t, &plan);
+            let run = self.calibrate_faulty_planned(probe, t, |i, j| plan.policy_for(i, j));
             match &mut history {
                 Some(h) => h.absorb(&run.outcomes),
                 None => history = Some(run.outcomes.clone()),
@@ -360,73 +263,43 @@ impl Calibrator {
         })
     }
 
-    /// Shared schedule/clock/bookkeeping engine of the fallible paths.
-    /// `phase` measures one round's pairs at one probe size starting at an
-    /// absolute time, returning the per-pair attempt series in pair order.
-    fn drive_faulty(
+    /// The round kernel every calibration path runs. `phase` measures one
+    /// round's pairs at one probe size starting at an absolute time,
+    /// returning the per-pair attempt series in pair order; the clock
+    /// advances by the slowest series of each phase — retries and burnt
+    /// deadlines included, so faults honestly inflate the overhead.
+    fn drive(
         &self,
         n: usize,
         now: f64,
         mut phase: impl FnMut(&[(usize, usize)], u64, f64) -> Vec<AttemptSeries>,
     ) -> CalibrationRun {
+        let (small_bytes, large_bytes) = (self.config.small_bytes, self.config.large_bytes);
         let mut perf = PerfMatrix::ideal(n);
         let mut log = ProbeLog::new(n);
         let mut clock = now;
-        let mut rounds = 0;
-
-        let schedule: Vec<Vec<(usize, usize)>> = if self.config.concurrent {
-            pairing_rounds(n)
-        } else {
-            (0..n)
-                .flat_map(|i| (0..n).filter(move |&j| j != i).map(move |j| vec![(i, j)]))
-                .collect()
-        };
-
-        for pairs in schedule {
-            // Latency then bandwidth phase, the clock advancing by the
-            // slowest pair of each phase — retries and burnt deadlines
-            // included, so faults honestly inflate the overhead.
-            let small = phase(&pairs, self.config.small_bytes, clock);
+        let schedule = self.config.schedule(n);
+        for pairs in &schedule {
+            let small = phase(pairs, small_bytes, clock);
             clock += small.iter().map(|s| s.consumed).fold(0.0, f64::max);
-            let large = phase(&pairs, self.config.large_bytes, clock);
+            let large = phase(pairs, large_bytes, clock);
             clock += large.iter().map(|s| s.consumed).fold(0.0, f64::max);
-
-            for (k, &(i, j)) in pairs.iter().enumerate() {
-                let (s, l) = (small[k], large[k]);
-                for ph in [s, l] {
-                    log.attempts += ph.attempts as u64;
-                    log.retries += (ph.attempts - 1) as u64;
-                    log.timeouts += ph.timeouts as u64;
-                    log.losses += ph.losses as u64;
-                    if ph.measured.is_some() {
-                        log.successes += 1;
+            fold_round(
+                &mut log,
+                pairs,
+                (small_bytes, &small),
+                (large_bytes, &large),
+                |i, j, _, link| {
+                    if let Some(link) = link {
+                        perf.set(i, j, link);
                     }
-                }
-                let attempts = s.attempts.max(l.attempts);
-                match (s.measured, l.measured) {
-                    (Some(ts), Some(tl)) => {
-                        perf.set(
-                            i,
-                            j,
-                            LinkPerf::fit(
-                                self.config.small_bytes,
-                                ts,
-                                self.config.large_bytes,
-                                tl,
-                            ),
-                        );
-                        log.set_outcome(i, j, ProbeOutcome::Ok(attempts));
-                    }
-                    _ => log.set_outcome(i, j, ProbeOutcome::Failed(attempts)),
-                }
-            }
-            rounds += 1;
+                },
+            );
         }
-
         CalibrationRun {
             perf,
             overhead: clock - now,
-            rounds,
+            rounds: schedule.len(),
             outcomes: log,
         }
     }
@@ -442,19 +315,11 @@ impl Calibrator {
         steps: usize,
     ) -> (TpMatrix, f64) {
         let n = probe.n();
-        let mut tp = TpMatrix::new(n);
-        let mut total = 0.0;
-        for k in 0..steps {
-            let t = start + k as f64 * interval;
-            let run = self.calibrate(probe, t);
-            total += run.overhead;
-            tp.push(t, &run.perf);
-        }
-        (tp, total)
+        stack_snapshots(n, start, interval, steps, |t| self.calibrate(probe, t))
     }
 
-    /// Parallel twin of [`Calibrator::calibrate_tp`]; see
-    /// [`Calibrator::calibrate_par`] for the determinism contract.
+    /// [`Calibrator::calibrate_tp`] through a shared reference; see
+    /// [`Calibrator::calibrate_par`].
     pub fn calibrate_tp_par<P: PureNetworkProbe>(
         &self,
         probe: &P,
@@ -462,39 +327,16 @@ impl Calibrator {
         interval: f64,
         steps: usize,
     ) -> (TpMatrix, f64) {
-        let n = probe.n();
-        let mut tp = TpMatrix::new(n);
-        let mut total = 0.0;
-        for k in 0..steps {
-            let t = start + k as f64 * interval;
-            let run = self.calibrate_par(probe, t);
-            total += run.overhead;
-            tp.push(t, &run.perf);
-        }
-        (tp, total)
-    }
-
-    /// Build a TP-matrix through the fallible path: each snapshot runs
-    /// [`Calibrator::calibrate_faulty`], unobserved cells are imputed per
-    /// `impute` and recorded in the TP-matrix's observation mask, and the
-    /// per-snapshot probe logs are returned for health reporting.
-    pub fn calibrate_tp_faulty<P: FallibleNetworkProbe>(
-        &self,
-        probe: &mut P,
-        start: f64,
-        interval: f64,
-        steps: usize,
-        retry: &RetryPolicy,
-        impute: ImputePolicy,
-    ) -> FaultyTpRun {
-        self.drive_tp_faulty(start, interval, steps, impute, |t| {
-            self.calibrate_faulty(probe, t, retry)
+        stack_snapshots(probe.n(), start, interval, steps, |t| {
+            self.calibrate_par(probe, t)
         })
     }
 
-    /// Parallel twin of [`Calibrator::calibrate_tp_faulty`]; see
-    /// [`Calibrator::calibrate_faulty_par`] for the determinism contract.
-    pub fn calibrate_tp_faulty_par<P: PureFallibleNetworkProbe>(
+    /// Build a TP-matrix through the fallible path: each snapshot runs
+    /// [`Calibrator::calibrate_faulty_par`], unobserved cells are imputed
+    /// per `impute` and recorded in the TP-matrix's observation mask, and
+    /// the per-snapshot probe logs are returned for health reporting.
+    pub fn calibrate_tp_faulty_par<P: FallibleNetworkProbe>(
         &self,
         probe: &P,
         start: f64,
@@ -533,6 +375,26 @@ impl Calibrator {
             logs,
         }
     }
+}
+
+/// The snapshot loop of the infallible TP paths: `steps` snapshots, one
+/// every `interval` seconds from `start`, stacked fully observed.
+fn stack_snapshots(
+    n: usize,
+    start: f64,
+    interval: f64,
+    steps: usize,
+    mut snapshot: impl FnMut(f64) -> CalibrationRun,
+) -> (TpMatrix, f64) {
+    let mut tp = TpMatrix::new(n);
+    let mut total = 0.0;
+    for k in 0..steps {
+        let t = start + k as f64 * interval;
+        let run = snapshot(t);
+        total += run.overhead;
+        tp.push(t, &run.perf);
+    }
+    (tp, total)
 }
 
 /// Result of a fault-tolerant TP-matrix calibration campaign.
@@ -680,8 +542,7 @@ mod tests {
 
     #[test]
     fn parallel_calibration_is_bit_identical() {
-        // 24 VMs → 12-pair rounds, above PAR_MIN_PAIRS, so the parallel
-        // path genuinely fans out.
+        // 24 VMs → 12-pair rounds.
         let truth = PerfMatrix::from_fn(24, |i, j| {
             LinkPerf::new(1e-4 * (1 + (i * 7 + j) % 5) as f64, 1e8 * (1 + (i + j) % 3) as f64)
         });
@@ -732,19 +593,6 @@ mod tests {
             self.truth.n()
         }
         fn try_probe(
-            &mut self,
-            i: usize,
-            j: usize,
-            bytes: u64,
-            now: f64,
-            _deadline: f64,
-        ) -> ProbeAttempt {
-            self.attempt(i, j, bytes, now)
-        }
-    }
-
-    impl PureFallibleNetworkProbe for FlakyProbe {
-        fn try_probe_pure(
             &self,
             i: usize,
             j: usize,
@@ -765,8 +613,8 @@ mod tests {
     #[test]
     fn fault_free_fallible_path_is_bit_identical() {
         let plain = Calibrator::new().calibrate(&mut ModelProbe(truth6()), 50.0);
-        let faulty = Calibrator::new().calibrate_faulty(
-            &mut FlakyProbe::reliable(truth6()),
+        let faulty = Calibrator::new().calibrate_faulty_par(
+            &FlakyProbe::reliable(truth6()),
             50.0,
             &RetryPolicy::default(),
         );
@@ -785,13 +633,13 @@ mod tests {
 
     #[test]
     fn dead_link_exhausts_retries_and_is_masked() {
-        let mut probe = FlakyProbe {
+        let probe = FlakyProbe {
             truth: truth6(),
             dead: vec![(0, 1)],
             flaky_until: f64::NEG_INFINITY,
         };
         let retry = RetryPolicy::default();
-        let run = Calibrator::new().calibrate_faulty(&mut probe, 0.0, &retry);
+        let run = Calibrator::new().calibrate_faulty_par(&probe, 0.0, &retry);
         assert_eq!(
             run.outcomes.outcome(0, 1),
             ProbeOutcome::Failed(retry.max_attempts)
@@ -811,13 +659,12 @@ mod tests {
     fn transient_fault_cleared_by_retry() {
         // Every attempt in the first second is lost; the retry (deadline
         // 2 s + backoff 0.5 s later) lands after the episode.
-        let mut probe = FlakyProbe {
+        let probe = FlakyProbe {
             truth: truth6(),
             dead: Vec::new(),
             flaky_until: 1.0,
         };
-        let run =
-            Calibrator::new().calibrate_faulty(&mut probe, 0.0, &RetryPolicy::default());
+        let run = Calibrator::new().calibrate_faulty_par(&probe, 0.0, &RetryPolicy::default());
         assert_eq!(run.outcomes.failed_links().len(), 0, "retries should recover");
         assert!(run.outcomes.retries > 0);
         assert!(run.outcomes.losses > 0);
@@ -830,40 +677,14 @@ mod tests {
     }
 
     #[test]
-    fn faulty_parallel_matches_serial_under_faults() {
-        let truth = PerfMatrix::from_fn(24, |i, j| {
-            LinkPerf::new(1e-4 * (1 + (i * 7 + j) % 5) as f64, 1e8 * (1 + (i + j) % 3) as f64)
-        });
-        let mk = || FlakyProbe {
-            truth: truth.clone(),
-            dead: vec![(0, 1), (5, 9), (17, 3)],
-            flaky_until: 2.0,
-        };
-        let retry = RetryPolicy::default();
-        let serial = Calibrator::new().calibrate_faulty(&mut mk(), 0.0, &retry);
-        let par = Calibrator::new().calibrate_faulty_par(&mk(), 0.0, &retry);
-        assert_eq!(par.rounds, serial.rounds);
-        assert_eq!(par.overhead.to_bits(), serial.overhead.to_bits());
-        assert_eq!(par.outcomes, serial.outcomes);
-        for i in 0..24 {
-            for j in 0..24 {
-                let a = serial.perf.link(i, j);
-                let b = par.perf.link(i, j);
-                assert_eq!(a.alpha.to_bits(), b.alpha.to_bits(), "alpha ({i},{j})");
-                assert_eq!(a.beta.to_bits(), b.beta.to_bits(), "beta ({i},{j})");
-            }
-        }
-    }
-
-    #[test]
     fn calibrate_tp_faulty_masks_and_imputes() {
-        let mut probe = FlakyProbe {
+        let probe = FlakyProbe {
             truth: truth6(),
             dead: vec![(2, 4)],
             flaky_until: f64::NEG_INFINITY,
         };
-        let run = Calibrator::new().calibrate_tp_faulty(
-            &mut probe,
+        let run = Calibrator::new().calibrate_tp_faulty_par(
+            &probe,
             0.0,
             500.0,
             4,
@@ -944,7 +765,8 @@ mod tests {
             budget: 0,
         };
         let plan = adaptive.plan(6, None, &[]);
-        let a = Calibrator::new().calibrate_faulty_planned_par(&probe, 7.0, &plan);
+        let a =
+            Calibrator::new().calibrate_faulty_planned(&probe, 7.0, |i, j| plan.policy_for(i, j));
         let b = Calibrator::new().calibrate_faulty_par(&probe, 7.0, &fixed);
         assert_eq!(a.outcomes, b.outcomes);
         assert_eq!(a.overhead.to_bits(), b.overhead.to_bits());
@@ -967,6 +789,91 @@ mod tests {
             assert_eq!(ms.shape(), mp.shape());
             for (a, b) in ms.as_slice().iter().zip(mp.as_slice()) {
                 assert_eq!(a.to_bits(), b.to_bits());
+            }
+        }
+    }
+
+    #[test]
+    fn infallible_log_counts_two_first_try_probes_per_link() {
+        let run = Calibrator::new().calibrate(&mut ModelProbe(truth6()), 0.0);
+        let log = &run.outcomes;
+        assert_eq!(log.attempts, 60); // 2 × 6·5
+        assert_eq!(log.successes, 60);
+        assert_eq!(log.retries + log.timeouts + log.losses, 0);
+        assert!(log.failed_links().is_empty());
+        assert_eq!(log.outcome(1, 2), ProbeOutcome::Ok(1));
+        assert_eq!(log.outcome(2, 2), ProbeOutcome::Unprobed);
+    }
+
+    #[test]
+    fn degenerate_clusters_calibrate_to_empty_runs() {
+        for n in [0usize, 1] {
+            let truth = PerfMatrix::from_fn(n, |_, _| LinkPerf::new(1e-4, 1e9));
+            let flaky = FlakyProbe::reliable(truth.clone());
+            let retry = RetryPolicy::default();
+            let cal = Calibrator::new();
+            let snapshots = [
+                (
+                    "calibrate",
+                    cal.calibrate(&mut ModelProbe(truth.clone()), 5.0),
+                ),
+                (
+                    "calibrate_par",
+                    cal.calibrate_par(&ModelProbe(truth.clone()), 5.0),
+                ),
+                (
+                    "calibrate_faulty_par",
+                    cal.calibrate_faulty_par(&flaky, 5.0, &retry),
+                ),
+            ];
+            for (name, run) in snapshots {
+                assert_eq!(run.rounds, 0, "{name} n={n}");
+                assert_eq!(run.overhead, 0.0, "{name} n={n}");
+                assert_eq!(run.outcomes.attempts, 0, "{name} n={n}");
+                assert_eq!(run.perf.n(), n, "{name} n={n}");
+            }
+            let tps = [
+                (
+                    "calibrate_tp",
+                    cal.calibrate_tp(&mut ModelProbe(truth.clone()), 5.0, 60.0, 3),
+                ),
+                (
+                    "calibrate_tp_par",
+                    cal.calibrate_tp_par(&ModelProbe(truth.clone()), 5.0, 60.0, 3),
+                ),
+            ];
+            for (name, (tp, overhead)) in tps {
+                assert_eq!(overhead, 0.0, "{name} n={n}");
+                assert_eq!(tp.steps(), 3, "{name} n={n}");
+            }
+            let faulty = [
+                (
+                    "calibrate_tp_faulty_par",
+                    cal.calibrate_tp_faulty_par(
+                        &flaky,
+                        5.0,
+                        60.0,
+                        3,
+                        &retry,
+                        ImputePolicy::LastGood,
+                    ),
+                ),
+                (
+                    "calibrate_tp_faulty_adaptive_par",
+                    cal.calibrate_tp_faulty_adaptive_par(
+                        &flaky,
+                        5.0,
+                        60.0,
+                        3,
+                        &AdaptiveRetryPolicy::default(),
+                        ImputePolicy::LastGood,
+                    ),
+                ),
+            ];
+            for (name, run) in faulty {
+                assert_eq!(run.overhead, 0.0, "{name} n={n}");
+                assert_eq!(run.logs.len(), 3, "{name} n={n}");
+                assert_eq!(run.aggregate_log().attempts, 0, "{name} n={n}");
             }
         }
     }

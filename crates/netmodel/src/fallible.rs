@@ -15,9 +15,9 @@
 //! * [`ProbeOutcome`] / [`ProbeLog`] — per-link bookkeeping of how each
 //!   cell of the measurement matrix was (or was not) observed, plus the
 //!   aggregate counters a health report needs.
-//! * [`FallibleNetworkProbe`] / [`PureFallibleNetworkProbe`] — the traits
-//!   backends implement to participate; the synthetic cloud's fault
-//!   wrapper lives in `cloudconst-cloud`.
+//! * [`FallibleNetworkProbe`] — the trait backends implement to
+//!   participate; the synthetic cloud's fault wrapper lives in
+//!   `cloudconst-cloud`.
 
 use serde::{Deserialize, Serialize};
 
@@ -106,6 +106,19 @@ pub struct AttemptSeries {
     pub timeouts: u32,
     /// Attempts that ended in a loss.
     pub losses: u32,
+}
+
+impl AttemptSeries {
+    /// A first-try measurement of `secs`: what an infallible probe reports.
+    pub fn ok(secs: f64) -> Self {
+        AttemptSeries {
+            measured: Some(secs),
+            consumed: secs,
+            attempts: 1,
+            timeouts: 0,
+            losses: 0,
+        }
+    }
 }
 
 /// Drive one (pair, phase) through the retry policy. `try_at` attempts the
@@ -202,24 +215,6 @@ impl ProbeLog {
             timeouts: 0,
             losses: 0,
         }
-    }
-
-    /// Log of a calibration that observed every directed link first try —
-    /// what the infallible [`crate::Calibrator::calibrate`] path records
-    /// (two probes per link: latency and bandwidth).
-    pub fn all_ok(n: usize) -> Self {
-        let mut log = ProbeLog::new(n);
-        for i in 0..n {
-            for j in 0..n {
-                if i != j {
-                    log.outcomes[i * n + j] = ProbeOutcome::Ok(1);
-                }
-            }
-        }
-        let probes = 2 * (n * (n - 1)) as u64;
-        log.attempts = probes;
-        log.successes = probes;
-        log
     }
 
     /// Cluster size.
@@ -337,9 +332,8 @@ fn merge_outcome(a: ProbeOutcome, b: ProbeOutcome) -> ProbeOutcome {
 ///
 /// The allocation happens *before* a calibration starts (see
 /// [`AdaptiveRetryPolicy::plan`]), so every (pair, phase) still runs a
-/// fixed per-link policy — attempt series stay pure functions of
-/// `(pair, bytes, time)` and the parallel path stays bit-identical to the
-/// serial one.
+/// fixed per-link policy and attempt series stay pure functions of
+/// `(pair, bytes, time)`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct AdaptiveRetryPolicy {
     /// Deadline and backoff shape every attempt runs under.
@@ -457,37 +451,38 @@ impl RetryPlan {
 /// A probe that can fail: each attempt observes a per-attempt deadline and
 /// reports honestly what happened instead of fabricating a number.
 ///
-/// Implementations must be deterministic in `(i, j, bytes, now, deadline)`
-/// given their configuration — calibration replays must be reproducible.
+/// Attempts must be pure functions of `(i, j, bytes, now, deadline)` given
+/// the implementation's configuration — calibration replays, sharded
+/// re-execution and failover restarts all rely on re-deriving the same
+/// outcome.
 pub trait FallibleNetworkProbe {
     /// Number of endpoints reachable through this probe.
     fn n(&self) -> usize;
 
     /// Attempt to move `bytes` from `i` to `j` starting at `now`, giving
     /// up at `now + deadline`. `i == j` must return `ProbeAttempt::Ok(0.0)`.
-    fn try_probe(&mut self, i: usize, j: usize, bytes: u64, now: f64, deadline: f64)
-        -> ProbeAttempt;
-}
-
-/// A fallible probe whose attempts are pure functions of
-/// `(i, j, bytes, now, deadline)`, so the pairs of a calibration round can
-/// be attempted on worker threads with results identical to the serial
-/// schedule. Mirrors [`crate::PureNetworkProbe`].
-pub trait PureFallibleNetworkProbe: FallibleNetworkProbe + Sync {
-    /// [`FallibleNetworkProbe::try_probe`] through a shared reference.
-    fn try_probe_pure(
-        &self,
-        i: usize,
-        j: usize,
-        bytes: u64,
-        now: f64,
-        deadline: f64,
-    ) -> ProbeAttempt;
+    fn try_probe(&self, i: usize, j: usize, bytes: u64, now: f64, deadline: f64) -> ProbeAttempt;
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Log of a calibration that observed every directed link first try.
+    fn clean_log(n: usize) -> ProbeLog {
+        let mut log = ProbeLog::new(n);
+        for i in 0..n {
+            for j in 0..n {
+                if i != j {
+                    log.set_outcome(i, j, ProbeOutcome::Ok(1));
+                }
+            }
+        }
+        let probes = 2 * (n * (n - 1)) as u64;
+        log.attempts = probes;
+        log.successes = probes;
+        log
+    }
 
     #[test]
     fn backoff_schedule_is_geometric() {
@@ -507,20 +502,8 @@ mod tests {
     }
 
     #[test]
-    fn all_ok_log_counts_two_probes_per_link() {
-        let log = ProbeLog::all_ok(4);
-        assert_eq!(log.attempts, 24); // 2 × 4·3
-        assert_eq!(log.successes, 24);
-        assert_eq!(log.success_rate(), 1.0);
-        assert!(log.failed_links().is_empty());
-        assert!(log.observed(1, 2));
-        assert!(log.observed(2, 2)); // diagonal
-        assert_eq!(log.outcome(0, 0), ProbeOutcome::Unprobed);
-    }
-
-    #[test]
     fn failed_cells_tracked_and_masked() {
-        let mut log = ProbeLog::all_ok(3);
+        let mut log = clean_log(3);
         log.set_outcome(0, 1, ProbeOutcome::Failed(3));
         assert!(!log.observed(0, 1));
         assert_eq!(log.failed_links(), vec![(0, 1)]);
@@ -539,8 +522,8 @@ mod tests {
 
     #[test]
     fn absorb_counters_accumulates() {
-        let mut a = ProbeLog::all_ok(3);
-        let mut b = ProbeLog::all_ok(3);
+        let mut a = clean_log(3);
+        let mut b = clean_log(3);
         b.retries = 2;
         b.timeouts = 1;
         b.losses = 1;
@@ -651,7 +634,7 @@ mod tests {
 
     #[test]
     fn probe_log_serde_roundtrip() {
-        let mut log = ProbeLog::all_ok(3);
+        let mut log = clean_log(3);
         log.set_outcome(1, 0, ProbeOutcome::Failed(2));
         let json = serde_json::to_string(&log).unwrap();
         let back: ProbeLog = serde_json::from_str(&json).unwrap();

@@ -31,12 +31,12 @@ pub mod trace;
 
 pub use alpha_beta::LinkPerf;
 pub use calibrate::{
-    pairing_rounds, CalibrationConfig, CalibrationRun, Calibrator, FaultyTpRun,
+    fold_round, pairing_rounds, CalibrationConfig, CalibrationRun, Calibrator, FaultyTpRun,
 };
 pub use coords::{triangle_violation_rate, vivaldi, VivaldiConfig, VivaldiModel};
 pub use fallible::{
     run_attempt_series, AdaptiveRetryPolicy, AttemptSeries, FallibleNetworkProbe, ProbeAttempt,
-    ProbeLog, ProbeOutcome, PureFallibleNetworkProbe, RetryPlan, RetryPolicy,
+    ProbeLog, ProbeOutcome, RetryPlan, RetryPolicy,
 };
 pub use perf_matrix::PerfMatrix;
 pub use tp_matrix::{ImputePolicy, TpMatrix};
@@ -77,15 +77,14 @@ pub trait NetworkProbe {
 }
 
 /// A probe whose measurements are pure functions of `(i, j, bytes, now)`:
-/// probing mutates no state, so the `⌊N/2⌋` pairs of a calibration round can
-/// be measured on worker threads and still return exactly the values the
-/// serial schedule would. The synthetic cloud qualifies (its link state is
+/// probing mutates no state, so it can be calibrated through a shared
+/// reference. The synthetic cloud qualifies (its link state is
 /// hash-derived from `(seed, stream, i, j, t)`); the discrete-event
 /// simulator does not (probes advance its event queue).
 ///
 /// Implementors must satisfy `probe_pure(i, j, b, t) ==`
 /// [`NetworkProbe::probe`]`(i, j, b, t)` for every input.
-pub trait PureNetworkProbe: NetworkProbe + Sync {
+pub trait PureNetworkProbe: NetworkProbe {
     /// [`NetworkProbe::probe`] through a shared reference.
     fn probe_pure(&self, i: usize, j: usize, bytes: u64, now: f64) -> f64;
 }
