@@ -183,12 +183,6 @@ impl<'a> Reader<'a> {
         Ok(self.take(1)?[0])
     }
 
-    /// Next little-endian `u16`.
-    pub fn u16(&mut self) -> Result<u16, CodecError> {
-        let s = self.take(2)?;
-        Ok(u16::from_le_bytes([s[0], s[1]]))
-    }
-
     /// Next little-endian `u32`.
     pub fn u32(&mut self) -> Result<u32, CodecError> {
         let s = self.take(4)?;

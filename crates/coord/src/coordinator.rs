@@ -24,7 +24,7 @@
 
 use crate::shard::ShardPlan;
 use crate::transport::{Transport, WireStats};
-use crate::wire::{FlushRequest, Message, PartialTpMatrix, Phase, ShardTask};
+use crate::wire::{Body, Message, PartialTpMatrix, Phase, ShardTask};
 use crate::CoordError;
 use cloudconst_netmodel::{
     CalibrationConfig, FaultyTpRun, ImputePolicy, LinkPerf, PerfMatrix, ProbeLog, ProbeOutcome,
@@ -148,111 +148,30 @@ impl Coordinator {
             return Err(CoordError::Config("dispatch_attempts must be >= 1"));
         }
         let n = transport.n();
-        let mut alive: Vec<usize> = (0..self.config.shards).collect();
-        let mut plan = ShardPlan::new(n, alive.len(), &self.config.calibration);
+        let mut d = Dispatch {
+            alive: (0..self.config.shards).collect(),
+            plan: ShardPlan::new(n, self.config.shards, &self.config.calibration),
+            seq: 0,
+            redispatches: 0,
+            failovers: 0,
+        };
 
         let mut tp = TpMatrix::new(n);
         let mut overhead = 0.0;
         let mut logs: Vec<ProbeLog> = Vec::with_capacity(steps);
-        let mut seq = 0u64;
-        let mut redispatches = 0u64;
-        let mut failovers = 0u64;
-
         for k in 0..steps {
             let t = start + k as f64 * interval;
-            // One snapshot attempt per iteration; a shard death resets the
-            // survivors and restarts the snapshot with a re-partitioned
-            // plan. Completed snapshots are never revisited.
-            let (perf, log, clock) = 'snapshot: loop {
-                let mut clock = t;
-                for r in 0..plan.rounds() {
-                    for (phase, bytes) in [
-                        (Phase::Small, self.config.calibration.small_bytes),
-                        (Phase::Large, self.config.calibration.large_bytes),
-                    ] {
-                        let tasks: Vec<(usize, u64, Vec<u8>)> = plan
-                            .chunks(r)
-                            .into_iter()
-                            .map(|(slot, pairs)| {
-                                let shard = alive[slot];
-                                seq += 1;
-                                let frame = Message::Task(ShardTask {
-                                    seq,
-                                    shard: shard as u32,
-                                    snapshot: k as u32,
-                                    round: r as u32,
-                                    phase,
-                                    bytes,
-                                    at: clock,
-                                    retry: self.config.retry.clone(),
-                                    pairs: pairs
-                                        .iter()
-                                        .map(|&(i, j)| (i as u32, j as u32))
-                                        .collect(),
-                                })
-                                .encode();
-                                (shard, seq, frame)
-                            })
-                            .collect();
-                        let maxima = match self.run_barrier(
-                            transport,
-                            tasks,
-                            &mut redispatches,
-                            |msg| match msg {
-                                Message::Ack(a) => Ok((a.seq, a.max_consumed)),
-                                _ => Err(CoordError::Protocol("expected a phase ack")),
-                            },
-                        )? {
-                            Barrier::Done(maxima) => maxima,
-                            Barrier::Dead { shards, missing } => {
-                                self.failover(
-                                    transport, &mut alive, shards, missing, &mut failovers,
-                                    &mut seq, k as u32, &mut redispatches,
-                                )?;
-                                plan = ShardPlan::new(n, alive.len(), &self.config.calibration);
-                                continue 'snapshot;
-                            }
-                        };
-                        clock += maxima.into_iter().fold(0.0, f64::max);
+            // A shard death resets the survivors and restarts the snapshot
+            // with a re-partitioned plan. Completed snapshots are never
+            // revisited.
+            let (perf, log, clock) = loop {
+                match self.snapshot(transport, &mut d, k as u32, t) {
+                    Ok(done) => break done,
+                    Err(Barrier::Dead { shards, missing }) => {
+                        self.failover(transport, &mut d, shards, missing, k as u32)?
                     }
+                    Err(Barrier::Failed(e)) => return Err(e),
                 }
-
-                // Snapshot barrier: collect every live shard's fragment.
-                let flushes: Vec<(usize, u64, Vec<u8>)> = alive
-                    .iter()
-                    .map(|&shard| {
-                        seq += 1;
-                        let frame = Message::Flush(FlushRequest {
-                            seq,
-                            shard: shard as u32,
-                            snapshot: k as u32,
-                        })
-                        .encode();
-                        (shard, seq, frame)
-                    })
-                    .collect();
-                let partials = match self.run_barrier(
-                    transport,
-                    flushes,
-                    &mut redispatches,
-                    |msg| match msg {
-                        Message::Partial(p) => Ok((p.seq, p)),
-                        _ => Err(CoordError::Protocol("expected a partial TP-matrix")),
-                    },
-                )? {
-                    Barrier::Done(partials) => partials,
-                    Barrier::Dead { shards, missing } => {
-                        self.failover(
-                            transport, &mut alive, shards, missing, &mut failovers, &mut seq,
-                            k as u32, &mut redispatches,
-                        )?;
-                        plan = ShardPlan::new(n, alive.len(), &self.config.calibration);
-                        continue 'snapshot;
-                    }
-                };
-
-                let (perf, log) = merge_partials(n, k as u32, &partials)?;
-                break (perf, log, clock);
             };
             overhead += clock - t;
             tp.push_masked(t, &perf, &log.observed_mask(), self.config.impute);
@@ -265,7 +184,7 @@ impl Coordinator {
             n: n as u64,
             shards: self.config.shards as u64,
             steps: steps as u64,
-            rounds: plan.rounds() as u64,
+            rounds: d.plan.rounds() as u64,
             overhead,
             probe_attempts: total.attempts,
             probe_successes: total.successes,
@@ -273,21 +192,74 @@ impl Coordinator {
             probe_timeouts: total.timeouts,
             probe_losses: total.losses,
             success_rate: total.success_rate(),
-            redispatches,
-            failovers,
-            shards_alive: alive.len() as u64,
+            redispatches: d.redispatches,
+            failovers: d.failovers,
+            shards_alive: d.alive.len() as u64,
             wire: transport.stats(),
         };
         Ok(ShardedRun { run, report })
     }
 
-    /// Send `tasks`, pump the wire until every one is answered, re-sending
-    /// unanswered frames each time the wire stalls (drained in-process,
-    /// receive-timeout on a socket), up to the dispatch budget. Returns
-    /// the accepted responses in delivery order (callers must only fold
-    /// them order-independently), or the shards owing responses once they
-    /// are declared dead — either observed dead by the transport's
-    /// [`Transport::shard_dead`] probe, or silent past the whole budget.
+    /// One attempt at snapshot `k` starting at time `t`: every round's two
+    /// phase barriers, then the flush barrier and the merge. Returns the
+    /// snapshot's measurements, log and final clock.
+    fn snapshot<T: Transport>(
+        &self,
+        transport: &mut T,
+        d: &mut Dispatch,
+        k: u32,
+        t: f64,
+    ) -> Result<(PerfMatrix, ProbeLog, f64), Barrier> {
+        let mut clock = t;
+        for r in 0..d.plan.rounds() {
+            for (phase, bytes) in [
+                (Phase::Small, self.config.calibration.small_bytes),
+                (Phase::Large, self.config.calibration.large_bytes),
+            ] {
+                let tasks: Vec<(usize, Body)> = d
+                    .plan
+                    .chunks(r)
+                    .into_iter()
+                    .map(|(slot, pairs)| {
+                        let task = ShardTask {
+                            snapshot: k,
+                            round: r as u32,
+                            phase,
+                            bytes,
+                            at: clock,
+                            retry: self.config.retry.clone(),
+                            pairs: pairs.iter().map(|&(i, j)| (i as u32, j as u32)).collect(),
+                        };
+                        (d.alive[slot], Body::Task(task))
+                    })
+                    .collect();
+                let maxima = self.run_barrier(transport, d, tasks, |body| match body {
+                    Body::Ack { max_consumed } => Ok(max_consumed),
+                    _ => Err(CoordError::Protocol("expected a phase ack")),
+                })?;
+                clock += maxima.into_iter().fold(0.0, f64::max);
+            }
+        }
+
+        // Snapshot barrier: collect every live shard's fragment.
+        let flushes: Vec<(usize, Body)> =
+            d.alive.iter().map(|&s| (s, Body::Flush { snapshot: k })).collect();
+        let partials = self.run_barrier(transport, d, flushes, |body| match body {
+            Body::Partial(p) => Ok(p),
+            _ => Err(CoordError::Protocol("expected a partial TP-matrix")),
+        })?;
+        let (perf, log) = merge_partials(d.plan.n(), k, &partials)?;
+        Ok((perf, log, clock))
+    }
+
+    /// Number `requests` with fresh seqs, send them, and pump the wire
+    /// until every one is answered, re-sending unanswered frames each time
+    /// the wire stalls (drained in-process, receive-timeout on a socket),
+    /// up to the dispatch budget. Returns the accepted response bodies in
+    /// delivery order (callers must only fold them order-independently),
+    /// or the shards owing responses once they are declared dead — either
+    /// observed dead by the transport's [`Transport::shard_dead`] probe, or
+    /// silent past the whole budget.
     ///
     /// The barrier may return with stragglers still in flight (a socket
     /// cannot be "drained"); every campaign seq is globally unique, so a
@@ -296,14 +268,21 @@ impl Coordinator {
     fn run_barrier<T: Transport, R>(
         &self,
         transport: &mut T,
-        tasks: Vec<(usize, u64, Vec<u8>)>,
-        redispatches: &mut u64,
-        mut accept: impl FnMut(Message) -> Result<(u64, R), CoordError>,
-    ) -> Result<Barrier<R>, CoordError> {
+        d: &mut Dispatch,
+        requests: Vec<(usize, Body)>,
+        mut accept: impl FnMut(Body) -> Result<R, CoordError>,
+    ) -> Result<Vec<R>, Barrier> {
         let mut pending: BTreeMap<u64, (usize, Vec<u8>)> = BTreeMap::new();
-        for (shard, seq, frame) in tasks {
+        for (shard, body) in requests {
+            d.seq += 1;
+            let frame = Message {
+                seq: d.seq,
+                shard: shard as u32,
+                body,
+            }
+            .encode();
             transport.send(shard, frame.clone())?;
-            pending.insert(seq, (shard, frame));
+            pending.insert(d.seq, (shard, frame));
         }
         let mut out = Vec::with_capacity(pending.len());
         let mut sends = 1u32;
@@ -312,51 +291,40 @@ impl Coordinator {
                 let Some(frame) = transport.deliver_next()? else {
                     break;
                 };
-                let msg = Message::decode(&frame)?;
+                let msg = Message::decode(&frame).map_err(CoordError::from)?;
                 // A worker that rejects our tag can never answer: the
                 // campaign is misconfigured, not unlucky.
-                if let Message::AuthReject(_) = msg {
-                    return Err(CoordError::AuthFailure("a worker rejected a frame tag"));
+                if matches!(msg.body, Body::AuthReject) {
+                    return Err(CoordError::AuthFailure("a worker rejected a frame tag").into());
                 }
                 // A response to an already-satisfied (or foreign) seq is a
                 // duplicate from an earlier re-dispatch race, or a
                 // straggler from an aborted barrier; drop it unseen.
-                if !pending.contains_key(&msg.seq()) {
+                if pending.remove(&msg.seq).is_none() {
                     continue;
                 }
-                let (seq, r) = accept(msg)?;
-                pending.remove(&seq);
-                out.push(r);
+                out.push(accept(msg.body)?);
             }
             if pending.is_empty() {
-                return Ok(Barrier::Done(out));
+                return Ok(out);
             }
             // Deadness probe first: an observed death (swallowed frame,
             // failed write, closed connection) needs no budget burn.
-            let mut dead: Vec<usize> = pending
-                .values()
-                .map(|&(s, _)| s)
-                .filter(|&s| transport.shard_dead(s))
-                .collect();
-            dead.sort_unstable();
-            dead.dedup();
-            if !dead.is_empty() {
-                return Ok(Barrier::Dead {
-                    shards: dead,
-                    missing: pending.len(),
-                });
+            let owing = || pending.values().map(|&(s, _)| s);
+            let mut shards: Vec<usize> = owing().filter(|&s| transport.shard_dead(s)).collect();
+            if shards.is_empty() && sends >= self.config.dispatch_attempts {
+                shards = owing().collect();
             }
-            if sends >= self.config.dispatch_attempts {
-                let mut shards: Vec<usize> = pending.values().map(|&(s, _)| s).collect();
-                shards.sort_unstable();
-                shards.dedup();
-                return Ok(Barrier::Dead {
+            shards.sort_unstable();
+            shards.dedup();
+            if !shards.is_empty() {
+                return Err(Barrier::Dead {
                     shards,
                     missing: pending.len(),
                 });
             }
             sends += 1;
-            *redispatches += pending.len() as u64;
+            d.redispatches += pending.len() as u64;
             for (shard, frame) in pending.values() {
                 transport.send(*shard, frame.clone())?;
             }
@@ -364,74 +332,86 @@ impl Coordinator {
     }
 
     /// Handle a barrier's dead shards: spend one failover, drop them from
-    /// the alive set, and reset the survivors' snapshot state so the
-    /// caller can restart the snapshot. Loops if survivors die during the
-    /// reset barrier itself; errors with [`CoordError::ShardLost`] once
+    /// the alive set, reset the survivors' snapshot state and re-plan, so
+    /// the caller can restart the snapshot. Loops if survivors die during
+    /// the reset barrier itself; errors with [`CoordError::ShardLost`] once
     /// the failover budget (or the cluster) is exhausted.
-    #[allow(clippy::too_many_arguments)]
     fn failover<T: Transport>(
         &self,
         transport: &mut T,
-        alive: &mut Vec<usize>,
+        d: &mut Dispatch,
         mut dead: Vec<usize>,
         mut missing: usize,
-        failovers: &mut u64,
-        seq: &mut u64,
         snapshot: u32,
-        redispatches: &mut u64,
     ) -> Result<(), CoordError> {
         loop {
-            if *failovers >= u64::from(self.config.failover_attempts) {
+            if d.failovers >= u64::from(self.config.failover_attempts) {
                 return Err(CoordError::ShardLost { missing });
             }
-            *failovers += 1;
-            alive.retain(|s| !dead.contains(s));
-            if alive.is_empty() {
+            d.failovers += 1;
+            d.alive.retain(|s| !dead.contains(s));
+            if d.alive.is_empty() {
                 return Err(CoordError::ShardLost { missing });
             }
-            let resets: Vec<(usize, u64, Vec<u8>)> = alive
-                .iter()
-                .map(|&shard| {
-                    *seq += 1;
-                    let frame = Message::Reset(FlushRequest {
-                        seq: *seq,
-                        shard: shard as u32,
-                        snapshot,
-                    })
-                    .encode();
-                    (shard, *seq, frame)
-                })
-                .collect();
-            match self.run_barrier(transport, resets, redispatches, |msg| match msg {
-                Message::Ack(a) => Ok((a.seq, ())),
+            let resets: Vec<(usize, Body)> =
+                d.alive.iter().map(|&s| (s, Body::Reset { snapshot })).collect();
+            match self.run_barrier(transport, d, resets, |body| match body {
+                Body::Ack { .. } => Ok(()),
                 _ => Err(CoordError::Protocol("expected a reset ack")),
-            })? {
-                Barrier::Done(_) => return Ok(()),
-                Barrier::Dead { shards, missing: m } => {
+            }) {
+                Ok(_) => {
+                    d.plan = ShardPlan::new(d.plan.n(), d.alive.len(), &self.config.calibration);
+                    return Ok(());
+                }
+                Err(Barrier::Dead { shards, missing: m }) => {
                     dead = shards;
                     missing = m;
                 }
+                Err(Barrier::Failed(e)) => return Err(e),
             }
         }
     }
 }
 
-/// Outcome of one dispatch barrier.
-enum Barrier<R> {
-    /// Every frame was answered; the responses, in delivery order.
-    Done(Vec<R>),
-    /// The dispatch budget ran out with frames still unanswered.
+/// Per-campaign dispatch state, threaded through every barrier.
+struct Dispatch {
+    /// Shards still alive, in id order; plan slot `s` runs on `alive[s]`.
+    alive: Vec<usize>,
+    /// The schedule partitioned across the alive shards.
+    plan: ShardPlan,
+    /// Last seq handed out (campaign seqs start at 1).
+    seq: u64,
+    /// Frames re-sent after the wire dropped them or their responses.
+    redispatches: u64,
+    /// Shard deaths survived.
+    failovers: u64,
+}
+
+/// Why a barrier did not complete.
+enum Barrier {
+    /// Shards owing responses were declared dead.
     Dead {
         /// Shards owing at least one response, sorted and deduplicated.
         shards: Vec<usize>,
         /// Frames still unanswered.
         missing: usize,
     },
+    /// The campaign cannot continue.
+    Failed(CoordError),
+}
+
+impl From<CoordError> for Barrier {
+    fn from(e: CoordError) -> Self {
+        Barrier::Failed(e)
+    }
 }
 
 /// Merge per-shard fragments into one snapshot's measurement matrix and
 /// probe log. Cells are disjoint and counters are sums, so any fragment
-/// order yields identical bits.
+/// order yields identical bits. Fragments come from outside the program:
+/// a wrong cluster size or snapshot, an out-of-range or twice-reported
+/// cell, and a scheduled cell nobody reported are each a
+/// [`CoordError::Protocol`].
 fn merge_partials(
     n: usize,
     snapshot: u32,
@@ -471,6 +451,14 @@ fn merge_partials(
             }
             log.set_outcome(i, j, c.outcome);
         }
+    }
+    // Every schedule covers every ordered pair, so an off-diagonal cell
+    // still unprobed was scheduled on some shard that never reported it.
+    let unreported = (0..n).any(|i| {
+        (0..n).any(|j| i != j && matches!(log.outcome(i, j), ProbeOutcome::Unprobed))
+    });
+    if unreported {
+        return Err(CoordError::Protocol("fragments left a scheduled cell unreported"));
     }
     Ok((perf, log))
 }

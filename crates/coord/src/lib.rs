@@ -8,20 +8,21 @@
 //! calibration service could fan out across hosts".
 //!
 //! ```text
-//!                    ┌────────────┐   ShardTask / FlushRequest
+//!                    ┌────────────┐   Task / Flush / Reset
 //!                    │ Coordinator│ ──────────────────────────────┐
 //!                    │  (clock,   │                               ▼
 //!                    │  schedule, │   Transport (frames)   ┌────────────┐
 //!                    │  merge)    │ ◄───────────────────── │ ShardWorker│ × K
-//!                    └────────────┘   PhaseAck /           │  (probe,   │
-//!                          │          PartialTpMatrix      │  fragment) │
+//!                    └────────────┘   Ack / Partial        │  (probe,   │
+//!                          │                               │  fragment) │
 //!                          ▼                               └────────────┘
 //!                     TpMatrix + CampaignReport
 //! ```
 //!
 //! Modules: [`codec`] (binary framing + on-disk `NetTrace`), [`wire`]
-//! (typed messages), [`shard`] (round partitioning), [`transport`]
-//! (loopback + deterministic lossy sim), [`worker`], [`coordinator`].
+//! (the frame header and typed bodies), [`shard`] (round partitioning),
+//! [`transport`] (loopback + deterministic lossy sim), [`worker`],
+//! [`coordinator`].
 
 pub mod auth;
 pub mod codec;
@@ -38,10 +39,7 @@ pub use coordinator::{CampaignReport, Coordinator, CoordinatorConfig, ShardedRun
 pub use shard::ShardPlan;
 pub use tcp::{TcpConfig, TcpTransport, TcpWorkerServer};
 pub use transport::{LoopbackTransport, ShardId, SimConfig, SimTransport, Transport, WireStats};
-pub use wire::{
-    AuthReject, CellResult, FlushRequest, Hello, HelloAck, Message, PartialTpMatrix, Phase,
-    PhaseAck, ShardTask,
-};
+pub use wire::{Body, CellResult, Message, PartialTpMatrix, Phase, ShardTask};
 pub use worker::ShardWorker;
 
 use std::fmt;

@@ -36,7 +36,7 @@
 
 use crate::auth::AuthKey;
 use crate::transport::{ShardId, Transport, WireStats};
-use crate::wire::{AuthReject, Hello, HelloAck, Message};
+use crate::wire::{Body, Message};
 use crate::worker::ShardWorker;
 use crate::CoordError;
 use cloudconst_netmodel::FallibleNetworkProbe;
@@ -197,10 +197,11 @@ impl TcpTransport {
     /// worker reports. Runs under a temporary read timeout so a mute or
     /// wrong-protocol peer cannot hang `connect` forever.
     fn handshake(stream: &mut TcpStream, shard: usize, cfg: &TcpConfig) -> Result<usize, CoordError> {
-        let hello = Message::Hello(Hello {
+        let hello = Message {
             seq: 0,
             shard: shard as u32,
-        })
+            body: Body::Hello,
+        }
         .encode();
         write_frame(stream, &cfg.key.seal(&hello)).map_err(|e| txerr("hello", e))?;
         stream
@@ -211,12 +212,11 @@ impl TcpTransport {
             .set_read_timeout(None)
             .map_err(|e| txerr("handshake timeout", e))?;
         let frame = cfg.key.open(&sealed)?;
-        match Message::decode(frame)? {
-            Message::HelloAck(a) if a.shard == shard as u32 => Ok(a.n as usize),
-            Message::HelloAck(_) => Err(CoordError::Protocol("hello ack for the wrong shard")),
-            Message::AuthReject(_) => {
-                Err(CoordError::AuthFailure("worker rejected the campaign key"))
-            }
+        let ack = Message::decode(frame)?;
+        match ack.body {
+            Body::HelloAck { n } if ack.shard == shard as u32 => Ok(n as usize),
+            Body::HelloAck { .. } => Err(CoordError::Protocol("hello ack for the wrong shard")),
+            Body::AuthReject => Err(CoordError::AuthFailure("worker rejected the campaign key")),
             _ => Err(CoordError::Protocol("unexpected frame during handshake")),
         }
     }
@@ -459,10 +459,11 @@ fn serve_conn<P: FallibleNetworkProbe>(
                 // Unauthentic frame: never executed, answered with a typed
                 // rejection the coordinator surfaces as `AuthFailure`.
                 Some(
-                    Message::AuthReject(AuthReject {
+                    Message {
                         seq: 0,
                         shard: u32::MAX,
-                    })
+                        body: Body::AuthReject,
+                    }
                     .encode(),
                 )
             }
@@ -471,28 +472,28 @@ fn serve_conn<P: FallibleNetworkProbe>(
                 // wire noise (the tag already vouched for the bytes);
                 // dropping the connection is the loudest safe answer.
                 Err(_) => break,
-                Ok(Message::Hello(h)) => {
-                    let shard = h.shard as usize;
-                    if shard >= shared.workers.len() {
-                        break;
-                    }
+                Ok(msg) if msg.shard as usize >= shared.workers.len() => break,
+                Ok(Message {
+                    seq,
+                    shard,
+                    body: Body::Hello,
+                }) => {
                     if let Ok(clone) = stream.try_clone() {
-                        shared.conns.lock().unwrap()[shard] = Some(clone);
+                        shared.conns.lock().unwrap()[shard as usize] = Some(clone);
                     }
                     Some(
-                        Message::HelloAck(HelloAck {
-                            seq: h.seq,
-                            shard: h.shard,
-                            n: shared.n as u32,
-                        })
+                        Message {
+                            seq,
+                            shard,
+                            body: Body::HelloAck {
+                                n: shared.n as u32,
+                            },
+                        }
                         .encode(),
                     )
                 }
                 Ok(msg) => {
-                    let shard = msg.shard() as usize;
-                    if shard >= shared.workers.len() {
-                        break;
-                    }
+                    let shard = msg.shard as usize;
                     let seen = shared.received[shard].fetch_add(1, Ordering::SeqCst) + 1;
                     if seen > shared.kill_after[shard].load(Ordering::SeqCst) {
                         None // the wedged-host hook: swallow silently

@@ -298,11 +298,11 @@ mod tests {
     }
 
     fn flush_frame(seq: u64, shard: u32) -> Vec<u8> {
-        crate::wire::Message::Flush(crate::wire::FlushRequest {
+        crate::wire::Message {
             seq,
             shard,
-            snapshot: 0,
-        })
+            body: crate::wire::Body::Flush { snapshot: 0 },
+        }
         .encode()
     }
 

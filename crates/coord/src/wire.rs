@@ -1,27 +1,40 @@
 //! Typed wire messages of the coordinator/worker protocol, carried in
 //! [`crate::codec`] frames.
 //!
-//! The protocol is deliberately small — five message shapes:
+//! Every frame's payload is one header followed by the body of its kind:
 //!
-//! * [`ShardTask`] (coordinator → worker): probe one chunk of one
-//!   `(round, phase)` at an absolute start time, under a given
-//!   [`RetryPolicy`]. Tasks are idempotent; re-dispatched duplicates get
-//!   the cached acknowledgement.
-//! * [`PhaseAck`] (worker → coordinator): the chunk's slowest pair's
-//!   consumed time — the only value the coordinator needs to advance the
-//!   shared calibration clock, because `max` over shard maxima equals the
-//!   unsharded `max` over all pairs exactly.
-//! * [`FlushRequest`] (coordinator → worker): a snapshot ended; ship the
-//!   accumulated fragment.
-//! * [`PartialTpMatrix`] (worker → coordinator): the shard's measured
-//!   cells, per-cell [`ProbeOutcome`]s and aggregate probe counters for
-//!   one snapshot. Cells are disjoint across shards, so merging is
-//!   order-independent by construction.
-//! * [`Message::Reset`] (coordinator → worker): a shard died mid-snapshot
-//!   and the snapshot is being restarted across the survivors — discard
-//!   all accumulated state for it. Acknowledged with a [`PhaseAck`]
-//!   (`max_consumed` 0.0). Resets are idempotent: clearing an already
-//!   clean snapshot is a no-op, so re-dispatch needs no special casing.
+//! ```text
+//! [seq: u64 LE] [shard: u32 LE] [body]
+//! ```
+//!
+//! `seq` is the exchange id: a request's response echoes it, re-dispatch
+//! keeps it, and it is unique within a campaign, so it is the one key
+//! barriers match responses on and workers cache responses under.
+//! Handshake frames use 0, which campaign seqs never do. `shard` is the
+//! destination of a coordinator → worker frame and the origin of a
+//! worker → coordinator one; a multi-shard host routes on it.
+//!
+//! | Kind | [`Body`] | Direction | Body fields |
+//! |---|---|---|---|
+//! | 1 | [`Body::Task`] | → worker | a [`ShardTask`]: probe one chunk of one `(round, phase)` |
+//! | 2 | [`Body::Ack`] | → coordinator | `max_consumed` |
+//! | 3 | [`Body::Flush`] | → worker | `snapshot` |
+//! | 4 | [`Body::Partial`] | → coordinator | a [`PartialTpMatrix`] |
+//! | 6 | [`Body::Reset`] | → worker | `snapshot` |
+//! | 7 | [`Body::AuthReject`] | → coordinator | — |
+//! | 8 | [`Body::Hello`] | → worker | — |
+//! | 9 | [`Body::HelloAck`] | → coordinator | `n` |
+//!
+//! Kind 5 is the on-disk [`NetTrace`](cloudconst_netmodel::NetTrace)
+//! frame, which is not a message.
+//!
+//! Tasks, flushes and resets are idempotent: workers answer a
+//! re-dispatched duplicate from their response cache. An ack carries the
+//! chunk's slowest pair's consumed time — the only value the coordinator
+//! needs to advance the shared calibration clock, because `max` over shard
+//! maxima equals the unsharded `max` over all pairs exactly. A fragment's
+//! cells are disjoint across shards, so merging is order-independent by
+//! construction.
 
 use crate::codec::{
     decode_frame, encode_frame, put_f64, put_u32, put_u64, CodecError, Reader, KIND_AUTH_REJECT,
@@ -42,10 +55,6 @@ pub enum Phase {
 /// One chunk of one calibration `(round, phase)`, assigned to one shard.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardTask {
-    /// Globally unique task id (stable across re-dispatch).
-    pub seq: u64,
-    /// Destination shard.
-    pub shard: u32,
     /// Snapshot index within the campaign.
     pub snapshot: u32,
     /// Round index within the snapshot's schedule.
@@ -60,29 +69,6 @@ pub struct ShardTask {
     pub retry: RetryPolicy,
     /// The `(sender, receiver)` pairs of this chunk, in schedule order.
     pub pairs: Vec<(u32, u32)>,
-}
-
-/// Worker acknowledgement of one [`ShardTask`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PhaseAck {
-    /// The acknowledged task's id.
-    pub seq: u64,
-    /// The responding shard.
-    pub shard: u32,
-    /// `max` over the chunk's pairs of the seconds each consumed
-    /// (backoff + burnt deadlines + the successful attempt).
-    pub max_consumed: f64,
-}
-
-/// End-of-snapshot request for a worker's accumulated fragment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FlushRequest {
-    /// Globally unique request id (stable across re-dispatch).
-    pub seq: u64,
-    /// Destination shard.
-    pub shard: u32,
-    /// The snapshot being closed.
-    pub snapshot: u32,
 }
 
 /// One measured (or exhausted) cell of a shard's fragment.
@@ -104,10 +90,6 @@ pub struct CellResult {
 /// share of the probe counters.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PartialTpMatrix {
-    /// The flush request this answers.
-    pub seq: u64,
-    /// The responding shard.
-    pub shard: u32,
     /// The snapshot this fragment belongs to.
     pub snapshot: u32,
     /// Cluster size (coordinator cross-checks it).
@@ -126,95 +108,61 @@ pub struct PartialTpMatrix {
     pub cells: Vec<CellResult>,
 }
 
-/// Socket-transport connection handshake (coordinator → worker): binds
-/// the connection to `shard` and proves the campaign key before any task
-/// flows. In-process transports never send one.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Hello {
-    /// Handshake exchange id (0 — handshakes precede the campaign seqs).
-    pub seq: u64,
-    /// The shard this connection will carry frames for.
-    pub shard: u32,
-}
-
-/// Worker acknowledgement of a [`Hello`], announcing the cluster size so
-/// the coordinator can cross-check every worker probes the same cloud.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HelloAck {
-    /// The acknowledged handshake's id.
-    pub seq: u64,
-    /// The responding shard.
-    pub shard: u32,
-    /// Cluster size the shard's probe backend covers.
-    pub n: u32,
-}
-
-/// Worker → coordinator: a received frame's keyed tag did not verify
-/// (see [`crate::auth`]). The worker cannot trust anything inside the
-/// rejected frame, so `seq` is 0 and `shard` is the *worker's* own id
-/// when known (`u32::MAX` otherwise). The coordinator maps this to the
-/// typed [`CoordError::AuthFailure`](crate::CoordError::AuthFailure).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AuthReject {
-    /// Always 0 — the offending frame's seq is unauthenticated hearsay.
-    pub seq: u64,
-    /// The rejecting worker's shard id, or `u32::MAX` when unknown.
-    pub shard: u32,
-}
-
-/// Any protocol message, for single-point decode.
+/// One protocol message: the shared header plus a kind-specific body.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Message {
+pub struct Message {
+    /// Exchange id (see the module docs).
+    pub seq: u64,
+    /// Destination shard of a worker-bound frame, origin of a
+    /// coordinator-bound one.
+    pub shard: u32,
+    /// What the frame says.
+    pub body: Body,
+}
+
+/// The kind-specific part of a [`Message`].
+#[derive(Debug, Clone, PartialEq)]
+pub enum Body {
     /// Coordinator → worker probe task.
     Task(ShardTask),
-    /// Worker → coordinator task acknowledgement.
-    Ack(PhaseAck),
-    /// Coordinator → worker flush.
-    Flush(FlushRequest),
+    /// Worker → coordinator acknowledgement of a task or a reset.
+    Ack {
+        /// `max` over the chunk's pairs of the seconds each consumed
+        /// (backoff + burnt deadlines + the successful attempt); 0.0 for
+        /// a reset.
+        max_consumed: f64,
+    },
+    /// Coordinator → worker: a snapshot ended; ship its fragment.
+    Flush {
+        /// The snapshot being closed.
+        snapshot: u32,
+    },
+    /// Coordinator → worker: a shard died mid-snapshot and the snapshot is
+    /// restarting across the survivors; discard everything accumulated
+    /// for it. Clearing a clean snapshot is a no-op, so re-dispatch needs
+    /// no special casing.
+    Reset {
+        /// The snapshot being restarted.
+        snapshot: u32,
+    },
     /// Worker → coordinator snapshot fragment.
     Partial(PartialTpMatrix),
-    /// Coordinator → worker snapshot-state reset (shard failover). Reuses
-    /// the [`FlushRequest`] shape: `snapshot` names the snapshot being
-    /// restarted.
-    Reset(FlushRequest),
-    /// Coordinator → worker socket-connection handshake.
-    Hello(Hello),
+    /// Coordinator → worker socket handshake: binds the connection to the
+    /// header's shard and proves the campaign key before any task flows.
+    /// In-process transports never send one.
+    Hello,
     /// Worker → coordinator handshake acknowledgement.
-    HelloAck(HelloAck),
-    /// Worker → coordinator authentication rejection.
-    AuthReject(AuthReject),
-}
-
-impl Message {
-    /// The message's exchange id — the key every barrier matches responses
-    /// against. Globally unique within a campaign (handshakes use 0, which
-    /// campaign seqs never do).
-    pub fn seq(&self) -> u64 {
-        match self {
-            Message::Task(t) => t.seq,
-            Message::Ack(a) => a.seq,
-            Message::Flush(f) | Message::Reset(f) => f.seq,
-            Message::Partial(p) => p.seq,
-            Message::Hello(h) => h.seq,
-            Message::HelloAck(h) => h.seq,
-            Message::AuthReject(r) => r.seq,
-        }
-    }
-
-    /// The shard the message concerns (destination for coordinator-bound
-    /// frames, origin for worker-bound ones) — what a multi-shard host
-    /// routes on.
-    pub fn shard(&self) -> u32 {
-        match self {
-            Message::Task(t) => t.shard,
-            Message::Ack(a) => a.shard,
-            Message::Flush(f) | Message::Reset(f) => f.shard,
-            Message::Partial(p) => p.shard,
-            Message::Hello(h) => h.shard,
-            Message::HelloAck(h) => h.shard,
-            Message::AuthReject(r) => r.shard,
-        }
-    }
+    HelloAck {
+        /// Cluster size the shard's probe backend covers, so the
+        /// coordinator can check every worker probes the same cloud.
+        n: u32,
+    },
+    /// Worker → coordinator: a received frame's keyed tag did not verify
+    /// (see [`crate::auth`]). Nothing inside the rejected frame can be
+    /// trusted, so the header's seq is 0 and its shard is `u32::MAX`. The
+    /// coordinator maps this to
+    /// [`CoordError::AuthFailure`](crate::CoordError::AuthFailure).
+    AuthReject,
 }
 
 fn put_retry(buf: &mut Vec<u8>, r: &RetryPolicy) {
@@ -233,204 +181,177 @@ fn read_retry(r: &mut Reader<'_>) -> Result<RetryPolicy, CodecError> {
     })
 }
 
+fn put_task(p: &mut Vec<u8>, t: &ShardTask) {
+    put_u32(p, t.snapshot);
+    put_u32(p, t.round);
+    p.push(match t.phase {
+        Phase::Small => 0,
+        Phase::Large => 1,
+    });
+    put_u64(p, t.bytes);
+    put_f64(p, t.at);
+    put_retry(p, &t.retry);
+    put_u32(p, t.pairs.len() as u32);
+    for &(i, j) in &t.pairs {
+        put_u32(p, i);
+        put_u32(p, j);
+    }
+}
+
+fn read_task(r: &mut Reader<'_>) -> Result<Body, CodecError> {
+    let snapshot = r.u32()?;
+    let round = r.u32()?;
+    let phase = match r.u8()? {
+        0 => Phase::Small,
+        1 => Phase::Large,
+        _ => return Err(CodecError::Malformed("bad phase tag")),
+    };
+    let bytes = r.u64()?;
+    let at = r.f64()?;
+    let retry = read_retry(r)?;
+    let count = r.u32()? as usize;
+    let mut pairs = Vec::with_capacity(count.min(1 << 16));
+    for _ in 0..count {
+        pairs.push((r.u32()?, r.u32()?));
+    }
+    Ok(Body::Task(ShardTask {
+        snapshot,
+        round,
+        phase,
+        bytes,
+        at,
+        retry,
+        pairs,
+    }))
+}
+
+fn put_partial(p: &mut Vec<u8>, m: &PartialTpMatrix) {
+    put_u32(p, m.snapshot);
+    put_u32(p, m.n);
+    for c in [m.attempts, m.successes, m.retries, m.timeouts, m.losses] {
+        put_u64(p, c);
+    }
+    put_u32(p, m.cells.len() as u32);
+    for c in &m.cells {
+        put_u32(p, c.i);
+        put_u32(p, c.j);
+        match c.outcome {
+            ProbeOutcome::Ok(k) => {
+                p.push(1);
+                put_u32(p, k);
+                put_f64(p, c.alpha);
+                put_f64(p, c.beta);
+            }
+            ProbeOutcome::Failed(k) => {
+                p.push(2);
+                put_u32(p, k);
+            }
+            ProbeOutcome::Unprobed => p.push(0),
+        }
+    }
+}
+
+fn read_partial(r: &mut Reader<'_>) -> Result<Body, CodecError> {
+    let snapshot = r.u32()?;
+    let n = r.u32()?;
+    let attempts = r.u64()?;
+    let successes = r.u64()?;
+    let retries = r.u64()?;
+    let timeouts = r.u64()?;
+    let losses = r.u64()?;
+    let count = r.u32()? as usize;
+    let mut cells = Vec::with_capacity(count.min(1 << 16));
+    for _ in 0..count {
+        let i = r.u32()?;
+        let j = r.u32()?;
+        let (outcome, alpha, beta) = match r.u8()? {
+            0 => (ProbeOutcome::Unprobed, 0.0, 0.0),
+            1 => (ProbeOutcome::Ok(r.u32()?), r.f64()?, r.f64()?),
+            2 => (ProbeOutcome::Failed(r.u32()?), 0.0, 0.0),
+            _ => return Err(CodecError::Malformed("bad outcome tag")),
+        };
+        cells.push(CellResult {
+            i,
+            j,
+            outcome,
+            alpha,
+            beta,
+        });
+    }
+    Ok(Body::Partial(PartialTpMatrix {
+        snapshot,
+        n,
+        attempts,
+        successes,
+        retries,
+        timeouts,
+        losses,
+        cells,
+    }))
+}
+
+/// Reads one kind's body from the payload past the header.
+type BodyReader = fn(&mut Reader<'_>) -> Result<Body, CodecError>;
+
 impl Message {
     /// Serialize into one checksummed frame.
     pub fn encode(&self) -> Vec<u8> {
         let mut p = Vec::new();
-        match self {
-            Message::Task(t) => {
-                put_u64(&mut p, t.seq);
-                put_u32(&mut p, t.shard);
-                put_u32(&mut p, t.snapshot);
-                put_u32(&mut p, t.round);
-                p.push(match t.phase {
-                    Phase::Small => 0,
-                    Phase::Large => 1,
-                });
-                put_u64(&mut p, t.bytes);
-                put_f64(&mut p, t.at);
-                put_retry(&mut p, &t.retry);
-                put_u32(&mut p, t.pairs.len() as u32);
-                for &(i, j) in &t.pairs {
-                    put_u32(&mut p, i);
-                    put_u32(&mut p, j);
-                }
-                encode_frame(KIND_SHARD_TASK, &p)
+        put_u64(&mut p, self.seq);
+        put_u32(&mut p, self.shard);
+        let kind = match &self.body {
+            Body::Task(t) => {
+                put_task(&mut p, t);
+                KIND_SHARD_TASK
             }
-            Message::Ack(a) => {
-                put_u64(&mut p, a.seq);
-                put_u32(&mut p, a.shard);
-                put_f64(&mut p, a.max_consumed);
-                encode_frame(KIND_PHASE_ACK, &p)
+            Body::Ack { max_consumed } => {
+                put_f64(&mut p, *max_consumed);
+                KIND_PHASE_ACK
             }
-            Message::Flush(fr) => {
-                put_u64(&mut p, fr.seq);
-                put_u32(&mut p, fr.shard);
-                put_u32(&mut p, fr.snapshot);
-                encode_frame(KIND_FLUSH_REQUEST, &p)
+            Body::Flush { snapshot } => {
+                put_u32(&mut p, *snapshot);
+                KIND_FLUSH_REQUEST
             }
-            Message::Reset(fr) => {
-                put_u64(&mut p, fr.seq);
-                put_u32(&mut p, fr.shard);
-                put_u32(&mut p, fr.snapshot);
-                encode_frame(KIND_RESET, &p)
+            Body::Reset { snapshot } => {
+                put_u32(&mut p, *snapshot);
+                KIND_RESET
             }
-            Message::Hello(h) => {
-                put_u64(&mut p, h.seq);
-                put_u32(&mut p, h.shard);
-                encode_frame(KIND_HELLO, &p)
+            Body::Partial(m) => {
+                put_partial(&mut p, m);
+                KIND_PARTIAL_TP
             }
-            Message::HelloAck(h) => {
-                put_u64(&mut p, h.seq);
-                put_u32(&mut p, h.shard);
-                put_u32(&mut p, h.n);
-                encode_frame(KIND_HELLO_ACK, &p)
+            Body::Hello => KIND_HELLO,
+            Body::HelloAck { n } => {
+                put_u32(&mut p, *n);
+                KIND_HELLO_ACK
             }
-            Message::AuthReject(r) => {
-                put_u64(&mut p, r.seq);
-                put_u32(&mut p, r.shard);
-                encode_frame(KIND_AUTH_REJECT, &p)
-            }
-            Message::Partial(m) => {
-                put_u64(&mut p, m.seq);
-                put_u32(&mut p, m.shard);
-                put_u32(&mut p, m.snapshot);
-                put_u32(&mut p, m.n);
-                for c in [m.attempts, m.successes, m.retries, m.timeouts, m.losses] {
-                    put_u64(&mut p, c);
-                }
-                put_u32(&mut p, m.cells.len() as u32);
-                for c in &m.cells {
-                    put_u32(&mut p, c.i);
-                    put_u32(&mut p, c.j);
-                    match c.outcome {
-                        ProbeOutcome::Ok(k) => {
-                            p.push(1);
-                            put_u32(&mut p, k);
-                            put_f64(&mut p, c.alpha);
-                            put_f64(&mut p, c.beta);
-                        }
-                        ProbeOutcome::Failed(k) => {
-                            p.push(2);
-                            put_u32(&mut p, k);
-                        }
-                        ProbeOutcome::Unprobed => p.push(0),
-                    }
-                }
-                encode_frame(KIND_PARTIAL_TP, &p)
-            }
-        }
+            Body::AuthReject => KIND_AUTH_REJECT,
+        };
+        encode_frame(kind, &p)
     }
 
-    /// Decode one frame into its typed message.
+    /// Decode one frame into its typed message. The kind is checked before
+    /// the header is read, so a frame of any other kind is
+    /// [`CodecError::UnknownKind`] however short its payload.
     pub fn decode(buf: &[u8]) -> Result<Message, CodecError> {
         let frame = decode_frame(buf)?;
-        let mut r = Reader::new(&frame.payload);
-        let msg = match frame.kind {
-            KIND_SHARD_TASK => {
-                let seq = r.u64()?;
-                let shard = r.u32()?;
-                let snapshot = r.u32()?;
-                let round = r.u32()?;
-                let phase = match r.u8()? {
-                    0 => Phase::Small,
-                    1 => Phase::Large,
-                    _ => return Err(CodecError::Malformed("bad phase tag")),
-                };
-                let bytes = r.u64()?;
-                let at = r.f64()?;
-                let retry = read_retry(&mut r)?;
-                let count = r.u32()? as usize;
-                let mut pairs = Vec::with_capacity(count.min(1 << 16));
-                for _ in 0..count {
-                    pairs.push((r.u32()?, r.u32()?));
-                }
-                Message::Task(ShardTask {
-                    seq,
-                    shard,
-                    snapshot,
-                    round,
-                    phase,
-                    bytes,
-                    at,
-                    retry,
-                    pairs,
-                })
-            }
-            KIND_PHASE_ACK => Message::Ack(PhaseAck {
-                seq: r.u64()?,
-                shard: r.u32()?,
-                max_consumed: r.f64()?,
-            }),
-            KIND_FLUSH_REQUEST => Message::Flush(FlushRequest {
-                seq: r.u64()?,
-                shard: r.u32()?,
-                snapshot: r.u32()?,
-            }),
-            KIND_RESET => Message::Reset(FlushRequest {
-                seq: r.u64()?,
-                shard: r.u32()?,
-                snapshot: r.u32()?,
-            }),
-            KIND_HELLO => Message::Hello(Hello {
-                seq: r.u64()?,
-                shard: r.u32()?,
-            }),
-            KIND_HELLO_ACK => Message::HelloAck(HelloAck {
-                seq: r.u64()?,
-                shard: r.u32()?,
-                n: r.u32()?,
-            }),
-            KIND_AUTH_REJECT => Message::AuthReject(AuthReject {
-                seq: r.u64()?,
-                shard: r.u32()?,
-            }),
-            KIND_PARTIAL_TP => {
-                let seq = r.u64()?;
-                let shard = r.u32()?;
-                let snapshot = r.u32()?;
-                let n = r.u32()?;
-                let attempts = r.u64()?;
-                let successes = r.u64()?;
-                let retries = r.u64()?;
-                let timeouts = r.u64()?;
-                let losses = r.u64()?;
-                let count = r.u32()? as usize;
-                let mut cells = Vec::with_capacity(count.min(1 << 16));
-                for _ in 0..count {
-                    let i = r.u32()?;
-                    let j = r.u32()?;
-                    let (outcome, alpha, beta) = match r.u8()? {
-                        0 => (ProbeOutcome::Unprobed, 0.0, 0.0),
-                        1 => (ProbeOutcome::Ok(r.u32()?), r.f64()?, r.f64()?),
-                        2 => (ProbeOutcome::Failed(r.u32()?), 0.0, 0.0),
-                        _ => return Err(CodecError::Malformed("bad outcome tag")),
-                    };
-                    cells.push(CellResult {
-                        i,
-                        j,
-                        outcome,
-                        alpha,
-                        beta,
-                    });
-                }
-                Message::Partial(PartialTpMatrix {
-                    seq,
-                    shard,
-                    snapshot,
-                    n,
-                    attempts,
-                    successes,
-                    retries,
-                    timeouts,
-                    losses,
-                    cells,
-                })
-            }
+        let read_body: BodyReader = match frame.kind {
+            KIND_SHARD_TASK => read_task,
+            KIND_PHASE_ACK => |r| Ok(Body::Ack { max_consumed: r.f64()? }),
+            KIND_FLUSH_REQUEST => |r| Ok(Body::Flush { snapshot: r.u32()? }),
+            KIND_RESET => |r| Ok(Body::Reset { snapshot: r.u32()? }),
+            KIND_PARTIAL_TP => read_partial,
+            KIND_HELLO => |_| Ok(Body::Hello),
+            KIND_HELLO_ACK => |r| Ok(Body::HelloAck { n: r.u32()? }),
+            KIND_AUTH_REJECT => |_| Ok(Body::AuthReject),
             other => return Err(CodecError::UnknownKind(other)),
         };
+        let mut r = Reader::new(&frame.payload);
+        let seq = r.u64()?;
+        let shard = r.u32()?;
+        let body = read_body(&mut r)?;
         r.finish()?;
-        Ok(msg)
+        Ok(Message { seq, shard, body })
     }
 }
 
@@ -438,161 +359,114 @@ impl Message {
 mod tests {
     use super::*;
 
-    fn sample_task() -> ShardTask {
-        ShardTask {
+    fn sample_task() -> Message {
+        Message {
             seq: 42,
             shard: 3,
-            snapshot: 2,
-            round: 17,
-            phase: Phase::Large,
-            bytes: 8 << 20,
-            at: 123.456789,
-            retry: RetryPolicy::default(),
-            pairs: vec![(0, 5), (1, 4), (2, 3)],
+            body: Body::Task(ShardTask {
+                snapshot: 2,
+                round: 17,
+                phase: Phase::Large,
+                bytes: 8 << 20,
+                at: 123.456789,
+                retry: RetryPolicy::default(),
+                pairs: vec![(0, 5), (1, 4), (2, 3)],
+            }),
         }
     }
 
     #[test]
     fn task_roundtrip() {
-        let msg = Message::Task(sample_task());
+        let msg = sample_task();
         assert_eq!(Message::decode(&msg.encode()).unwrap(), msg);
     }
 
     #[test]
     fn ack_roundtrip() {
-        let msg = Message::Ack(PhaseAck {
+        let msg = Message {
             seq: 7,
             shard: 1,
-            max_consumed: 0.125 + 1e-13,
-        });
+            body: Body::Ack {
+                max_consumed: 0.125 + 1e-13,
+            },
+        };
         assert_eq!(Message::decode(&msg.encode()).unwrap(), msg);
     }
 
     #[test]
     fn flush_roundtrip() {
-        let msg = Message::Flush(FlushRequest {
+        let msg = Message {
             seq: 9,
             shard: 0,
-            snapshot: 4,
-        });
+            body: Body::Flush { snapshot: 4 },
+        };
         assert_eq!(Message::decode(&msg.encode()).unwrap(), msg);
     }
 
     #[test]
     fn reset_roundtrip() {
-        let msg = Message::Reset(FlushRequest {
+        let msg = Message {
             seq: 13,
             shard: 2,
-            snapshot: 1,
-        });
+            body: Body::Reset { snapshot: 1 },
+        };
         assert_eq!(Message::decode(&msg.encode()).unwrap(), msg);
         // A reset must never decode as a flush (their payloads coincide).
         assert!(!matches!(
-            Message::decode(&msg.encode()).unwrap(),
-            Message::Flush(_)
+            Message::decode(&msg.encode()).unwrap().body,
+            Body::Flush { .. }
         ));
     }
 
     #[test]
     fn handshake_and_reject_roundtrips() {
-        for msg in [
-            Message::Hello(Hello { seq: 0, shard: 3 }),
-            Message::HelloAck(HelloAck {
-                seq: 0,
-                shard: 3,
-                n: 64,
-            }),
-            Message::AuthReject(AuthReject {
-                seq: 0,
-                shard: u32::MAX,
-            }),
+        for (shard, body) in [
+            (3, Body::Hello),
+            (3, Body::HelloAck { n: 64 }),
+            (u32::MAX, Body::AuthReject),
         ] {
+            let msg = Message { seq: 0, shard, body };
             assert_eq!(Message::decode(&msg.encode()).unwrap(), msg);
         }
     }
 
     #[test]
-    fn seq_and_shard_accessors_cover_every_kind() {
-        let msgs = [
-            Message::Task(sample_task()),
-            Message::Ack(PhaseAck {
-                seq: 42,
-                shard: 3,
-                max_consumed: 0.0,
-            }),
-            Message::Flush(FlushRequest {
-                seq: 42,
-                shard: 3,
-                snapshot: 0,
-            }),
-            Message::Reset(FlushRequest {
-                seq: 42,
-                shard: 3,
-                snapshot: 0,
-            }),
-            Message::Hello(Hello { seq: 42, shard: 3 }),
-            Message::HelloAck(HelloAck {
-                seq: 42,
-                shard: 3,
-                n: 8,
-            }),
-            Message::AuthReject(AuthReject { seq: 42, shard: 3 }),
-        ];
-        for m in &msgs {
-            assert_eq!(m.seq(), 42);
-            assert_eq!(m.shard(), 3);
-        }
-        let partial = Message::Partial(PartialTpMatrix {
-            seq: 42,
-            shard: 3,
-            snapshot: 0,
-            n: 4,
-            attempts: 0,
-            successes: 0,
-            retries: 0,
-            timeouts: 0,
-            losses: 0,
-            cells: Vec::new(),
-        });
-        assert_eq!(partial.seq(), 42);
-        assert_eq!(partial.shard(), 3);
-    }
-
-    #[test]
     fn partial_roundtrip_with_mixed_outcomes() {
-        let msg = Message::Partial(PartialTpMatrix {
+        let msg = Message {
             seq: 11,
             shard: 2,
-            snapshot: 0,
-            n: 8,
-            attempts: 40,
-            successes: 36,
-            retries: 4,
-            timeouts: 2,
-            losses: 2,
-            cells: vec![
-                CellResult {
-                    i: 0,
-                    j: 1,
-                    outcome: ProbeOutcome::Ok(1),
-                    alpha: 2.5e-4,
-                    beta: 9.87e7,
-                },
-                CellResult {
-                    i: 1,
-                    j: 0,
-                    outcome: ProbeOutcome::Failed(3),
-                    alpha: 0.0,
-                    beta: 0.0,
-                },
-            ],
-        });
+            body: Body::Partial(PartialTpMatrix {
+                snapshot: 0,
+                n: 8,
+                attempts: 40,
+                successes: 36,
+                retries: 4,
+                timeouts: 2,
+                losses: 2,
+                cells: vec![
+                    CellResult {
+                        i: 0,
+                        j: 1,
+                        outcome: ProbeOutcome::Ok(1),
+                        alpha: 2.5e-4,
+                        beta: 9.87e7,
+                    },
+                    CellResult {
+                        i: 1,
+                        j: 0,
+                        outcome: ProbeOutcome::Failed(3),
+                        alpha: 0.0,
+                        beta: 0.0,
+                    },
+                ],
+            }),
+        };
         assert_eq!(Message::decode(&msg.encode()).unwrap(), msg);
     }
 
     #[test]
     fn corrupted_message_is_typed_error() {
-        let mut buf = Message::Task(sample_task()).encode();
+        let mut buf = sample_task().encode();
         let mid = buf.len() / 2;
         buf[mid] ^= 0xFF;
         assert!(matches!(

@@ -12,11 +12,12 @@
 //! cluster, and a round's large phase must carry exactly the pairs of its
 //! small phase. A violation is a [`CoordError::Protocol`], never a panic.
 //!
-//! Workers are idempotent: every request's response frame is cached by
-//! task id, so a re-dispatched duplicate (its ack was lost on the wire)
-//! returns the cached bytes without re-probing or double-counting.
+//! Workers are idempotent: [`ShardWorker::handle`] caches every response
+//! frame under its request's header `seq`, so a re-dispatched duplicate
+//! (its response was lost on the wire) returns the cached bytes without
+//! re-probing or double-counting, whatever its kind.
 
-use crate::wire::{CellResult, FlushRequest, Message, PartialTpMatrix, Phase, PhaseAck, ShardTask};
+use crate::wire::{Body, CellResult, Message, PartialTpMatrix, Phase, ShardTask};
 use crate::CoordError;
 use cloudconst_netmodel::{
     fold_round, run_attempt_series, AttemptSeries, FallibleNetworkProbe, ProbeLog,
@@ -64,23 +65,37 @@ impl<P: FallibleNetworkProbe> ShardWorker<P> {
 
     /// Handle one coordinator frame, returning the response frame.
     pub fn handle(&mut self, frame: &[u8]) -> Result<Vec<u8>, CoordError> {
-        match Message::decode(frame)? {
-            Message::Task(t) => self.handle_task(t),
-            Message::Flush(f) => self.handle_flush(f),
-            Message::Reset(f) => self.handle_reset(f),
-            Message::Ack(_) | Message::Partial(_) | Message::HelloAck(_) | Message::AuthReject(_) => {
-                Err(CoordError::Protocol("worker received a coordinator-bound frame"))
-            }
+        let Message { seq, body, .. } = Message::decode(frame)?;
+        let snapshot = match &body {
+            Body::Task(t) => t.snapshot,
+            Body::Flush { snapshot } | Body::Reset { snapshot } => *snapshot,
             // Handshake frames are the server's business, not the worker's:
             // a bare `ShardWorker` has no connection to greet.
-            Message::Hello(_) => Err(CoordError::Protocol("hello outside a connection handshake")),
-        }
-    }
-
-    fn handle_task(&mut self, t: ShardTask) -> Result<Vec<u8>, CoordError> {
-        if let Some((_, cached)) = self.seen.get(&t.seq) {
+            Body::Hello => return Err(CoordError::Protocol("hello outside a connection handshake")),
+            Body::Ack { .. } | Body::Partial(_) | Body::HelloAck { .. } | Body::AuthReject => {
+                return Err(CoordError::Protocol("worker received a coordinator-bound frame"))
+            }
+        };
+        if let Some((_, cached)) = self.seen.get(&seq) {
             return Ok(cached.clone());
         }
+        let body = match body {
+            Body::Task(t) => self.handle_task(t)?,
+            Body::Flush { .. } => self.handle_flush(snapshot)?,
+            Body::Reset { .. } => self.handle_reset(),
+            _ => unreachable!("coordinator-bound kinds are rejected above"),
+        };
+        let response = Message {
+            seq,
+            shard: self.shard as u32,
+            body,
+        }
+        .encode();
+        self.seen.insert(seq, (snapshot, response.clone()));
+        Ok(response)
+    }
+
+    fn handle_task(&mut self, t: ShardTask) -> Result<Body, CoordError> {
         let pairs = self.checked_pairs(&t)?;
         if t.snapshot != self.cur_snapshot {
             // A new snapshot implies every barrier of the previous one
@@ -131,15 +146,7 @@ impl<P: FallibleNetworkProbe> ShardWorker<P> {
                 );
             }
         }
-
-        let ack = Message::Ack(PhaseAck {
-            seq: t.seq,
-            shard: self.shard as u32,
-            max_consumed,
-        })
-        .encode();
-        self.seen.insert(t.seq, (t.snapshot, ack.clone()));
-        Ok(ack)
+        Ok(Body::Ack { max_consumed })
     }
 
     /// The task's pairs, once they are known to be well formed: every
@@ -175,36 +182,21 @@ impl<P: FallibleNetworkProbe> ShardWorker<P> {
     /// from scratch (each retry series is pure, so the re-execution is
     /// bit-identical to a first execution). Clearing is idempotent, so a
     /// re-dispatched duplicate that misses the response cache is harmless.
-    fn handle_reset(&mut self, f: FlushRequest) -> Result<Vec<u8>, CoordError> {
-        if let Some((_, cached)) = self.seen.get(&f.seq) {
-            return Ok(cached.clone());
-        }
+    fn handle_reset(&mut self) -> Body {
         self.small.clear();
         self.cells.clear();
         self.log = ProbeLog::new(self.n());
-        let ack = Message::Ack(PhaseAck {
-            seq: f.seq,
-            shard: self.shard as u32,
-            max_consumed: 0.0,
-        })
-        .encode();
-        self.seen.insert(f.seq, (f.snapshot, ack.clone()));
-        Ok(ack)
+        Body::Ack { max_consumed: 0.0 }
     }
 
-    fn handle_flush(&mut self, f: FlushRequest) -> Result<Vec<u8>, CoordError> {
-        if let Some((_, cached)) = self.seen.get(&f.seq) {
-            return Ok(cached.clone());
-        }
+    fn handle_flush(&mut self, snapshot: u32) -> Result<Body, CoordError> {
         if !self.small.is_empty() {
             return Err(CoordError::Protocol("flush with a round's large phase missing"));
         }
         let n = self.n();
         let log = std::mem::replace(&mut self.log, ProbeLog::new(n));
-        let partial = Message::Partial(PartialTpMatrix {
-            seq: f.seq,
-            shard: self.shard as u32,
-            snapshot: f.snapshot,
+        Ok(Body::Partial(PartialTpMatrix {
+            snapshot,
             n: n as u32,
             attempts: log.attempts,
             successes: log.successes,
@@ -212,17 +204,14 @@ impl<P: FallibleNetworkProbe> ShardWorker<P> {
             timeouts: log.timeouts,
             losses: log.losses,
             cells: std::mem::take(&mut self.cells),
-        })
-        .encode();
-        self.seen.insert(f.seq, (f.snapshot, partial.clone()));
-        Ok(partial)
+        }))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::{FlushRequest, Message, Phase, ShardTask};
+    use crate::wire::{Body, Message, Phase, ShardTask};
     use cloudconst_netmodel::{ProbeAttempt, RetryPolicy};
 
     /// Every probe takes a fixed time; 8 endpoints.
@@ -237,17 +226,19 @@ mod tests {
     }
 
     fn task_with(seq: u64, phase: Phase, pairs: Vec<(u32, u32)>) -> Vec<u8> {
-        Message::Task(ShardTask {
+        Message {
             seq,
             shard: 0,
-            snapshot: 0,
-            round: 0,
-            phase,
-            bytes: if phase == Phase::Small { 1 } else { 64 },
-            at: 0.0,
-            retry: RetryPolicy::default(),
-            pairs,
-        })
+            body: Body::Task(ShardTask {
+                snapshot: 0,
+                round: 0,
+                phase,
+                bytes: if phase == Phase::Small { 1 } else { 64 },
+                at: 0.0,
+                retry: RetryPolicy::default(),
+                pairs,
+            }),
+        }
         .encode()
     }
 
@@ -291,14 +282,14 @@ mod tests {
             "self-link",
         );
         // Nothing was accepted, so a flush ships an empty fragment.
-        let flush = Message::Flush(FlushRequest {
+        let flush = Message {
             seq: 4,
             shard: 0,
-            snapshot: 0,
-        })
+            body: Body::Flush { snapshot: 0 },
+        }
         .encode();
-        match Message::decode(&w.handle(&flush).unwrap()).unwrap() {
-            Message::Partial(p) => assert!(p.cells.is_empty() && p.attempts == 0),
+        match Message::decode(&w.handle(&flush).unwrap()).unwrap().body {
+            Body::Partial(p) => assert!(p.cells.is_empty() && p.attempts == 0),
             other => panic!("flush must ship a partial, got {other:?}"),
         }
     }
@@ -317,11 +308,11 @@ mod tests {
         // Leave a dangling small phase too — the aborted barrier's shape.
         w.handle(&task(3, Phase::Small)).unwrap();
 
-        let reset = Message::Reset(FlushRequest { seq: 4, shard: 0, snapshot: 0 }).encode();
+        let reset = Message { seq: 4, shard: 0, body: Body::Reset { snapshot: 0 } }.encode();
         match Message::decode(&w.handle(&reset).unwrap()).unwrap() {
-            Message::Ack(a) => {
-                assert_eq!(a.seq, 4);
-                assert_eq!(a.max_consumed, 0.0);
+            Message { seq, body: Body::Ack { max_consumed }, .. } => {
+                assert_eq!(seq, 4);
+                assert_eq!(max_consumed, 0.0);
             }
             other => panic!("reset must be acked, got {other:?}"),
         }
@@ -331,9 +322,9 @@ mod tests {
 
         // A flush right after the reset ships an empty, zero-counter
         // fragment — nothing of the aborted work survives.
-        let flush = Message::Flush(FlushRequest { seq: 5, shard: 0, snapshot: 0 }).encode();
-        match Message::decode(&w.handle(&flush).unwrap()).unwrap() {
-            Message::Partial(p) => {
+        let flush = Message { seq: 5, shard: 0, body: Body::Flush { snapshot: 0 } }.encode();
+        match Message::decode(&w.handle(&flush).unwrap()).unwrap().body {
+            Body::Partial(p) => {
                 assert!(p.cells.is_empty());
                 assert_eq!(p.attempts + p.successes + p.retries + p.timeouts + p.losses, 0);
             }

@@ -18,7 +18,7 @@
 
 use cloudconst_cloud::{CloudConfig, FaultPlan, FaultyCloud, SyntheticCloud};
 use cloudconst_coord::{
-    AuthKey, CoordError, Coordinator, CoordinatorConfig, LoopbackTransport, Message, Phase,
+    AuthKey, Body, CoordError, Coordinator, CoordinatorConfig, LoopbackTransport, Message, Phase,
     ShardTask, SimConfig, SimTransport, TcpConfig, TcpTransport, TcpWorkerServer, Transport,
     WireStats,
 };
@@ -212,17 +212,19 @@ fn merge_is_bit_identical_over_tcp() {
 // ---------------------------------------------------------------------------
 
 fn contract_duplicate_dispatch_is_idempotent(mut transport: Harness, wire: &str) {
-    let task = Message::Task(ShardTask {
+    let task = Message {
         seq: 1,
         shard: 0,
-        snapshot: 0,
-        round: 0,
-        phase: Phase::Small,
-        bytes: 1 << 10,
-        at: 0.0,
-        retry: RetryPolicy::default(),
-        pairs: vec![(0, 1), (2, 3)],
-    })
+        body: Body::Task(ShardTask {
+            snapshot: 0,
+            round: 0,
+            phase: Phase::Small,
+            bytes: 1 << 10,
+            at: 0.0,
+            retry: RetryPolicy::default(),
+            pairs: vec![(0, 1), (2, 3)],
+        }),
+    }
     .encode();
 
     transport.send(0, task.clone()).unwrap();
@@ -236,9 +238,13 @@ fn contract_duplicate_dispatch_is_idempotent(mut transport: Harness, wire: &str)
     }
     assert_eq!(acks[0], acks[1], "{wire}: duplicate must replay the cached bytes");
     match Message::decode(&acks[0]).unwrap() {
-        Message::Ack(a) => {
-            assert_eq!(a.seq, 1, "{wire}");
-            assert_eq!(a.shard, 0, "{wire}");
+        Message {
+            seq,
+            shard,
+            body: Body::Ack { .. },
+        } => {
+            assert_eq!(seq, 1, "{wire}");
+            assert_eq!(shard, 0, "{wire}");
         }
         other => panic!("{wire}: expected an ack, got {other:?}"),
     }
@@ -336,6 +342,76 @@ fn loopback_campaign_reports_every_shard_alive() {
     assert_eq!(sharded.report.shards_alive as usize, k);
     for s in 0..k {
         assert!(!transport.shard_dead(s), "loopback shard {s} reported dead");
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Contract 5: fragments come from outside the program, so one that leaves
+// a scheduled cell unreported is a typed protocol error — never an `Ok`
+// whose missing cells were silently imputed as masked.
+// ---------------------------------------------------------------------------
+
+/// Wraps a transport and drops the last cell of every fragment `shard`
+/// ships.
+struct DropsACell<T> {
+    inner: T,
+    shard: u32,
+}
+
+impl<T: Transport> Transport for DropsACell<T> {
+    fn n(&self) -> usize {
+        self.inner.n()
+    }
+
+    fn shards(&self) -> usize {
+        self.inner.shards()
+    }
+
+    fn send(&mut self, shard: usize, frame: Vec<u8>) -> Result<(), CoordError> {
+        self.inner.send(shard, frame)
+    }
+
+    fn deliver_next(&mut self) -> Result<Option<Vec<u8>>, CoordError> {
+        let Some(frame) = self.inner.deliver_next()? else {
+            return Ok(None);
+        };
+        let mut msg = Message::decode(&frame)?;
+        match &mut msg.body {
+            Body::Partial(p) if msg.shard == self.shard => {
+                p.cells.pop();
+                Ok(Some(msg.encode()))
+            }
+            _ => Ok(Some(frame)),
+        }
+    }
+
+    fn stats(&self) -> WireStats {
+        self.inner.stats()
+    }
+
+    fn shard_dead(&self, shard: usize) -> bool {
+        self.inner.shard_dead(shard)
+    }
+}
+
+#[test]
+fn fragment_missing_a_scheduled_cell_is_a_protocol_error() {
+    let cloud = FaultyCloud::new(
+        SyntheticCloud::new(CloudConfig::small_test(16, 11)),
+        FaultPlan::none(23),
+    );
+    let mut transport = DropsACell {
+        inner: LoopbackTransport::new(cloud, 2),
+        shard: 1,
+    };
+    match Coordinator::new(CoordinatorConfig::new(2)).calibrate_tp(&mut transport, 0.0, 60.0, 10)
+    {
+        Err(CoordError::Protocol(_)) => {}
+        Err(other) => panic!("expected a protocol error, got {other:?}"),
+        Ok(run) => panic!(
+            "an incomplete fragment was accepted: success rate {}",
+            run.report.success_rate
+        ),
     }
 }
 

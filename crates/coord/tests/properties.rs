@@ -5,9 +5,8 @@
 
 use cloudconst_cloud::{CloudConfig, FaultPlan, FaultyCloud, SyntheticCloud};
 use cloudconst_coord::{
-    decode_net_trace, encode_net_trace, AuthKey, AuthReject, CellResult, CoordError, Coordinator,
-    CoordinatorConfig, FlushRequest, Hello, HelloAck, Message, PartialTpMatrix, Phase, PhaseAck,
-    ShardTask, SimConfig, SimTransport,
+    decode_net_trace, encode_net_trace, AuthKey, Body, CellResult, CoordError, Coordinator,
+    CoordinatorConfig, Message, PartialTpMatrix, Phase, ShardTask, SimConfig, SimTransport,
 };
 use cloudconst_netmodel::{
     Calibrator, FaultyTpRun, ImputePolicy, NetTrace, PerfMatrix, ProbeOutcome, RetryPolicy,
@@ -181,20 +180,20 @@ proptest! {
         // multiply is odd and therefore invertible, so a single-byte change
         // always lands in a different checksum.)
         let flip = flip_sel as u8;
-        let frames: Vec<Vec<u8>> = vec![
-            Message::Task(ShardTask {
-                seq, shard, snapshot, round,
+        let frames: Vec<Vec<u8>> = [
+            Body::Task(ShardTask {
+                snapshot, round,
                 phase: if seq % 2 == 0 { Phase::Small } else { Phase::Large },
                 bytes,
                 at: round as f64 * 0.5,
                 retry: RetryPolicy::default(),
                 pairs: (0..cells as u32).map(|c| (c, c + 1)).collect(),
-            }).encode(),
-            Message::Ack(PhaseAck { seq, shard, max_consumed: bytes as f64 * 1e-6 }).encode(),
-            Message::Flush(FlushRequest { seq, shard, snapshot }).encode(),
-            Message::Reset(FlushRequest { seq, shard, snapshot }).encode(),
-            Message::Partial(PartialTpMatrix {
-                seq, shard, snapshot,
+            }),
+            Body::Ack { max_consumed: bytes as f64 * 1e-6 },
+            Body::Flush { snapshot },
+            Body::Reset { snapshot },
+            Body::Partial(PartialTpMatrix {
+                snapshot,
                 n: 8,
                 attempts: bytes,
                 successes: seq,
@@ -208,11 +207,14 @@ proptest! {
                     alpha: 1e-4,
                     beta: 1e-9,
                 }).collect(),
-            }).encode(),
-            Message::Hello(Hello { seq, shard }).encode(),
-            Message::HelloAck(HelloAck { seq, shard, n: 8 }).encode(),
-            Message::AuthReject(AuthReject { seq, shard }).encode(),
-        ];
+            }),
+            Body::Hello,
+            Body::HelloAck { n: 8 },
+            Body::AuthReject,
+        ]
+        .into_iter()
+        .map(|body| Message { seq, shard, body }.encode())
+        .collect();
         for frame in &frames {
             prop_assert!(Message::decode(frame).is_ok(), "pristine frame must decode");
             for k in 0..frame.len() {

@@ -13,7 +13,6 @@
 //!   Gram matrix of the *small* dimension, which is orders of magnitude
 //!   faster than any direct bidiagonalization. A one-sided Jacobi SVD is
 //!   provided as a high-accuracy cross-check.
-//! * [`qr`] — Householder QR, used by tests and orthonormalization.
 //! * [`shrink`] — the proximal operators of RPCA: elementwise
 //!   soft-thresholding (ℓ₁ prox) and singular-value thresholding (nuclear
 //!   norm prox).
@@ -26,16 +25,12 @@
 pub mod eigen;
 pub mod mat;
 pub mod norms;
-pub mod qr;
-pub mod randomized;
 pub mod shrink;
 pub mod svd;
 
 pub use eigen::{eigh, EighResult};
 pub use mat::Mat;
 pub use norms::{blocked_sums, count_above, fro_norm, inf_norm, l1_norm, zero_norm_frac};
-pub use qr::{qr_thin, QrResult};
-pub use randomized::{randomized_svd, RandomizedSvdOptions};
 pub use shrink::{
     for_each_chunk_pair, shrink_scalar, soft_threshold, soft_threshold_into, svt, svt_into,
     SvtResult,

@@ -269,11 +269,6 @@ impl Mat {
         g
     }
 
-    /// Gram matrix of the columns: `selfᵀ * self` (shape `cols × cols`).
-    pub fn gram_cols(&self) -> Mat {
-        self.transpose().gram_rows()
-    }
-
     /// Elementwise sum `self + rhs`.
     pub fn add(&self, rhs: &Mat) -> Result<Mat> {
         self.zip_with(rhs, "add", |a, b| a + b)

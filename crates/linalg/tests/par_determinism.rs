@@ -9,7 +9,7 @@
 //! parallel path.
 
 use cloudconst_linalg::{
-    fro_norm, l1_norm, qr_thin, soft_threshold, svd_thin, svd_trunc, svt_into, Mat,
+    fro_norm, l1_norm, soft_threshold, svd_thin, svd_trunc, svt_into, Mat,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -185,70 +185,4 @@ fn svt_into_is_bit_identical_to_the_svd_reconstruction() {
     }
     let mut wrong = Mat::zeros(3, 3);
     assert!(svt_into(&random_mat(3, 4, 12), 0.1, &mut wrong, &mut vt).is_err());
-}
-
-#[test]
-fn qr_parallel_is_bit_identical_to_serial_householder() {
-    // 300×260: trailing-column work exceeds the parallel threshold for
-    // most of the factorization.
-    let a = random_mat(300, 260, 9);
-    let got = qr_thin(&a).unwrap();
-
-    // Serial predecessor: textbook Householder on the un-transposed
-    // matrix, columns updated one after another.
-    let (m, n) = (300usize, 260usize);
-    let k = m.min(n);
-    let mut r = a.clone();
-    let mut vs: Vec<Vec<f64>> = Vec::with_capacity(k);
-    for j in 0..k {
-        let mut v = vec![0.0; m];
-        let mut norm = 0.0;
-        for i in j..m {
-            let x = r[(i, j)];
-            v[i] = x;
-            norm += x * x;
-        }
-        let norm = norm.sqrt();
-        if norm > 0.0 {
-            let sign = if v[j] >= 0.0 { 1.0 } else { -1.0 };
-            v[j] += sign * norm;
-            let vnorm: f64 = v[j..].iter().map(|x| x * x).sum::<f64>().sqrt();
-            if vnorm > 0.0 {
-                for x in v[j..].iter_mut() {
-                    *x /= vnorm;
-                }
-                for c in j..n {
-                    let dot: f64 = (j..m).map(|i| v[i] * r[(i, c)]).sum();
-                    if dot != 0.0 {
-                        for i in j..m {
-                            r[(i, c)] -= 2.0 * v[i] * dot;
-                        }
-                    }
-                }
-            }
-        }
-        vs.push(v);
-    }
-    let mut q = Mat::zeros(m, k);
-    for c in 0..k {
-        q[(c, c)] = 1.0;
-    }
-    for j in (0..k).rev() {
-        let v = &vs[j];
-        for c in 0..k {
-            let dot: f64 = (j..m).map(|i| v[i] * q[(i, c)]).sum();
-            if dot != 0.0 {
-                for i in j..m {
-                    q[(i, c)] -= 2.0 * v[i] * dot;
-                }
-            }
-        }
-    }
-    assert_bits_eq(got.q.as_slice(), q.as_slice(), "qr Q");
-    for i in 0..k {
-        for j in 0..n {
-            let want = if j >= i { r[(i, j)] } else { 0.0 };
-            assert_eq!(got.r[(i, j)].to_bits(), want.to_bits(), "qr R ({i},{j})");
-        }
-    }
 }
