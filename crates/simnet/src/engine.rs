@@ -1,6 +1,6 @@
 //! The fluid discrete-event engine.
 
-use crate::fairshare::max_min_rates;
+use crate::fairshare::FairShare;
 use crate::topology::{LinkId, Topology};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -35,6 +35,12 @@ struct ActiveFlow {
     rate: f64,
     latency: f64,
     tracked: bool,
+}
+
+impl AsRef<[LinkId]> for ActiveFlow {
+    fn as_ref(&self) -> &[LinkId] {
+        &self.path
+    }
 }
 
 #[derive(Debug)]
@@ -102,13 +108,16 @@ pub struct Simulator {
     time: f64,
     active: Vec<ActiveFlow>,
     events: BinaryHeap<TimedEvent>,
-    finished: HashMap<FlowId, f64>,
+    /// Tracked flows not yet collected by [`Simulator::wait_for`]: `None`
+    /// while in flight, then their arrival time.
+    tracked: HashMap<FlowId, Option<f64>>,
     gens: Vec<BackgroundGen>,
     rng: StdRng,
     next_id: FlowId,
     next_seq: u64,
     rates_dirty: bool,
     flows_completed: u64,
+    fair: FairShare,
 }
 
 impl Simulator {
@@ -119,13 +128,14 @@ impl Simulator {
             time: 0.0,
             active: Vec::new(),
             events: BinaryHeap::new(),
-            finished: HashMap::new(),
+            tracked: HashMap::new(),
             gens: Vec::new(),
             rng: StdRng::seed_from_u64(seed),
             next_id: 0,
             next_seq: 0,
             rates_dirty: false,
             flows_completed: 0,
+            fair: FairShare::default(),
         }
     }
 
@@ -170,7 +180,7 @@ impl Simulator {
     }
 
     /// Submit a tracked flow of `bytes` from `src` to `dst` starting at
-    /// `at` (≥ current time). Its finish time is retrievable after
+    /// `at` (≥ current time). Collect its arrival time, once, with
     /// [`Simulator::wait_for`].
     pub fn submit(&mut self, src: usize, dst: usize, bytes: u64, at: f64) -> FlowId {
         assert_ne!(src, dst, "flows need distinct endpoints");
@@ -181,6 +191,7 @@ impl Simulator {
         );
         let id = self.next_id;
         self.next_id += 1;
+        self.tracked.insert(id, None);
         self.push_event(
             at.max(self.time),
             EventKind::FlowStart {
@@ -261,33 +272,41 @@ impl Simulator {
     }
 
     fn recompute_rates(&mut self) {
-        let paths: Vec<Vec<LinkId>> = self.active.iter().map(|f| f.path.clone()).collect();
-        let rates = max_min_rates(&self.topo, &paths);
-        for (f, r) in self.active.iter_mut().zip(rates) {
+        let rates = self.fair.rates(&self.topo, &self.active);
+        for (f, &r) in self.active.iter_mut().zip(rates) {
             f.rate = r;
         }
         self.rates_dirty = false;
     }
 
-    /// Earliest pending completion, if any.
-    fn next_completion(&self) -> Option<f64> {
-        self.active
+    /// The next instant anything happens: the earliest pending event or
+    /// completion under freshly solved rates (`INFINITY` if none).
+    fn next_instant(&mut self) -> f64 {
+        if self.rates_dirty {
+            self.recompute_rates();
+        }
+        let next_event = self.events.peek().map_or(f64::INFINITY, |e| e.time);
+        let next_done = self
+            .active
             .iter()
             .filter(|f| f.rate > 0.0)
             .map(|f| self.time + f.remaining / f.rate)
             .min_by(|a, b| a.total_cmp(b))
+            .unwrap_or(f64::INFINITY);
+        next_event.min(next_done)
     }
 
     /// Drain fluid state and events up to (and including) `t_end`.
     pub fn run_until(&mut self, t_end: f64) {
-        loop {
-            if self.rates_dirty {
-                self.recompute_rates();
-            }
-            let next_event = self.events.peek().map(|e| e.time).unwrap_or(f64::INFINITY);
-            let next_done = self.next_completion().unwrap_or(f64::INFINITY);
-            let t_next = next_event.min(next_done);
+        let t_next = self.next_instant();
+        self.drain(t_next, t_end);
+    }
 
+    /// Process every instant from `t_next` (the current `next_instant`)
+    /// through `t_end`, then advance the fluid
+    /// to `t_end`. Returns the first instant after `t_end`.
+    fn drain(&mut self, mut t_next: f64, t_end: f64) -> f64 {
+        loop {
             if t_next > t_end {
                 // Nothing more happens before t_end: just advance fluid.
                 let dt = t_end - self.time;
@@ -297,7 +316,7 @@ impl Simulator {
                     }
                     self.time = t_end;
                 }
-                return;
+                return t_next;
             }
 
             // Advance to the event instant.
@@ -314,23 +333,19 @@ impl Simulator {
             // Completions first (they free capacity for arrivals at the
             // same instant).
             let now = self.time;
-            let mut done_count = 0u64;
-            let mut newly_finished: Vec<(FlowId, f64)> = Vec::new();
+            let before = self.active.len();
+            let tracked = &mut self.tracked;
             self.active.retain(|f| {
-                if f.is_done() {
-                    done_count += 1;
-                    if f.tracked {
-                        // Arrival = transmission end + path latency.
-                        newly_finished.push((f.id, now + f.latency));
-                    }
-                    false
-                } else {
-                    true
+                if !f.is_done() {
+                    return true;
                 }
+                if f.tracked {
+                    // Arrival = transmission end + path latency.
+                    tracked.insert(f.id, Some(now + f.latency));
+                }
+                false
             });
-            for (id, t) in newly_finished {
-                self.finished.insert(id, t);
-            }
+            let done_count = (before - self.active.len()) as u64;
             if done_count > 0 {
                 self.flows_completed += done_count;
                 self.rates_dirty = true;
@@ -373,38 +388,39 @@ impl Simulator {
                     }
                 }
             }
+            t_next = self.next_instant();
         }
     }
 
-    /// Run until every listed flow has finished; returns their arrival
-    /// times in the same order. Panics if a flow id was never submitted.
+    /// Run until every listed flow has arrived; returns their arrival
+    /// times in the same order and forgets them. Panics on an id that is
+    /// not a tracked flow in flight or arrived but uncollected: one that
+    /// was never submitted, belongs to background traffic, or was already
+    /// returned by an earlier call.
     pub fn wait_for(&mut self, ids: &[FlowId]) -> Vec<f64> {
+        for id in ids {
+            assert!(
+                self.tracked.contains_key(id),
+                "flow {id} is not a pending tracked flow (never submitted, \
+                 background, or already collected)"
+            );
+        }
+        let mut t_next = None;
         loop {
-            if ids.iter().all(|id| self.finished.contains_key(id)) {
-                return ids.iter().map(|id| self.finished[id]).collect();
+            if ids.iter().all(|id| self.tracked[id].is_some()) {
+                let arrivals = ids.iter().map(|id| self.tracked[id].unwrap()).collect();
+                for id in ids {
+                    self.tracked.remove(id);
+                }
+                return arrivals;
             }
-            if self.rates_dirty {
-                self.recompute_rates();
-            }
-            let next_event = self.events.peek().map(|e| e.time).unwrap_or(f64::INFINITY);
-            let next_done = self.next_completion().unwrap_or(f64::INFINITY);
-            let t = next_event.min(next_done);
+            let t = t_next.unwrap_or_else(|| self.next_instant());
             assert!(
                 t.is_finite(),
                 "waiting for flows that can never finish (ids {ids:?})"
             );
-            self.run_until(t);
+            t_next = Some(self.drain(t, t));
         }
-    }
-
-    /// Finish (arrival) time of a tracked flow, if it has completed.
-    pub fn finish_time(&self, id: FlowId) -> Option<f64> {
-        self.finished.get(&id).copied()
-    }
-
-    /// Drop bookkeeping for completed tracked flows (long campaigns).
-    pub fn forget_finished(&mut self) {
-        self.finished.clear();
     }
 }
 
@@ -538,12 +554,46 @@ mod tests {
     }
 
     #[test]
-    fn forget_finished_clears() {
+    fn wait_for_collects_each_arrival_once() {
+        let mut sim = Simulator::new(topo(), 1);
+        sim.add_background(1, 3, 30, 0.5, 0.0);
+        let a = sim.submit(0, 1, 100, 0.0);
+        let b = sim.submit(0, 2, 100, 0.0);
+        sim.wait_for(&[b]);
+        // `a` arrived while waiting for `b`: it is kept until collected.
+        assert_eq!(sim.tracked.len(), 1);
+        sim.wait_for(&[a]);
+        assert!(sim.tracked.is_empty(), "collected arrivals are forgotten");
+    }
+
+    #[test]
+    #[should_panic(expected = "not a pending tracked flow")]
+    fn wait_for_collected_flow_panics() {
         let mut sim = Simulator::new(topo(), 1);
         let f = sim.submit(0, 1, 100, 0.0);
         sim.wait_for(&[f]);
-        assert!(sim.finish_time(f).is_some());
-        sim.forget_finished();
-        assert!(sim.finish_time(f).is_none());
+        sim.wait_for(&[f]);
+    }
+
+    #[test]
+    #[should_panic(expected = "not a pending tracked flow")]
+    fn wait_for_unsubmitted_flow_panics_under_background() {
+        // Background generators re-queue themselves forever, so waiting on
+        // an id that will never arrive must fail up front, not spin.
+        let mut sim = Simulator::new(topo(), 1);
+        sim.add_background(1, 3, 30, 0.5, 0.0);
+        sim.run_until(5.0);
+        let f = sim.submit(0, 1, 100, sim.time());
+        sim.wait_for(&[f + 1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "not a pending tracked flow")]
+    fn wait_for_background_flow_panics() {
+        let mut sim = Simulator::new(topo(), 1);
+        sim.add_background(1, 3, 30, 0.5, 0.0);
+        sim.run_until(5.0);
+        assert!(sim.flows_completed() > 0);
+        sim.wait_for(&[0]);
     }
 }

@@ -1,73 +1,243 @@
 //! Max-min fair rate allocation (progressive filling).
+//!
+//! The solve is indexed. A per-solve CSR incidence lists, for each used
+//! link, the flows crossing it in ascending flow order, so a bottleneck
+//! round visits only the flows it freezes and the links they cross.
+//! Bottlenecks come from a queue of link fair shares keyed by
+//! `(share, first-seen rank)`: the initial shares sorted once, plus a lazy
+//! min-heap for shares that changed. A link's share never grows smaller
+//! in exact arithmetic, so a changed share is queued only when rounding
+//! made it smaller, or when its stale entry reaches the front. A solve
+//! runs in `O(I + L log L)` for `I` flow-link incidences over `L` used
+//! links, plus `O(log L)` per re-queued share. The bottleneck order, its
+//! tie-breaking (the first-seen link wins among equal shares) and the
+//! order of every per-link subtraction are those of the plain linear-scan
+//! progressive filling, so the rates are bit-identical to it.
 
 use crate::topology::{LinkId, Topology};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
-/// Compute max-min fair rates for a set of flows.
+/// `rank_of` entry of a link no flow of the current solve crosses.
+const UNSEEN: u32 = u32::MAX;
+
+/// A queued link: `(share key, rank)`, ordered as the bottleneck choice is.
+type Entry = (u64, u32);
+
+/// Reusable scratch for max-min solves: after the first few solves of a
+/// similar size, [`FairShare::rates`] allocates nothing.
 ///
-/// `paths[f]` is flow `f`'s directed link path (non-empty). Progressive
-/// filling: repeatedly find the most contended link (smallest remaining
-/// capacity per unfrozen flow), freeze its flows at that fair share,
-/// subtract, and continue until every flow is frozen. Runs in
-/// `O(bottlenecks × flow-link incidences)`, touching only links that
-/// actually carry flows.
-pub fn max_min_rates(topo: &Topology, paths: &[Vec<LinkId>]) -> Vec<f64> {
-    let nf = paths.len();
-    let mut rates = vec![0.0f64; nf];
-    if nf == 0 {
-        return rates;
-    }
+/// Links are renumbered by *rank*, the order in which the solve first meets
+/// them walking the paths in flow order; every per-link array below is
+/// indexed by rank.
+#[derive(Debug, Default)]
+pub struct FairShare {
+    /// Rank of each topology link in the current solve, or `UNSEEN`.
+    rank_of: Vec<u32>,
+    /// Topology link of each rank.
+    used: Vec<LinkId>,
+    /// Remaining capacity per rank.
+    cap: Vec<f64>,
+    /// Unfrozen flows crossing each rank.
+    cnt: Vec<u32>,
+    /// Fair share `cap / cnt` per rank, as of the last round that touched it.
+    share: Vec<f64>,
+    /// The last round that touched each rank.
+    touched_in: Vec<u32>,
+    /// Flow `f`'s path as ranks: `path_ranks[path_end[f - 1]..path_end[f]]`.
+    path_ranks: Vec<u32>,
+    path_end: Vec<u32>,
+    /// The flows crossing rank `r`, ascending:
+    /// `link_flows[link_end[r - 1]..link_end[r]]`.
+    link_flows: Vec<u32>,
+    link_end: Vec<u32>,
+    frozen: Vec<bool>,
+    touched: Vec<u32>,
+    /// Every rank's initial share, sorted; consumed from the front.
+    sorted: Vec<Entry>,
+    /// Shares queued after the start.
+    heap: BinaryHeap<Reverse<Entry>>,
+    rates: Vec<f64>,
+}
 
-    // Dense per-link state, but only initialized/visited for used links.
-    let mut cap = vec![0.0f64; topo.link_count()];
-    let mut cnt = vec![0usize; topo.link_count()];
-    let mut used: Vec<LinkId> = Vec::new();
-    for path in paths {
-        debug_assert!(!path.is_empty(), "flows must traverse at least one link");
-        for &l in path {
-            if cnt[l] == 0 {
-                cap[l] = topo.link(l).capacity;
-                used.push(l);
-            }
-            cnt[l] += 1;
+/// Queue key of a fair share. Shares are non-negative, where the bit
+/// pattern orders like the value; adding `0.0` maps `-0.0` to `+0.0`.
+fn share_key(share: f64) -> u64 {
+    debug_assert!(share >= 0.0, "negative fair share {share}");
+    (share + 0.0).to_bits()
+}
+
+/// `[end[i - 1], end[i])` with `end[-1] = 0`.
+fn span(end: &[u32], i: usize) -> std::ops::Range<usize> {
+    let lo = if i == 0 { 0 } else { end[i - 1] as usize };
+    lo..end[i] as usize
+}
+
+impl FairShare {
+    /// Max-min fair rates of `paths` on `topo`, one per flow.
+    ///
+    /// `paths[f]` is flow `f`'s directed link path (non-empty). Progressive
+    /// filling: repeatedly take the most contended link (smallest remaining
+    /// capacity per unfrozen flow; the first-seen link on ties), freeze its
+    /// unfrozen flows at that share in ascending flow order, subtract each
+    /// from every link on its path, and continue until every flow is frozen.
+    pub fn rates<P: AsRef<[LinkId]>>(&mut self, topo: &Topology, paths: &[P]) -> &[f64] {
+        let nf = paths.len();
+        self.rates.clear();
+        self.rates.resize(nf, 0.0);
+        if nf == 0 {
+            return &self.rates;
         }
-    }
-
-    let mut frozen = vec![false; nf];
-    let mut remaining = nf;
-    while remaining > 0 {
-        // Most contended live link.
-        let mut best: Option<(f64, LinkId)> = None;
-        for &l in &used {
-            if cnt[l] == 0 {
-                continue;
-            }
-            let share = cap[l] / cnt[l] as f64;
-            match best {
-                None => best = Some((share, l)),
-                Some((bs, _)) if share < bs => best = Some((share, l)),
-                _ => {}
-            }
+        if self.rank_of.len() < topo.link_count() {
+            self.rank_of.resize(topo.link_count(), UNSEEN);
         }
-        let (share, bottleneck) = best.expect("live link must exist while flows remain");
 
-        // Freeze every unfrozen flow crossing the bottleneck.
+        // Rank the used links and write each path as ranks.
+        self.used.clear();
+        self.cap.clear();
+        self.cnt.clear();
+        self.path_ranks.clear();
+        self.path_end.clear();
+        for path in paths {
+            let path = path.as_ref();
+            debug_assert!(!path.is_empty(), "flows must traverse at least one link");
+            for &l in path {
+                let mut r = self.rank_of[l];
+                if r == UNSEEN {
+                    r = self.used.len() as u32;
+                    self.rank_of[l] = r;
+                    self.used.push(l);
+                    self.cap.push(topo.link(l).capacity);
+                    self.cnt.push(0);
+                }
+                self.cnt[r as usize] += 1;
+                self.path_ranks.push(r);
+            }
+            self.path_end.push(self.path_ranks.len() as u32);
+        }
+        let nl = self.used.len();
+
+        // Link → flows incidence: `link_end` starts as each rank's start
+        // offset and is advanced to its end by the fill.
+        self.link_end.clear();
+        let mut offset = 0;
+        for &c in &self.cnt {
+            self.link_end.push(offset);
+            offset += c;
+        }
+        self.link_flows.clear();
+        self.link_flows.resize(offset as usize, 0);
         for f in 0..nf {
-            if frozen[f] || !paths[f].contains(&bottleneck) {
+            for &r in &self.path_ranks[span(&self.path_end, f)] {
+                let end = &mut self.link_end[r as usize];
+                self.link_flows[*end as usize] = f as u32;
+                *end += 1;
+            }
+        }
+
+        self.share.clear();
+        self.share.extend(
+            self.cap
+                .iter()
+                .zip(&self.cnt)
+                .map(|(&c, &n)| c / f64::from(n)),
+        );
+        self.sorted.clear();
+        self.sorted.extend(
+            self.share
+                .iter()
+                .enumerate()
+                .map(|(r, &s)| (share_key(s), r as u32)),
+        );
+        self.sorted.sort_unstable();
+        self.heap.clear();
+        self.touched_in.clear();
+        self.touched_in.resize(nl, 0);
+        self.frozen.clear();
+        self.frozen.resize(nf, false);
+
+        // Every live rank has a queued entry no larger than its current
+        // key, so a popped entry equal to its rank's current key is the
+        // smallest live key: the bottleneck.
+        let mut next_sorted = 0;
+        let mut remaining = nf;
+        let mut round = 0;
+        while remaining > 0 {
+            let (key, b) = match (self.sorted.get(next_sorted), self.heap.peek()) {
+                (Some(&s), Some(&Reverse(h))) if h < s => {
+                    self.heap.pop();
+                    h
+                }
+                (Some(&s), _) => {
+                    next_sorted += 1;
+                    s
+                }
+                (None, Some(&Reverse(h))) => {
+                    self.heap.pop();
+                    h
+                }
+                (None, None) => unreachable!("live link must exist while flows remain"),
+            };
+            let b = b as usize;
+            if self.cnt[b] == 0 {
+                continue; // drained
+            }
+            let share = self.share[b];
+            if share_key(share) != key {
+                // Stale: its share has grown since the entry was queued.
+                self.heap.push(Reverse((share_key(share), b as u32)));
                 continue;
             }
-            frozen[f] = true;
-            remaining -= 1;
-            rates[f] = share;
-            for &l in &paths[f] {
-                cap[l] -= share;
-                cnt[l] -= 1;
-                if cap[l] < 0.0 {
-                    cap[l] = 0.0; // numerical guard
+            round += 1;
+
+            // Freeze every unfrozen flow crossing the bottleneck.
+            for &f in &self.link_flows[span(&self.link_end, b)] {
+                let f = f as usize;
+                if self.frozen[f] {
+                    continue;
+                }
+                self.frozen[f] = true;
+                remaining -= 1;
+                self.rates[f] = share;
+                for &r in &self.path_ranks[span(&self.path_end, f)] {
+                    let r = r as usize;
+                    self.cap[r] -= share;
+                    self.cnt[r] -= 1;
+                    if self.cap[r] < 0.0 {
+                        self.cap[r] = 0.0; // numerical guard
+                    }
+                    if self.touched_in[r] != round {
+                        self.touched_in[r] = round;
+                        self.touched.push(r as u32);
+                    }
                 }
             }
+            for &r in &self.touched {
+                let r = r as usize;
+                if self.cnt[r] > 0 {
+                    let share = self.cap[r] / f64::from(self.cnt[r]);
+                    if share < self.share[r] {
+                        // Rounding shrank it below its queued entries.
+                        self.heap.push(Reverse((share_key(share), r as u32)));
+                    }
+                    self.share[r] = share;
+                }
+            }
+            self.touched.clear();
         }
+
+        for &l in &self.used {
+            self.rank_of[l] = UNSEEN;
+        }
+        &self.rates
     }
-    rates
+}
+
+/// Max-min fair rates of `paths` on `topo`, with a one-off scratch (see
+/// [`FairShare::rates`]; a caller that solves repeatedly keeps a
+/// [`FairShare`]).
+pub fn max_min_rates<P: AsRef<[LinkId]>>(topo: &Topology, paths: &[P]) -> Vec<f64> {
+    FairShare::default().rates(topo, paths).to_vec()
 }
 
 #[cfg(test)]
@@ -148,12 +318,7 @@ mod tests {
         // unfrozen with 100 − 50 = 50 left → C = 50.
         // Now instead: three flows into host 4: fair share 33.3; a fourth
         // flow 1→2 rides free at 100.
-        let paths = vec![
-            t.path(0, 4),
-            t.path(1, 4),
-            t.path(2, 4),
-            t.path(5, 6),
-        ];
+        let paths = vec![t.path(0, 4), t.path(1, 4), t.path(2, 4), t.path(5, 6)];
         let rates = max_min_rates(&t, &paths);
         for r in &rates[..3] {
             assert!((r - 100.0 / 3.0).abs() < 1e-9);
@@ -164,7 +329,7 @@ mod tests {
     #[test]
     fn empty_input() {
         let t = topo();
-        assert!(max_min_rates(&t, &[]).is_empty());
+        assert!(max_min_rates::<Vec<LinkId>>(&t, &[]).is_empty());
     }
 
     #[test]

@@ -1,8 +1,127 @@
 //! Property-based tests of the flow simulator's physical invariants.
 
-use cloudconst_simnet::fairshare::max_min_rates;
-use cloudconst_simnet::{LinkSpec, Simulator, Topology};
+use cloudconst_simnet::fairshare::{max_min_rates, FairShare};
+use cloudconst_simnet::{LinkId, LinkSpec, Simulator, Topology};
 use proptest::prelude::*;
+
+/// The plain progressive filling the indexed solver must reproduce bit for
+/// bit: rescan every used link for the smallest `cap / cnt` (first-seen
+/// link on ties), then walk every flow for the ones crossing it.
+fn reference_rates(topo: &Topology, paths: &[Vec<LinkId>]) -> Vec<f64> {
+    let nf = paths.len();
+    let mut rates = vec![0.0f64; nf];
+    let mut cap = vec![0.0f64; topo.link_count()];
+    let mut cnt = vec![0usize; topo.link_count()];
+    let mut used: Vec<LinkId> = Vec::new();
+    for path in paths {
+        for &l in path {
+            if cnt[l] == 0 {
+                cap[l] = topo.link(l).capacity;
+                used.push(l);
+            }
+            cnt[l] += 1;
+        }
+    }
+    let mut frozen = vec![false; nf];
+    let mut remaining = nf;
+    while remaining > 0 {
+        let mut best: Option<(f64, LinkId)> = None;
+        for &l in &used {
+            if cnt[l] == 0 {
+                continue;
+            }
+            let share = cap[l] / cnt[l] as f64;
+            match best {
+                None => best = Some((share, l)),
+                Some((bs, _)) if share < bs => best = Some((share, l)),
+                _ => {}
+            }
+        }
+        let (share, bottleneck) = best.expect("live link must exist while flows remain");
+        for f in 0..nf {
+            if frozen[f] || !paths[f].contains(&bottleneck) {
+                continue;
+            }
+            frozen[f] = true;
+            remaining -= 1;
+            rates[f] = share;
+            for &l in &paths[f] {
+                cap[l] -= share;
+                cnt[l] -= 1;
+                if cap[l] < 0.0 {
+                    cap[l] = 0.0;
+                }
+            }
+        }
+    }
+    rates
+}
+
+/// Link capacities drawn from this palette make equal fair shares, and so
+/// bottleneck ties, common.
+const CAPACITIES: [f64; 4] = [100.0, 250.0, 1000.0, 1e9 / 8.0];
+
+/// Two-level trees, three-level trees with palette capacities, and
+/// three-level trees with arbitrary capacities.
+fn tree_strategy() -> impl Strategy<Value = Topology> {
+    (
+        (0usize..3, 1usize..6, 1usize..4, 2usize..8),
+        (0usize..4, 0usize..4, 0usize..4),
+        (10.0f64..1000.0, 10.0f64..5000.0, 10.0f64..5000.0),
+    )
+        .prop_map(
+            |((kind, racks, racks_per_pod, hosts), palette, arbitrary)| {
+                let spec = |capacity| LinkSpec {
+                    capacity,
+                    latency: 1e-4,
+                };
+                let (h, r, p) = palette;
+                let (host, rack, pod) = if kind == 2 {
+                    arbitrary
+                } else {
+                    (CAPACITIES[h], CAPACITIES[r], CAPACITIES[p])
+                };
+                if kind == 0 {
+                    Topology::tree(racks, hosts, spec(host), spec(rack))
+                } else {
+                    Topology::three_level(
+                        racks.max(2),
+                        racks_per_pod,
+                        hosts,
+                        spec(host),
+                        spec(rack),
+                        spec(pod),
+                    )
+                }
+            },
+        )
+}
+
+/// Up to ~300 flows drawn from a palette of at most 24 host pairs, so many
+/// flows share a path.
+fn crowded_strategy() -> impl Strategy<Value = (Topology, Vec<Vec<LinkId>>)> {
+    tree_strategy().prop_flat_map(|t| {
+        let hosts = t.hosts();
+        (
+            proptest::collection::vec((0..hosts, 0..hosts), 1..24),
+            proptest::collection::vec(0usize..1000, 1..300),
+        )
+            .prop_map(move |(palette, picks)| {
+                let paths = picks
+                    .iter()
+                    .map(|&k| {
+                        let (a, b) = palette[k % palette.len()];
+                        t.path(a, if a == b { (b + 1) % hosts } else { b })
+                    })
+                    .collect();
+                (t.clone(), paths)
+            })
+    })
+}
+
+fn same_bits(a: &[f64], b: &[f64]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+}
 
 fn topo_strategy() -> impl Strategy<Value = Topology> {
     (1usize..5, 2usize..6, 10.0f64..1000.0, 50.0f64..5000.0).prop_map(
@@ -35,6 +154,27 @@ fn flows_strategy() -> impl Strategy<Value = (Topology, Vec<(usize, usize)>)> {
                 (t.clone(), pairs)
             })
     })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn indexed_solver_matches_reference_bit_for_bit((topo, paths) in crowded_strategy()) {
+        let want = reference_rates(&topo, &paths);
+        prop_assert!(same_bits(&max_min_rates(&topo, &paths), &want), "fresh scratch");
+        // A reused scratch must not remember the previous solve: solve a
+        // prefix, a reversal and the full set again with one scratch.
+        let mut fair = FairShare::default();
+        let half = &paths[..paths.len().div_ceil(2)];
+        prop_assert!(same_bits(fair.rates(&topo, half), &reference_rates(&topo, half)), "prefix");
+        let reversed: Vec<_> = paths.iter().rev().cloned().collect();
+        prop_assert!(
+            same_bits(fair.rates(&topo, &reversed), &reference_rates(&topo, &reversed)),
+            "reversed"
+        );
+        prop_assert!(same_bits(fair.rates(&topo, &paths), &want), "reused scratch");
+    }
 }
 
 proptest! {

@@ -7,9 +7,9 @@
 //! queued jobs instead of blocking — which makes nested parallel regions
 //! deadlock-free even on a single-worker pool.
 
+use std::any::Any;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::Duration;
 
@@ -23,7 +23,8 @@ struct Job {
 struct Latch {
     remaining: Mutex<usize>,
     cv: Condvar,
-    panicked: AtomicBool,
+    /// The first panic payload a helper execution raised.
+    panic: Mutex<Option<Box<dyn Any + Send>>>,
 }
 
 impl Latch {
@@ -31,7 +32,7 @@ impl Latch {
         Latch {
             remaining: Mutex::new(count),
             cv: Condvar::new(),
-            panicked: AtomicBool::new(false),
+            panic: Mutex::new(None),
         }
     }
 
@@ -57,9 +58,12 @@ struct PoolInner {
 
 impl PoolInner {
     fn run_job(&self, job: Job) {
-        let result = catch_unwind(AssertUnwindSafe(|| (job.body)()));
-        if result.is_err() {
-            job.latch.panicked.store(true, Ordering::SeqCst);
+        if let Err(p) = catch_unwind(AssertUnwindSafe(|| (job.body)())) {
+            job.latch
+                .panic
+                .lock()
+                .expect("nothing panics while holding the panic slot")
+                .get_or_insert(p);
         }
         job.latch.count_down();
     }
@@ -143,7 +147,8 @@ pub fn current_num_threads() -> usize {
 /// Execute `body` on the caller plus up to `parallelism - 1` pool workers.
 /// `body` must be idempotent-safe under concurrent invocation: every copy
 /// pulls work from a shared atomic cursor. Returns after all copies finish;
-/// panics in any copy propagate to the caller.
+/// a panic in any copy propagates to the caller with its own payload (the
+/// caller's first, else the first helper's).
 pub(crate) fn run_region(parallelism: usize, body: &(dyn Fn() + Sync)) {
     let inner = pool();
     let helpers = inner.workers.min(parallelism.saturating_sub(1));
@@ -169,12 +174,16 @@ pub(crate) fn run_region(parallelism: usize, body: &(dyn Fn() + Sync)) {
     inner.cv.notify_all();
     let caller_result = catch_unwind(AssertUnwindSafe(body));
     inner.wait_helping(&latch);
-    match caller_result {
-        Err(p) => resume_unwind(p),
-        Ok(()) if latch.panicked.load(Ordering::SeqCst) => {
-            panic!("a parallel task panicked in the rayon shim pool")
-        }
-        Ok(()) => {}
+    if let Err(p) = caller_result {
+        resume_unwind(p);
+    }
+    let helper_panic = latch
+        .panic
+        .lock()
+        .expect("nothing panics while holding the panic slot")
+        .take();
+    if let Some(p) = helper_panic {
+        resume_unwind(p);
     }
 }
 
@@ -188,4 +197,31 @@ where
 {
     // Sequential execution is a correct implementation of join's contract.
     (oper_a(), oper_b())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn boom() {
+        panic!("boom");
+    }
+
+    fn bang() {
+        panic!("bang");
+    }
+
+    #[test]
+    fn helper_keeps_first_panic_payload() {
+        let latch = Arc::new(Latch::new(2));
+        for body in [&boom as &'static (dyn Fn() + Sync), &bang] {
+            pool().run_job(Job {
+                body,
+                latch: Arc::clone(&latch),
+            });
+        }
+        assert!(latch.is_done());
+        let payload = latch.panic.lock().unwrap().take().expect("payload kept");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"boom"));
+    }
 }
