@@ -1,8 +1,6 @@
 //! Communication environment: how an application's collectives are timed.
 
-use cloudconst_collectives::{
-    binomial_tree, evaluate_tree, fnf_tree, topo_aware_tree, Collective, TreeAlgo,
-};
+use cloudconst_collectives::{binomial_tree, evaluate_tree, fnf_tree, Collective};
 use cloudconst_netmodel::PerfMatrix;
 
 /// Everything an application needs to time its communication.
@@ -11,17 +9,13 @@ use cloudconst_netmodel::PerfMatrix;
 ///   all evaluation happens against it.
 /// * `guide` — the estimate driving tree construction (the RPCA constant,
 ///   a heuristic average, a single measurement…). `None` means the
-///   Baseline: network-oblivious binomial trees.
-/// * `racks` — rack ids, only for [`TreeAlgo::TopoAware`].
+///   Baseline: network-oblivious binomial trees; `Some` builds FNF trees
+///   over the guide's weight matrix.
 pub struct CommEnv<'a> {
     /// The network performance collectives actually experience.
     pub actual: &'a PerfMatrix,
     /// The estimate guiding tree construction (`None` = Baseline).
     pub guide: Option<&'a PerfMatrix>,
-    /// Tree algorithm used when a guide is present.
-    pub algo: TreeAlgo,
-    /// Rack ids (for the topology-aware comparison algorithm).
-    pub racks: Option<Vec<usize>>,
 }
 
 impl<'a> CommEnv<'a> {
@@ -30,8 +24,6 @@ impl<'a> CommEnv<'a> {
         CommEnv {
             actual,
             guide: None,
-            algo: TreeAlgo::Binomial,
-            racks: None,
         }
     }
 
@@ -40,8 +32,6 @@ impl<'a> CommEnv<'a> {
         CommEnv {
             actual,
             guide: Some(guide),
-            algo: TreeAlgo::Fnf,
-            racks: None,
         }
     }
 
@@ -53,13 +43,9 @@ impl<'a> CommEnv<'a> {
     /// Build the tree this environment would use for a collective of the
     /// given message size.
     pub fn tree(&self, root: usize, msg_bytes: u64) -> cloudconst_collectives::CommTree {
-        match (self.guide, self.algo) {
-            (Some(g), TreeAlgo::Fnf) => fnf_tree(root, &g.weights(msg_bytes)),
-            (_, TreeAlgo::TopoAware) => topo_aware_tree(
-                root,
-                self.racks.as_deref().expect("TopoAware needs rack ids"),
-            ),
-            _ => binomial_tree(root, self.n()),
+        match self.guide {
+            Some(g) => fnf_tree(root, &g.weights(msg_bytes)),
+            None => binomial_tree(root, self.n()),
         }
     }
 

@@ -418,10 +418,7 @@ fn app_rows(
         (Approach::Heuristics, Some(&heur_guide)),
         (Approach::Rpca, Some(&rpca_guide)),
     ] {
-        let env = match guide {
-            None => CommEnv::baseline(&actual),
-            Some(g) => CommEnv::guided(&actual, g),
-        };
+        let env = CommEnv { actual: &actual, guide };
         let mut b = runner(&env);
         if a != Approach::Baseline {
             // "Other Overheads": calibration + RPCA calculation, charged to

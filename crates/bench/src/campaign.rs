@@ -240,10 +240,7 @@ pub fn run_campaign(c: &Campaign) -> CampaignResult {
 
         let mut rpca_bcast_actual = 0.0;
         for (a, guide) in approaches {
-            let env = match guide {
-                None => CommEnv::baseline(&actual),
-                Some(g) => CommEnv::guided(&actual, g),
-            };
+            let env = CommEnv { actual: &actual, guide };
             let tb = env.collective_time(Collective::Broadcast, root, c.msg_bytes);
             let ts = env.collective_time(Collective::Scatter, root, c.msg_bytes);
             result.bcast.push(a, tb);

@@ -111,10 +111,7 @@ pub fn replay_campaign(setup: &ReplaySetup, target_norm: f64) -> ReplayResult {
             (Approach::Rpca, Some(&rpca_guide)),
         ];
         for (a, guide) in approaches {
-            let env = match guide {
-                None => CommEnv::baseline(&actual),
-                Some(g) => CommEnv::guided(&actual, g),
-            };
+            let env = CommEnv { actual: &actual, guide };
             result
                 .bcast
                 .push(a, env.collective_time(Collective::Broadcast, root, setup.msg_bytes));

@@ -9,8 +9,7 @@ use cloudconst_core::{estimate, EstimatorKind};
 use cloudconst_netmodel::{Calibrator, PerfMatrix, MB};
 use cloudconst_simnet::{run_dag, BackgroundSpec, ClusterView, Simulator, Topology};
 use cloudconst_topomap::{
-    evaluate_mapping, greedy_mapping, machine_graph_from_perf, random_task_graph, ring_mapping,
-    Mapping, TaskGraph,
+    greedy_mapping, machine_graph_from_perf, random_task_graph, ring_mapping, Mapping, TaskGraph,
 };
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -278,12 +277,6 @@ pub fn sim_comparison(setup: &SimSetup, runs: usize, msg_bytes: u64) -> SimCompa
         }
     }
     out
-}
-
-/// Convenience for the α-β estimate of a mapping on the *calibrated*
-/// guide (used by tests).
-pub fn mapping_cost_on_guide(tasks: &TaskGraph, mapping: &Mapping, guide: &PerfMatrix) -> f64 {
-    evaluate_mapping(tasks, mapping, guide)
 }
 
 #[cfg(test)]

@@ -204,8 +204,13 @@ impl FaultPlan {
             && self.straggler_prob <= 0.0
             && self.blackouts.is_empty()
             && self.flaky_links.is_empty()
-            && (self.domains.is_empty()
-                || (self.domain_blackout_prob <= 0.0 && self.domain_congestion_prob <= 0.0))
+            && !self.has_domain_events()
+    }
+
+    /// Can a correlated domain event (blackout or congestion) fire at all?
+    fn has_domain_events(&self) -> bool {
+        !self.domains.is_empty()
+            && (self.domain_blackout_prob > 0.0 || self.domain_congestion_prob > 0.0)
     }
 
     /// Index (into `domains`) of the domain VM `v` belongs to, if any.
@@ -365,7 +370,15 @@ pub struct FaultyCloud {
 
 impl FaultyCloud {
     /// Wrap a cloud with a fault plan.
+    ///
+    /// Panics if the plan has domain events but no positive, finite
+    /// `domain_window` to roll them in: they would never fire.
     pub fn new(inner: SyntheticCloud, plan: FaultPlan) -> Self {
+        assert!(
+            !plan.has_domain_events()
+                || (plan.domain_window > 0.0 && plan.domain_window.is_finite()),
+            "domain window must be positive and finite when domain events can fire"
+        );
         FaultyCloud { inner, plan }
     }
 
@@ -621,6 +634,24 @@ mod tests {
         let json = serde_json::to_string(&plan).unwrap();
         let back: FaultPlan = serde_json::from_str(&json).unwrap();
         assert_eq!(back, plan);
+    }
+
+    #[test]
+    #[should_panic(expected = "domain window must be positive")]
+    fn domain_events_without_a_window_are_rejected() {
+        let plan = FaultPlan {
+            domains: (0..3)
+                .map(|r| FaultDomain {
+                    id: r,
+                    vms: (0..16).filter(|v| v % 3 == r as usize).collect(),
+                })
+                .collect(),
+            domain_blackout_prob: 1.0,
+            domain_window: 0.0,
+            ..FaultPlan::none(5)
+        };
+        assert!(!plan.is_fault_free());
+        FaultyCloud::new(cloud(16), plan);
     }
 
     #[test]

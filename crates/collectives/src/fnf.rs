@@ -56,29 +56,6 @@ pub fn fnf_tree(root: usize, weights: &Mat) -> CommTree {
     tree
 }
 
-/// [`fnf_tree`] steered around quarantined links.
-///
-/// `quarantined` lists directed links the advisor distrusts (see
-/// `Advisor::quarantined` in `cloudconst-core`); each gets `penalty` added
-/// to its weight (smaller-is-better), so the greedy adoption prefers any
-/// healthy alternative but can still cross a quarantined link when nothing
-/// else reaches a machine — the tree always spans. A `penalty` exceeding
-/// the largest healthy weight makes avoidance strict.
-pub fn fnf_tree_quarantined(
-    root: usize,
-    weights: &Mat,
-    quarantined: &[(usize, usize)],
-    penalty: f64,
-) -> CommTree {
-    assert!(penalty >= 0.0, "penalty must be non-negative");
-    let mut w = weights.clone();
-    for &(i, j) in quarantined {
-        assert!(i < w.rows() && j < w.cols(), "quarantined link out of range");
-        w[(i, j)] += penalty;
-    }
-    fnf_tree(root, &w)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -177,48 +154,5 @@ mod tests {
         let w = Mat::from_rows(&[&[0.0, 5.0], &[5.0, 0.0]]);
         let t = fnf_tree(1, &w);
         assert_eq!(t.parent(0), Some(1));
-    }
-
-    #[test]
-    fn quarantined_fast_link_is_routed_around() {
-        // Same star-shaped cost as `prefers_cheap_links`: without the
-        // quarantine, 0 adopts 3 over the cheap (0,3) link first.
-        let mut w = Mat::full(4, 4, 100.0);
-        for i in 0..4 {
-            w[(i, i)] = 0.0;
-        }
-        w[(0, 3)] = 1.0;
-        w[(3, 1)] = 1.0;
-        w[(3, 2)] = 2.0;
-        assert_eq!(fnf_tree(0, &w).parent(3), Some(0));
-
-        // Quarantining (0,3) makes its effective weight 1001: iteration 1
-        // now adopts 1 (tie at 100, smallest index); iteration 2 has 0 take
-        // 2 and 1 take 3 — the distrusted link is never used.
-        let t = fnf_tree_quarantined(0, &w, &[(0, 3)], 1000.0);
-        assert!(t.is_spanning());
-        assert_eq!(t.parent(1), Some(0));
-        assert_eq!(t.parent(2), Some(0));
-        assert_eq!(t.parent(3), Some(1), "fast link must be avoided");
-    }
-
-    #[test]
-    fn quarantine_with_no_alternative_still_spans() {
-        // Two machines: the only link is quarantined, yet the broadcast
-        // tree must still reach machine 0.
-        let w = Mat::from_rows(&[&[0.0, 5.0], &[5.0, 0.0]]);
-        let t = fnf_tree_quarantined(1, &w, &[(1, 0), (0, 1)], 1e6);
-        assert!(t.is_spanning());
-        assert_eq!(t.parent(0), Some(1));
-    }
-
-    #[test]
-    fn zero_penalty_changes_nothing() {
-        let w = fig1_weights();
-        let plain = fnf_tree(0, &w);
-        let q = fnf_tree_quarantined(0, &w, &[(0, 2), (2, 5)], 0.0);
-        for v in 0..6 {
-            assert_eq!(plain.parent(v), q.parent(v));
-        }
     }
 }

@@ -16,26 +16,23 @@
 //! operation to a [`TransferDag`] of dependent point-to-point transfers,
 //! which the α-β evaluator in [`exec`] (or the discrete-event simulator in
 //! `cloudconst-simnet`) then times.
+//!
+//! Only the four primitives the paper evaluates live here; a composite such
+//! as the paper's all-to-all (gather then broadcast) is timed by its caller
+//! from two [`evaluate_tree`] calls (see `cloudconst-apps`).
 
 pub mod binomial;
-pub mod composite;
 pub mod exec;
 pub mod fnf;
-pub mod kary;
-pub mod pipeline;
 pub mod topoaware;
 pub mod tree;
 
 pub use binomial::binomial_tree;
-pub use composite::{allgather_time, allreduce_time, barrier_time};
 pub use exec::{evaluate_dag, evaluate_tree, schedule, Transfer, TransferDag};
-pub use fnf::{fnf_tree, fnf_tree_quarantined};
-pub use kary::{chain_tree, flat_tree, kary_tree};
-pub use pipeline::schedule_pipelined_broadcast;
+pub use fnf::fnf_tree;
 pub use topoaware::topo_aware_tree;
 pub use tree::CommTree;
 
-use cloudconst_linalg::Mat;
 use serde::{Deserialize, Serialize};
 
 /// The four basic collective operations the paper studies. Reduce and
@@ -66,38 +63,6 @@ impl Collective {
     }
 }
 
-/// Tree-construction algorithms under comparison.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum TreeAlgo {
-    /// Rank-ordered binomial tree (the paper's Baseline, from MPICH).
-    Binomial,
-    /// Fastest-Node-First over a weight matrix (network aware).
-    Fnf,
-    /// Hierarchical rack-aware tree (requires topology knowledge).
-    TopoAware,
-}
-
-/// Build a communication tree with the chosen algorithm.
-///
-/// `weights` (smaller = better; e.g. [`cloudconst_netmodel::PerfMatrix::weights`])
-/// is required by [`TreeAlgo::Fnf`]; `racks` (rack id per machine) by
-/// [`TreeAlgo::TopoAware`].
-pub fn build_tree(
-    algo: TreeAlgo,
-    root: usize,
-    n: usize,
-    weights: Option<&Mat>,
-    racks: Option<&[usize]>,
-) -> CommTree {
-    match algo {
-        TreeAlgo::Binomial => binomial_tree(root, n),
-        TreeAlgo::Fnf => fnf_tree(root, weights.expect("FNF requires a weight matrix")),
-        TreeAlgo::TopoAware => {
-            topo_aware_tree(root, racks.expect("TopoAware requires rack ids"))
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -112,17 +77,5 @@ mod tests {
         assert!(Collective::Reduce.full_message_per_hop());
         assert!(!Collective::Scatter.full_message_per_hop());
         assert!(!Collective::Gather.full_message_per_hop());
-    }
-
-    #[test]
-    fn build_tree_dispatches() {
-        let t = build_tree(TreeAlgo::Binomial, 0, 8, None, None);
-        assert_eq!(t.n(), 8);
-        let w = Mat::full(4, 4, 1.0);
-        let t = build_tree(TreeAlgo::Fnf, 1, 4, Some(&w), None);
-        assert_eq!(t.root(), 1);
-        let racks = [0usize, 0, 1, 1];
-        let t = build_tree(TreeAlgo::TopoAware, 2, 4, None, Some(&racks));
-        assert_eq!(t.root(), 2);
     }
 }

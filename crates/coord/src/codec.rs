@@ -1,7 +1,6 @@
-//! Compact binary framing and the on-disk binary [`NetTrace`] format.
+//! Compact binary framing for the sharded-calibration wire protocol.
 //!
-//! Every message of the sharded-calibration wire protocol — and the binary
-//! trace artifact — travels as one *frame*:
+//! Every message of the protocol travels as one *frame*:
 //!
 //! ```text
 //! ┌───────────┬─────────┬───────┬────────┬──────────┬─────────────┐
@@ -15,22 +14,15 @@
 //! byte is interpreted. Decoding never panics: every malformed input maps
 //! to a typed [`CodecError`].
 //!
-//! The [`NetTrace`] payload (frame kind [`KIND_NET_TRACE`]) compresses each
-//! latency / inverse-bandwidth plane with a Gorilla-style XOR delta against
-//! the previous sample's same cell: the paper's central observation — link
-//! performance is a constant plus sparse change — means consecutive samples
-//! share their sign, exponent and high mantissa bits, so the XOR is mostly
-//! (often entirely) zero and each cell costs 1–9 bytes instead of the
-//! ~20-character decimal a JSON float needs. The encoding is exactly
-//! lossless: `f64` bit patterns round-trip unchanged.
+//! Frame kind 5 is retired and stays reserved: traces go to disk as JSON
+//! only (`NetTrace::save`/`load` in `cloudconst-netmodel`).
 
-use cloudconst_netmodel::{NetTrace, PerfMatrix};
 use std::fmt;
 
 /// Leading frame magic (`"CCF1"`): cloudconst frame, family 1.
 pub const MAGIC: [u8; 4] = *b"CCF1";
 
-/// Current wire/disk format version.
+/// Current wire format version.
 pub const VERSION: u16 = 1;
 
 /// Frame kind: a coordinator → worker shard task ([`crate::wire::ShardTask`]).
@@ -41,8 +33,8 @@ pub const KIND_PHASE_ACK: u16 = 2;
 pub const KIND_FLUSH_REQUEST: u16 = 3;
 /// Frame kind: a worker → coordinator partial TP-matrix fragment.
 pub const KIND_PARTIAL_TP: u16 = 4;
-/// Frame kind: an on-disk binary [`NetTrace`].
-pub const KIND_NET_TRACE: u16 = 5;
+// Kind 5 is retired and reserved: decoders answer it with
+// `CodecError::UnknownKind(5)`.
 /// Frame kind: a coordinator → worker snapshot reset (shard failover).
 pub const KIND_RESET: u16 = 6;
 /// Frame kind: a worker → coordinator authentication rejection (the frame's
@@ -202,11 +194,6 @@ impl<'a> Reader<'a> {
         Ok(f64::from_bits(self.u64()?))
     }
 
-    /// Next `n` raw bytes.
-    pub fn bytes(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
-        self.take(n)
-    }
-
     /// Error unless the payload was consumed exactly.
     pub fn finish(self) -> Result<(), CodecError> {
         if self.pos == self.buf.len() {
@@ -232,90 +219,9 @@ pub fn put_f64(buf: &mut Vec<u8>, v: f64) {
     buf.extend_from_slice(&v.to_bits().to_le_bytes());
 }
 
-/// XOR-delta-encode one flattened plane against the previous sample's bit
-/// patterns (updated in place). Per cell: a control byte holding the number
-/// of significant low-order bytes of `bits ^ prev` (0–8), then exactly
-/// those bytes. Identical cells cost one byte.
-fn encode_plane(out: &mut Vec<u8>, vals: &[f64], prev: &mut [u64]) {
-    for (k, &v) in vals.iter().enumerate() {
-        let bits = v.to_bits();
-        let x = bits ^ prev[k];
-        prev[k] = bits;
-        let sig = (64 - x.leading_zeros() as usize).div_ceil(8);
-        out.push(sig as u8);
-        out.extend_from_slice(&x.to_le_bytes()[..sig]);
-    }
-}
-
-/// Inverse of [`encode_plane`].
-fn decode_plane(r: &mut Reader<'_>, cells: usize, prev: &mut [u64]) -> Result<Vec<f64>, CodecError> {
-    let mut out = Vec::with_capacity(cells);
-    for p in prev.iter_mut().take(cells) {
-        let sig = r.u8()? as usize;
-        if sig > 8 {
-            return Err(CodecError::Malformed("xor-delta control byte > 8"));
-        }
-        let mut b = [0u8; 8];
-        b[..sig].copy_from_slice(r.bytes(sig)?);
-        let bits = *p ^ u64::from_le_bytes(b);
-        *p = bits;
-        out.push(f64::from_bits(bits));
-    }
-    Ok(out)
-}
-
-/// Serialize a [`NetTrace`] to the binary on-disk format (one frame).
-pub fn encode_net_trace(trace: &NetTrace) -> Vec<u8> {
-    let n = trace.n();
-    let cells = n * n;
-    let mut p = Vec::new();
-    put_u32(&mut p, n as u32);
-    put_u32(&mut p, trace.len() as u32);
-    let mut prev_a = vec![0u64; cells];
-    let mut prev_b = vec![0u64; cells];
-    for s in trace.samples() {
-        put_f64(&mut p, s.time);
-        let (af, bf) = s.perf.flatten();
-        encode_plane(&mut p, &af, &mut prev_a);
-        encode_plane(&mut p, &bf, &mut prev_b);
-    }
-    encode_frame(KIND_NET_TRACE, &p)
-}
-
-/// Deserialize a binary [`NetTrace`]; exact inverse of
-/// [`encode_net_trace`] for any trace that format can hold.
-pub fn decode_net_trace(buf: &[u8]) -> Result<NetTrace, CodecError> {
-    let frame = decode_frame(buf)?;
-    if frame.kind != KIND_NET_TRACE {
-        return Err(CodecError::UnknownKind(frame.kind));
-    }
-    let mut r = Reader::new(&frame.payload);
-    let n = r.u32()? as usize;
-    let count = r.u32()? as usize;
-    let cells = n * n;
-    let mut prev_a = vec![0u64; cells];
-    let mut prev_b = vec![0u64; cells];
-    let mut trace = NetTrace::new(n);
-    let mut last_time = f64::NEG_INFINITY;
-    for _ in 0..count {
-        let time = r.f64()?;
-        // NaN must be rejected here too — `NetTrace::record` would panic.
-        if time.is_nan() || time < last_time {
-            return Err(CodecError::Malformed("trace samples out of time order"));
-        }
-        last_time = time;
-        let af = decode_plane(&mut r, cells, &mut prev_a)?;
-        let bf = decode_plane(&mut r, cells, &mut prev_b)?;
-        trace.record(time, PerfMatrix::from_flat(n, &af, &bf));
-    }
-    r.finish()?;
-    Ok(trace)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cloudconst_netmodel::LinkPerf;
 
     #[test]
     fn frame_roundtrip() {
@@ -368,44 +274,5 @@ mod tests {
         let last = buf.len();
         buf[last - 8..].copy_from_slice(&sum.to_le_bytes());
         assert_eq!(decode_frame(&buf), Err(CodecError::UnsupportedVersion(9)));
-    }
-
-    #[test]
-    fn xor_delta_plane_roundtrip_exact() {
-        let vals = [0.0, -0.0, 1.5, 1.5 + 1e-13, f64::INFINITY, 3.7e-9];
-        let mut prev_e = vec![0u64; vals.len()];
-        let mut out = Vec::new();
-        encode_plane(&mut out, &vals, &mut prev_e);
-        let mut prev_d = vec![0u64; vals.len()];
-        let mut r = Reader::new(&out);
-        let back = decode_plane(&mut r, vals.len(), &mut prev_d).unwrap();
-        for (a, b) in vals.iter().zip(&back) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-    }
-
-    #[test]
-    fn net_trace_binary_roundtrip() {
-        let n = 5;
-        let mut t = NetTrace::new(n);
-        for step in 0..7 {
-            let pm = PerfMatrix::from_fn(n, |i, j| {
-                let h = (i * 31 + j * 7 + step) % 97;
-                LinkPerf::new(1e-4 + h as f64 * 1e-7, 1e8 / (1.0 + h as f64))
-            });
-            t.record(step as f64 * 60.0, pm);
-        }
-        let bin = encode_net_trace(&t);
-        let back = decode_net_trace(&bin).unwrap();
-        assert_eq!(t, back);
-    }
-
-    #[test]
-    fn net_trace_decode_rejects_wrong_kind() {
-        let buf = encode_frame(KIND_PHASE_ACK, b"not a trace");
-        assert_eq!(
-            decode_net_trace(&buf),
-            Err(CodecError::UnknownKind(KIND_PHASE_ACK))
-        );
     }
 }

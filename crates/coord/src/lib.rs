@@ -19,7 +19,7 @@
 //!                     TpMatrix + CampaignReport
 //! ```
 //!
-//! Modules: [`codec`] (binary framing + on-disk `NetTrace`), [`wire`]
+//! Modules: [`codec`] (checksummed binary framing), [`wire`]
 //! (the frame header and typed bodies), [`shard`] (round partitioning),
 //! [`transport`] (loopback + deterministic lossy sim), [`worker`],
 //! [`coordinator`].
@@ -34,7 +34,7 @@ pub mod wire;
 pub mod worker;
 
 pub use auth::AuthKey;
-pub use codec::{decode_net_trace, encode_net_trace, CodecError};
+pub use codec::CodecError;
 pub use coordinator::{CampaignReport, Coordinator, CoordinatorConfig, ShardedRun};
 pub use shard::ShardPlan;
 pub use tcp::{TcpConfig, TcpTransport, TcpWorkerServer};

@@ -25,8 +25,8 @@
 //! | 8 | [`Body::Hello`] | → worker | — |
 //! | 9 | [`Body::HelloAck`] | → coordinator | `n` |
 //!
-//! Kind 5 is the on-disk [`NetTrace`](cloudconst_netmodel::NetTrace)
-//! frame, which is not a message.
+//! Kind 5 is retired (it framed a binary on-disk trace format) and stays
+//! reserved; decoding it is `CodecError::UnknownKind(5)`.
 //!
 //! Tasks, flushes and resets are idempotent: workers answer a
 //! re-dispatched duplicate from their response cache. An ack carries the

@@ -569,11 +569,11 @@ impl Advisor {
 
     /// Line 6: compare observed vs expected operation time.
     pub fn check(&self, expected: f64, observed: f64) -> MaintenanceDecision {
-        if expected <= 0.0 {
-            // No basis for comparison — be conservative and re-calibrate.
-            return MaintenanceDecision::Recalibrate;
-        }
-        if ((observed - expected).abs() / expected) >= self.cfg.threshold {
+        let ratio = (observed - expected).abs() / expected;
+        // A non-positive expectation or a non-finite ratio (NaN or infinite
+        // inputs) gives no basis for comparison — be conservative and
+        // re-calibrate.
+        if expected <= 0.0 || !ratio.is_finite() || ratio >= self.cfg.threshold {
             MaintenanceDecision::Recalibrate
         } else {
             MaintenanceDecision::Keep
@@ -694,6 +694,28 @@ mod tests {
         assert_eq!(advisor.check(1.0, 2.0), MaintenanceDecision::Recalibrate);
         assert_eq!(advisor.check(1.0, 0.05), MaintenanceDecision::Keep); // 95% < 100%
         assert_eq!(advisor.check(0.0, 1.0), MaintenanceDecision::Recalibrate);
+    }
+
+    #[test]
+    fn non_finite_comparison_recalibrates() {
+        let advisor = Advisor::with_defaults();
+        for (expected, observed) in [
+            (1.0, f64::NAN),
+            (f64::NAN, 1.0),
+            (f64::INFINITY, 1.0),
+            (f64::INFINITY, f64::INFINITY),
+            (1.0, f64::INFINITY),
+        ] {
+            assert_eq!(
+                advisor.check(expected, observed),
+                MaintenanceDecision::Recalibrate,
+                "check({expected}, {observed})"
+            );
+            assert_eq!(
+                advisor.check_link(0, 1, expected, observed),
+                MaintenanceDecision::Recalibrate
+            );
+        }
     }
 
     #[test]

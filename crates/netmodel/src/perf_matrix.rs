@@ -61,6 +61,15 @@ impl PerfMatrix {
         self.n
     }
 
+    /// Does this snapshot hold two `n × n` planes? Always true of a matrix
+    /// built through the API; a deserialized one can disagree.
+    pub(crate) fn has_shape(&self, n: usize) -> bool {
+        self.n == n
+            && [&self.alpha, &self.inv_beta]
+                .iter()
+                .all(|m| m.rows() == n && m.cols() == n && m.as_slice().len() == n * n)
+    }
+
     /// Link performance from `i` to `j` ([`LinkPerf::SELF`] when `i == j`).
     pub fn link(&self, i: usize, j: usize) -> LinkPerf {
         if i == j {

@@ -9,7 +9,7 @@
 use crate::perf_matrix::PerfMatrix;
 use crate::tp_matrix::TpMatrix;
 use serde::{Deserialize, Serialize};
-use std::io::{Read, Write};
+use std::io::{Error, ErrorKind, Read, Write};
 
 /// One timestamped all-link measurement.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -111,12 +111,29 @@ impl NetTrace {
 
     /// Serialize as JSON to any writer.
     pub fn save<W: Write>(&self, w: W) -> std::io::Result<()> {
-        serde_json::to_writer(w, self).map_err(std::io::Error::other)
+        serde_json::to_writer(w, self).map_err(Error::other)
     }
 
-    /// Deserialize from a JSON reader.
+    /// Deserialize from a JSON reader. The trace must hold what
+    /// [`NetTrace::record`] enforces — every sample two `n × n` planes,
+    /// times that are not NaN and never decrease — or loading fails with
+    /// [`ErrorKind::InvalidData`].
     pub fn load<R: Read>(r: R) -> std::io::Result<Self> {
-        serde_json::from_reader(r).map_err(std::io::Error::other)
+        let trace: NetTrace = serde_json::from_reader(r).map_err(Error::other)?;
+        let mut last = f64::NEG_INFINITY;
+        for s in &trace.samples {
+            if !s.perf.has_shape(trace.n) {
+                return Err(Error::new(ErrorKind::InvalidData, "trace sample size mismatch"));
+            }
+            if s.time.is_nan() || s.time < last {
+                return Err(Error::new(
+                    ErrorKind::InvalidData,
+                    "trace samples must be time-ordered",
+                ));
+            }
+            last = s.time;
+        }
+        Ok(trace)
     }
 }
 
@@ -209,6 +226,46 @@ mod tests {
                 assert_eq!(a.to_bits(), b.to_bits());
             }
         }
+    }
+
+    /// Serialize `t` as is — `save` checks nothing — and load it back.
+    fn reload(t: &NetTrace) -> std::io::Result<NetTrace> {
+        let mut buf = Vec::new();
+        t.save(&mut buf).unwrap();
+        NetTrace::load(buf.as_slice())
+    }
+
+    fn assert_invalid(r: std::io::Result<NetTrace>) {
+        assert_eq!(r.unwrap_err().kind(), ErrorKind::InvalidData);
+    }
+
+    #[test]
+    fn load_rejects_out_of_order_samples() {
+        let mut t = sample_trace();
+        t.samples.swap(0, 1);
+        assert_invalid(reload(&t));
+    }
+
+    #[test]
+    fn load_rejects_samples_of_the_wrong_size() {
+        let mut t = sample_trace();
+        t.n = 3;
+        assert_invalid(reload(&t));
+
+        // A sample whose planes disagree with its own size.
+        let mut buf = Vec::new();
+        sample_trace().save(&mut buf).unwrap();
+        let json = String::from_utf8(buf).unwrap();
+        let bad = json.replacen("\"rows\":2", "\"rows\":1", 1);
+        assert_ne!(bad, json, "the fixture must contain a plane's row count");
+        assert_invalid(NetTrace::load(bad.as_bytes()));
+    }
+
+    #[test]
+    fn load_rejects_nan_times() {
+        let mut t = sample_trace();
+        t.samples[1].time = f64::NAN;
+        assert_invalid(reload(&t));
     }
 
     #[test]

@@ -154,25 +154,6 @@ impl Simulator {
         self.flows_completed
     }
 
-    /// Number of currently active flows.
-    pub fn active_flows(&self) -> usize {
-        self.active.len()
-    }
-
-    /// Instantaneous load (bytes/second) on every link under the current
-    /// max-min allocation. Reflects the last rate solve, which is exact at
-    /// any instant reached via [`Simulator::run_until`]/
-    /// [`Simulator::wait_for`].
-    pub fn link_loads(&self) -> Vec<f64> {
-        let mut load = vec![0.0f64; self.topo.link_count()];
-        for f in &self.active {
-            for &l in &f.path {
-                load[l] += f.rate;
-            }
-        }
-        load
-    }
-
     fn push_event(&mut self, time: f64, kind: EventKind) {
         let seq = self.next_seq;
         self.next_seq += 1;

@@ -29,12 +29,10 @@ pub mod cluster;
 pub mod dag;
 pub mod engine;
 pub mod fairshare;
-pub mod stats;
 pub mod topology;
 
 pub use background::BackgroundSpec;
 pub use cluster::ClusterView;
 pub use dag::run_dag;
 pub use engine::{FlowId, Simulator};
-pub use stats::UtilizationProbe;
 pub use topology::{LinkId, LinkSpec, Topology};

@@ -49,26 +49,6 @@ pub fn ring_task_graph(n: usize, bytes: f64) -> TaskGraph {
     g
 }
 
-/// 2-D 5-point stencil on a `rows × cols` grid (halo exchange), a classic
-/// HPC communication pattern.
-pub fn stencil_2d_task_graph(rows: usize, cols: usize, bytes: f64) -> TaskGraph {
-    let n = rows * cols;
-    assert!(n >= 2);
-    let mut g = TaskGraph::empty(n);
-    let id = |r: usize, c: usize| r * cols + c;
-    for r in 0..rows {
-        for c in 0..cols {
-            if c + 1 < cols {
-                g.set_sym(id(r, c), id(r, c + 1), bytes);
-            }
-            if r + 1 < rows {
-                g.set_sym(id(r, c), id(r + 1, c), bytes);
-            }
-        }
-    }
-    g
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -97,21 +77,5 @@ mod tests {
         for v in 0..6 {
             assert_eq!(g.neighbors(v).len(), 2);
         }
-    }
-
-    #[test]
-    fn stencil_interior_degree_four() {
-        let g = stencil_2d_task_graph(4, 4, 10.0);
-        // Interior vertex (1,1) = 5 has 4 neighbors.
-        assert_eq!(g.neighbors(5).len(), 4);
-        // Corner (0,0) = 0 has 2.
-        assert_eq!(g.neighbors(0).len(), 2);
-    }
-
-    #[test]
-    fn stencil_edge_count() {
-        let g = stencil_2d_task_graph(3, 3, 1.0);
-        // 2*3*2 = 12 undirected edges → 24 directed.
-        assert_eq!(g.edges().len(), 24);
     }
 }

@@ -20,15 +20,6 @@ impl TaskGraph {
         TaskGraph { w: Mat::zeros(n, n) }
     }
 
-    /// Build from a dense weight matrix (diagonal is ignored/zeroed).
-    pub fn from_weights(mut w: Mat) -> Self {
-        assert_eq!(w.rows(), w.cols(), "weight matrix must be square");
-        for i in 0..w.rows() {
-            w[(i, i)] = 0.0;
-        }
-        TaskGraph { w }
-    }
-
     /// Number of vertices.
     pub fn n(&self) -> usize {
         self.w.rows()
@@ -138,14 +129,6 @@ mod tests {
         assert!(e.contains(&(0, 1, 1.0)));
         assert!(e.contains(&(1, 2, 2.0)));
         assert!(e.contains(&(2, 1, 2.0)));
-    }
-
-    #[test]
-    fn from_weights_zeroes_diagonal() {
-        let w = Mat::full(2, 2, 9.0);
-        let g = TaskGraph::from_weights(w);
-        assert_eq!(g.weight(0, 0), 0.0);
-        assert_eq!(g.weight(0, 1), 9.0);
     }
 
     #[test]

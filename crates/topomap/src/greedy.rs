@@ -105,31 +105,6 @@ pub fn greedy_mapping(tasks: &TaskGraph, machines: &TaskGraph) -> Mapping {
     Mapping::new(machine_of)
 }
 
-/// [`greedy_mapping`] steered around quarantined machine links.
-///
-/// `quarantined` lists directed machine links the advisor distrusts (see
-/// `Advisor::quarantined` in `cloudconst-core`). Machine-graph weights are
-/// bandwidth (larger-is-better), so each quarantined link has `penalty`
-/// *subtracted*, floored at zero: the placement stops seeing the link as
-/// attractive but the mapping stays a bijection — when every machine pair
-/// is quarantined the algorithm still places all tasks, just without
-/// preference. A `penalty` at or above the largest healthy bandwidth makes
-/// avoidance strict.
-pub fn greedy_mapping_quarantined(
-    tasks: &TaskGraph,
-    machines: &TaskGraph,
-    quarantined: &[(usize, usize)],
-    penalty: f64,
-) -> Mapping {
-    assert!(penalty >= 0.0, "penalty must be non-negative");
-    let mut h = machines.clone();
-    for &(i, j) in quarantined {
-        assert!(i < h.n() && j < h.n(), "quarantined link out of range");
-        h.set(i, j, (h.weight(i, j) - penalty).max(0.0));
-    }
-    greedy_mapping(tasks, &h)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -219,79 +194,5 @@ mod tests {
         let machines = TaskGraph::empty(1);
         let m = greedy_mapping(&tasks, &machines);
         assert_eq!(m.machine_of(0), 0);
-    }
-
-    /// The fast-link fixture of `communicating_pair_lands_on_fast_link`.
-    fn fast_link_fixture() -> (TaskGraph, TaskGraph) {
-        let mut tasks = TaskGraph::empty(4);
-        tasks.set_sym(0, 1, 50.0);
-        let mut machines = TaskGraph::empty(4);
-        for a in 0..4 {
-            for b in 0..4 {
-                if a != b {
-                    machines.set(a, b, 1.0);
-                }
-            }
-        }
-        machines.set_sym(2, 3, 500.0);
-        (tasks, machines)
-    }
-
-    #[test]
-    fn quarantined_fast_machine_link_is_routed_around() {
-        let (tasks, machines) = fast_link_fixture();
-        // Unquarantined, the communicating pair grabs the 500-bandwidth
-        // link between machines 2 and 3 …
-        let m = greedy_mapping(&tasks, &machines);
-        let pair = [m.machine_of(0), m.machine_of(1)];
-        assert!(pair.contains(&2) && pair.contains(&3));
-
-        // … but once the advisor quarantines that link, the placement must
-        // stop chasing it.
-        let q = greedy_mapping_quarantined(
-            &tasks,
-            &machines,
-            &[(2, 3), (3, 2)],
-            1000.0,
-        );
-        let pair = [q.machine_of(0), q.machine_of(1)];
-        assert!(
-            !(pair.contains(&2) && pair.contains(&3)),
-            "quarantined link still chosen: {pair:?}"
-        );
-        // Still a bijection over all four machines.
-        let mut seen = [false; 4];
-        for t in 0..4 {
-            assert!(!seen[q.machine_of(t)]);
-            seen[q.machine_of(t)] = true;
-        }
-    }
-
-    #[test]
-    fn zero_penalty_changes_nothing() {
-        let (tasks, machines) = fast_link_fixture();
-        assert_eq!(
-            greedy_mapping(&tasks, &machines),
-            greedy_mapping_quarantined(&tasks, &machines, &[(2, 3), (3, 2)], 0.0)
-        );
-    }
-
-    #[test]
-    fn fully_quarantined_machine_graph_still_maps_everything() {
-        let (tasks, machines) = fast_link_fixture();
-        let mut all = Vec::new();
-        for a in 0..4 {
-            for b in 0..4 {
-                if a != b {
-                    all.push((a, b));
-                }
-            }
-        }
-        let q = greedy_mapping_quarantined(&tasks, &machines, &all, 1e9);
-        let mut seen = [false; 4];
-        for t in 0..4 {
-            assert!(!seen[q.machine_of(t)]);
-            seen[q.machine_of(t)] = true;
-        }
     }
 }

@@ -24,6 +24,6 @@ pub mod greedy;
 
 pub use anneal::{anneal_mapping, AnnealOptions};
 pub use cost::evaluate_mapping;
-pub use generate::{random_task_graph, ring_task_graph, stencil_2d_task_graph};
+pub use generate::{random_task_graph, ring_task_graph};
 pub use graph::{machine_graph_from_perf, TaskGraph};
-pub use greedy::{greedy_mapping, greedy_mapping_quarantined, ring_mapping, Mapping};
+pub use greedy::{greedy_mapping, ring_mapping, Mapping};

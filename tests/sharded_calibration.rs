@@ -2,13 +2,13 @@
 //! (`cloudconst-coord`) with the rest of the stack: bit-identity against
 //! both unsharded calibrators for K ∈ {1, 2, 4, 8}, replay determinism of
 //! the simulated transport (including under frame loss with re-dispatch),
-//! Advisor adoption of sharded runs, and the binary `NetTrace` format
-//! against the JSON path.
+//! Advisor adoption of sharded runs, and a lossless JSON `NetTrace`
+//! round-trip of a volatile trace.
 
 use cloudconst::cloud::{CloudConfig, FaultPlan, FaultyCloud, FlakyLink, SyntheticCloud};
 use cloudconst::coord::{
-    decode_net_trace, encode_net_trace, AuthKey, CodecError, Coordinator, CoordinatorConfig,
-    LoopbackTransport, SimConfig, SimTransport, TcpConfig, TcpTransport, TcpWorkerServer,
+    AuthKey, Coordinator, CoordinatorConfig, LoopbackTransport, SimConfig, SimTransport,
+    TcpConfig, TcpTransport, TcpWorkerServer,
 };
 use cloudconst::core::{Advisor, AdvisorConfig};
 use cloudconst::netmodel::{
@@ -322,49 +322,10 @@ fn quarantine_survives_sharded_merge() {
     }
 }
 
-/// Build a trace of the constant component — the paper's premise is that
-/// this is what's worth persisting — sampled at `steps` times.
-fn constant_trace(cloud: &SyntheticCloud, steps: usize) -> NetTrace {
-    let mut trace = NetTrace::new(cloud.config().n_vms);
-    for s in 0..steps {
-        trace.record(s as f64 * 60.0, cloud.ground_truth(0).clone());
-    }
-    trace
-}
-
-/// The binary `NetTrace` format round-trips to the identical TP-matrix the
-/// JSON path yields, at ≤ 25% of the JSON byte count for a
-/// constant-component trace.
+/// A *volatile* trace (every sample different) round-trips bit-exactly
+/// through the JSON format, down to the TP-matrix it yields.
 #[test]
-fn binary_trace_round_trips_and_beats_json_size() {
-    let cloud = SyntheticCloud::new(CloudConfig::calm(24, 11));
-    let trace = constant_trace(&cloud, 10);
-
-    let mut json = Vec::new();
-    trace.save(&mut json).unwrap();
-    let binary = encode_net_trace(&trace);
-
-    let from_json = NetTrace::load(&json[..]).unwrap();
-    let from_binary = decode_net_trace(&binary).unwrap();
-    assert_eq!(from_binary, trace, "binary round-trip must be lossless");
-    assert_tp_bits_equal(
-        &from_binary.to_tp_matrix(),
-        &from_json.to_tp_matrix(),
-        "binary vs JSON TP-matrix",
-    );
-    assert!(
-        binary.len() * 4 <= json.len(),
-        "binary ({} B) must be <= 25% of JSON ({} B)",
-        binary.len(),
-        json.len()
-    );
-}
-
-/// A *volatile* trace (every sample different) still round-trips bit-exactly
-/// through the binary format — the size bound is a compression property of
-/// constant traces, losslessness is unconditional.
-#[test]
-fn binary_trace_is_lossless_on_volatile_traces() {
+fn json_trace_is_lossless_on_volatile_traces() {
     let cloud = SyntheticCloud::new(CloudConfig::ec2_like(12, 29));
     let mut trace = NetTrace::new(12);
     for s in 0..6 {
@@ -374,33 +335,13 @@ fn binary_trace_is_lossless_on_volatile_traces() {
         });
         trace.record(t, perf);
     }
-    let decoded = decode_net_trace(&encode_net_trace(&trace)).unwrap();
-    assert_eq!(decoded, trace);
+    let mut json = Vec::new();
+    trace.save(&mut json).unwrap();
+    let loaded = NetTrace::load(&json[..]).unwrap();
+    assert_eq!(loaded, trace);
     assert_tp_bits_equal(
-        &decoded.to_tp_matrix(),
+        &loaded.to_tp_matrix(),
         &trace.to_tp_matrix(),
         "volatile round-trip",
     );
-}
-
-/// Corruption anywhere in a binary trace surfaces as a typed codec error,
-/// never a panic or silently wrong data.
-#[test]
-fn corrupted_binary_trace_is_a_typed_error() {
-    let cloud = SyntheticCloud::new(CloudConfig::calm(6, 2));
-    let trace = constant_trace(&cloud, 3);
-    let good = encode_net_trace(&trace);
-
-    // Truncation at any prefix length.
-    for cut in [0, 4, 10, good.len() - 1] {
-        assert!(decode_net_trace(&good[..cut]).is_err(), "cut at {cut}");
-    }
-    // A flipped byte mid-payload trips the checksum.
-    let mut bad = good.clone();
-    let mid = bad.len() / 2;
-    bad[mid] ^= 0x40;
-    match decode_net_trace(&bad) {
-        Err(CodecError::ChecksumMismatch | CodecError::Malformed(_)) => {}
-        other => panic!("corruption must be a typed error, got {other:?}"),
-    }
 }
