@@ -94,9 +94,16 @@ impl AuthKey {
     /// Prepend the tag: `[tag u64 LE ‖ frame]`.
     pub fn seal(&self, frame: &[u8]) -> Vec<u8> {
         let mut out = Vec::with_capacity(TAG_LEN + frame.len());
+        self.seal_into(frame, &mut out);
+        out
+    }
+
+    /// Append the sealed form of `frame` (`[tag u64 LE ‖ frame]`) to
+    /// `out`, so a caller can seal into a buffer it reuses.
+    pub fn seal_into(&self, frame: &[u8], out: &mut Vec<u8>) {
+        out.reserve(TAG_LEN + frame.len());
         out.extend_from_slice(&self.tag(frame).to_le_bytes());
         out.extend_from_slice(frame);
-        out
     }
 
     /// Verify and strip the tag, returning the frame bytes. Any mismatch —
@@ -126,6 +133,15 @@ mod tests {
         let frame = b"an arbitrary frame body".to_vec();
         let sealed = key.seal(&frame);
         assert_eq!(key.open(&sealed).unwrap(), &frame[..]);
+    }
+
+    #[test]
+    fn seal_into_appends_the_same_bytes_as_seal() {
+        let key = AuthKey::from_seed(7);
+        let mut out = b"prefix".to_vec();
+        key.seal_into(b"frame body", &mut out);
+        assert_eq!(&out[..6], b"prefix");
+        assert_eq!(&out[6..], &key.seal(b"frame body")[..]);
     }
 
     #[test]

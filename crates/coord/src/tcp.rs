@@ -15,12 +15,20 @@
 //! use, which is what lets the conformance suite run one contract over
 //! loopback, sim and TCP.
 //!
+//! Each record is sealed straight into a per-connection buffer behind its
+//! length prefix and leaves in one `write`: under `TCP_NODELAY` a split
+//! write is two segments and can wake the peer twice. Both ends read
+//! through a `BufReader`, so a record usually costs one `read` syscall.
+//! Neither changes a byte on the wire.
+//!
 //! Topology: [`TcpWorkerServer`] hosts `K` [`ShardWorker`]s behind one
 //! listener; [`TcpTransport::connect`] opens one stream per shard (the
 //! addresses may all point at one server — frames route by the shard id
 //! every message carries) and performs a sealed `Hello`/`HelloAck`
 //! handshake per stream, which validates the campaign key eagerly and
-//! tells the coordinator the cluster size `n`.
+//! tells the coordinator the cluster size `n`. The server's accept loop
+//! blocks in `accept`; [`TcpWorkerServer::shutdown`] wakes it with one
+//! connection to the server's own address.
 //!
 //! Death semantics mirror [`Transport::shard_dead`]: a failed write or a
 //! reader hitting EOF marks the shard *observably* dead; a silent socket
@@ -34,17 +42,19 @@
 //! by campaign-local seqs (which restart at 1), so a server must be
 //! respawned between campaigns.
 
-use crate::auth::AuthKey;
+use crate::auth::{AuthKey, TAG_LEN};
 use crate::transport::{ShardId, Transport, WireStats};
 use crate::wire::{Body, Message};
 use crate::worker::ShardWorker;
 use crate::CoordError;
 use cloudconst_netmodel::FallibleNetworkProbe;
-use std::io::{self, Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io::{self, BufReader, Read, Write};
+use std::net::{
+    IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs,
+};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
@@ -53,26 +63,32 @@ use std::time::Duration;
 /// orders of magnitude above any real `PartialTpMatrix`.
 const MAX_FRAME: usize = 64 << 20;
 
-/// Poll interval of the server's non-blocking accept loop.
-const ACCEPT_POLL: Duration = Duration::from_millis(5);
-
 fn txerr(what: &str, e: io::Error) -> CoordError {
     CoordError::Transport(format!("{what}: {e}"))
 }
 
-/// Write one `[len][sealed]` record.
-fn write_frame(stream: &mut TcpStream, sealed: &[u8]) -> io::Result<()> {
-    let len = u32::try_from(sealed.len())
+/// Write one `[len][tag ‖ frame]` record with a single `write`: the
+/// record is built in `buf` (cleared first, reused across frames) with
+/// `frame` sealed under `key` straight behind the length prefix.
+fn write_frame(
+    w: &mut impl Write,
+    key: &AuthKey,
+    frame: &[u8],
+    buf: &mut Vec<u8>,
+) -> io::Result<()> {
+    let len = u32::try_from(TAG_LEN + frame.len())
         .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "frame too large for u32 len"))?;
-    stream.write_all(&len.to_le_bytes())?;
-    stream.write_all(sealed)?;
-    stream.flush()
+    buf.clear();
+    buf.extend_from_slice(&len.to_le_bytes());
+    key.seal_into(frame, buf);
+    w.write_all(buf)?;
+    w.flush()
 }
 
 /// Read one `[len][sealed]` record, enforcing the [`MAX_FRAME`] cap.
-fn read_frame(stream: &mut TcpStream) -> io::Result<Vec<u8>> {
+fn read_frame(r: &mut impl Read) -> io::Result<Vec<u8>> {
     let mut len_bytes = [0u8; 4];
-    stream.read_exact(&mut len_bytes)?;
+    r.read_exact(&mut len_bytes)?;
     let len = u32::from_le_bytes(len_bytes) as usize;
     if len > MAX_FRAME {
         return Err(io::Error::new(
@@ -81,7 +97,7 @@ fn read_frame(stream: &mut TcpStream) -> io::Result<Vec<u8>> {
         ));
     }
     let mut buf = vec![0u8; len];
-    stream.read_exact(&mut buf)?;
+    r.read_exact(&mut buf)?;
     Ok(buf)
 }
 
@@ -129,6 +145,8 @@ pub struct TcpTransport {
     /// Kept so `rx` never reports `Disconnected` while the transport
     /// lives, even after every reader thread has exited.
     _tx: Sender<Vec<u8>>,
+    /// Record buffer [`write_frame`] reuses for every outgoing frame.
+    wbuf: Vec<u8>,
     n: usize,
     stats: WireStats,
 }
@@ -158,11 +176,11 @@ impl TcpTransport {
             }
             let dead = Arc::new(AtomicBool::new(false));
             let reader = {
-                let mut stream = stream.try_clone().map_err(|e| txerr("clone", e))?;
+                let mut reader = BufReader::new(stream.try_clone().map_err(|e| txerr("clone", e))?);
                 let tx = tx.clone();
                 let dead = Arc::clone(&dead);
                 thread::spawn(move || loop {
-                    match read_frame(&mut stream) {
+                    match read_frame(&mut reader) {
                         Ok(sealed) => {
                             if tx.send(sealed).is_err() {
                                 break;
@@ -188,6 +206,7 @@ impl TcpTransport {
             conns,
             rx,
             _tx: tx,
+            wbuf: Vec::new(),
             n,
             stats: WireStats::default(),
         })
@@ -195,15 +214,21 @@ impl TcpTransport {
 
     /// Sealed `Hello` → sealed `HelloAck`, returning the cluster size the
     /// worker reports. Runs under a temporary read timeout so a mute or
-    /// wrong-protocol peer cannot hang `connect` forever.
-    fn handshake(stream: &mut TcpStream, shard: usize, cfg: &TcpConfig) -> Result<usize, CoordError> {
+    /// wrong-protocol peer cannot hang `connect` forever. The ack is read
+    /// unbuffered: nothing past it may be consumed before the shard's
+    /// reader thread takes over the stream.
+    fn handshake(
+        stream: &mut TcpStream,
+        shard: usize,
+        cfg: &TcpConfig,
+    ) -> Result<usize, CoordError> {
         let hello = Message {
             seq: 0,
             shard: shard as u32,
             body: Body::Hello,
         }
         .encode();
-        write_frame(stream, &cfg.key.seal(&hello)).map_err(|e| txerr("hello", e))?;
+        write_frame(stream, &cfg.key, &hello, &mut Vec::new()).map_err(|e| txerr("hello", e))?;
         stream
             .set_read_timeout(Some(cfg.connect_timeout))
             .map_err(|e| txerr("handshake timeout", e))?;
@@ -243,7 +268,7 @@ impl Transport for TcpTransport {
             self.stats.frames_lost += 1;
             return Ok(());
         }
-        if write_frame(&mut conn.stream, &self.cfg.key.seal(&frame)).is_err() {
+        if write_frame(&mut conn.stream, &self.cfg.key, &frame, &mut self.wbuf).is_err() {
             conn.dead.store(true, Ordering::SeqCst);
             self.stats.frames_lost += 1;
         }
@@ -252,11 +277,12 @@ impl Transport for TcpTransport {
 
     fn deliver_next(&mut self) -> Result<Option<Vec<u8>>, CoordError> {
         match self.rx.recv_timeout(self.cfg.recv_timeout) {
-            Ok(sealed) => {
-                let frame = self.cfg.key.open(&sealed)?;
+            Ok(mut sealed) => {
+                let len = self.cfg.key.open(&sealed)?.len();
+                sealed.drain(..TAG_LEN);
                 self.stats.frames_delivered += 1;
-                self.stats.bytes_delivered += frame.len() as u64;
-                Ok(Some(frame.to_vec()))
+                self.stats.bytes_delivered += len as u64;
+                Ok(Some(sealed))
             }
             Err(RecvTimeoutError::Timeout) => Ok(None),
             // Unreachable while `_tx` lives, but harmless: a stall.
@@ -300,11 +326,8 @@ impl Drop for TcpTransport {
 /// [`disconnect_shard`]: TcpWorkerServer::disconnect_shard
 pub struct TcpWorkerServer {
     addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
     accept: Option<JoinHandle<()>>,
-    /// Streams registered by each shard's `Hello`, kept for
-    /// `disconnect_shard` and shutdown.
-    conns: Arc<Mutex<Vec<Option<TcpStream>>>>,
+    conns: Arc<Mutex<Conns>>,
     /// Per-shard silent-kill threshold: swallow every frame past this
     /// many received (`u64::MAX` = never).
     kill_after: Arc<Vec<AtomicU64>>,
@@ -312,10 +335,29 @@ pub struct TcpWorkerServer {
     received: Arc<Vec<AtomicU64>>,
 }
 
+/// A server's connections, under one lock.
+struct Conns {
+    /// Set by `shutdown`. The accept loop reads it under this lock, so no
+    /// stream is accepted into service after `shutdown` closed the rest.
+    closed: bool,
+    /// Each shard's stream, registered by its `Hello`, for
+    /// `disconnect_shard`.
+    by_shard: Vec<Option<TcpStream>>,
+    /// Every accepted stream and the thread serving it, for `shutdown` to
+    /// close and join — silent peers included.
+    accepted: Vec<(TcpStream, JoinHandle<()>)>,
+}
+
+/// Every update to [`Conns`] is a single assignment or push, so a guard
+/// poisoned by a panicking holder still guards valid data.
+fn lock(conns: &Mutex<Conns>) -> MutexGuard<'_, Conns> {
+    conns.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 struct ServerShared<P> {
     key: AuthKey,
     workers: Vec<Mutex<ShardWorker<P>>>,
-    conns: Arc<Mutex<Vec<Option<TcpStream>>>>,
+    conns: Arc<Mutex<Conns>>,
     kill_after: Arc<Vec<AtomicU64>>,
     received: Arc<Vec<AtomicU64>>,
     n: usize,
@@ -340,13 +382,16 @@ impl TcpWorkerServer {
         assert!(shards >= 1, "at least one shard required");
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
 
         let workers: Vec<Mutex<ShardWorker<P>>> = (0..shards)
             .map(|s| Mutex::new(ShardWorker::new(probe.clone(), s)))
             .collect();
         let n = workers[0].lock().unwrap().n();
-        let conns = Arc::new(Mutex::new((0..shards).map(|_| None).collect::<Vec<_>>()));
+        let conns = Arc::new(Mutex::new(Conns {
+            closed: false,
+            by_shard: (0..shards).map(|_| None).collect(),
+            accepted: Vec::new(),
+        }));
         let kill_after: Arc<Vec<AtomicU64>> =
             Arc::new((0..shards).map(|_| AtomicU64::new(u64::MAX)).collect());
         let received: Arc<Vec<AtomicU64>> =
@@ -360,30 +405,25 @@ impl TcpWorkerServer {
             n,
         });
 
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let accept = {
-            let shutdown = Arc::clone(&shutdown);
-            let shared = Arc::clone(&shared);
-            thread::spawn(move || {
-                while !shutdown.load(Ordering::SeqCst) {
-                    match listener.accept() {
-                        Ok((stream, _)) => {
-                            let shared = Arc::clone(&shared);
-                            let shutdown = Arc::clone(&shutdown);
-                            thread::spawn(move || serve_conn(stream, shared, shutdown));
-                        }
-                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                            thread::sleep(ACCEPT_POLL);
-                        }
-                        Err(_) => break,
-                    }
+        let accept = thread::spawn(move || {
+            for stream in listener.incoming() {
+                let Ok(stream) = stream else { break };
+                let mut conns = lock(&shared.conns);
+                if conns.closed {
+                    break; // `shutdown`'s wake, or a peer racing it
                 }
-            })
-        };
+                // Without a handle to close it by, a stream is not served.
+                let Ok(handle) = stream.try_clone() else {
+                    continue;
+                };
+                let shared = Arc::clone(&shared);
+                let serve = thread::spawn(move || serve_conn(stream, &shared));
+                conns.accepted.push((handle, serve));
+            }
+        });
 
         Ok(TcpWorkerServer {
             addr,
-            shutdown,
             accept: Some(accept),
             conns,
             kill_after,
@@ -414,25 +454,36 @@ impl TcpWorkerServer {
     /// Abruptly close `shard`'s registered connection: the coordinator's
     /// reader sees EOF and the shard turns observably dead.
     pub fn disconnect_shard(&self, shard: ShardId) {
-        let mut conns = self.conns.lock().unwrap();
-        if let Some(stream) = conns.get_mut(shard).and_then(Option::take) {
+        let stream = lock(&self.conns)
+            .by_shard
+            .get_mut(shard)
+            .and_then(Option::take);
+        if let Some(stream) = stream {
             let _ = stream.shutdown(Shutdown::Both);
         }
     }
 
-    /// Stop accepting, close every registered connection, join the accept
-    /// loop. Idempotent; also runs on drop.
+    /// Stop accepting, close every accepted connection (whether or not it
+    /// sent a `Hello`), and join the accept loop and every connection's
+    /// thread. Idempotent; also runs on drop.
     pub fn shutdown(&mut self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        let mut conns = self.conns.lock().unwrap();
-        for slot in conns.iter_mut() {
-            if let Some(stream) = slot.take() {
-                let _ = stream.shutdown(Shutdown::Both);
-            }
+        let Some(accept) = self.accept.take() else {
+            return;
+        };
+        let accepted = {
+            let mut conns = lock(&self.conns);
+            conns.closed = true;
+            std::mem::take(&mut conns.accepted)
+        };
+        for (stream, _) in &accepted {
+            let _ = stream.shutdown(Shutdown::Both);
         }
-        drop(conns);
-        if let Some(h) = self.accept.take() {
-            let _ = h.join();
+        // The accept loop blocks in `accept`: one connection to our own
+        // address wakes it to find `closed` set.
+        let _ = TcpStream::connect(wake_addr(self.addr));
+        let _ = accept.join();
+        for (_, serve) in accepted {
+            let _ = serve.join();
         }
     }
 }
@@ -443,17 +494,27 @@ impl Drop for TcpWorkerServer {
     }
 }
 
-fn serve_conn<P: FallibleNetworkProbe>(
-    mut stream: TcpStream,
-    shared: Arc<ServerShared<P>>,
-    shutdown: Arc<AtomicBool>,
-) {
+/// Where `shutdown` connects to wake its own accept loop: the bound
+/// address, with an unspecified IP (`0.0.0.0` / `::`) mapped to loopback.
+fn wake_addr(mut addr: SocketAddr) -> SocketAddr {
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr.ip() {
+            IpAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            IpAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    addr
+}
+
+/// Serve one connection until its peer leaves or `shutdown` closes it.
+fn serve_conn<P: FallibleNetworkProbe>(mut stream: TcpStream, shared: &ServerShared<P>) {
     let _ = stream.set_nodelay(true);
-    while !shutdown.load(Ordering::SeqCst) {
-        let sealed = match read_frame(&mut stream) {
-            Ok(s) => s,
-            Err(_) => break,
-        };
+    let Ok(read_half) = stream.try_clone() else {
+        return;
+    };
+    let mut reader = BufReader::new(read_half);
+    let mut wbuf = Vec::new();
+    while let Ok(sealed) = read_frame(&mut reader) {
         let reply = match shared.key.open(&sealed) {
             Err(_) => {
                 // Unauthentic frame: never executed, answered with a typed
@@ -479,15 +540,13 @@ fn serve_conn<P: FallibleNetworkProbe>(
                     body: Body::Hello,
                 }) => {
                     if let Ok(clone) = stream.try_clone() {
-                        shared.conns.lock().unwrap()[shard as usize] = Some(clone);
+                        lock(&shared.conns).by_shard[shard as usize] = Some(clone);
                     }
                     Some(
                         Message {
                             seq,
                             shard,
-                            body: Body::HelloAck {
-                                n: shared.n as u32,
-                            },
+                            body: Body::HelloAck { n: shared.n as u32 },
                         }
                         .encode(),
                     )
@@ -507,7 +566,7 @@ fn serve_conn<P: FallibleNetworkProbe>(
             },
         };
         if let Some(response) = reply {
-            if write_frame(&mut stream, &shared.key.seal(&response)).is_err() {
+            if write_frame(&mut stream, &shared.key, &response, &mut wbuf).is_err() {
                 break;
             }
         }
@@ -518,6 +577,7 @@ fn serve_conn<P: FallibleNetworkProbe>(
 mod tests {
     use super::*;
     use cloudconst_netmodel::ProbeAttempt;
+    use std::time::Instant;
 
     #[derive(Clone)]
     struct Fixed;
@@ -528,6 +588,81 @@ mod tests {
         fn try_probe(&self, i: usize, j: usize, _b: u64, _t: f64, _d: f64) -> ProbeAttempt {
             ProbeAttempt::Ok(if i == j { 0.0 } else { 0.25 })
         }
+    }
+
+    /// A sink that counts `write` calls.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+    impl Write for CountingWriter {
+        fn write(&mut self, b: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(b);
+            Ok(b.len())
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// A source that hands out one byte per `read`.
+    struct OneByteReader<'a>(&'a [u8]);
+    impl Read for OneByteReader<'_> {
+        fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
+            match (self.0.split_first(), out.first_mut()) {
+                (Some((&b, rest)), Some(slot)) => {
+                    *slot = b;
+                    self.0 = rest;
+                    Ok(1)
+                }
+                _ => Ok(0),
+            }
+        }
+    }
+
+    /// The record the wire has always carried: `[len u32 LE]` then
+    /// `AuthKey::seal(frame)`.
+    fn record(key: &AuthKey, frame: &[u8]) -> Vec<u8> {
+        let sealed = key.seal(frame);
+        let mut out = (sealed.len() as u32).to_le_bytes().to_vec();
+        out.extend_from_slice(&sealed);
+        out
+    }
+
+    #[test]
+    fn write_frame_issues_one_write_per_frame() {
+        let key = AuthKey::from_seed(3);
+        let (mut w, mut buf) = (CountingWriter::default(), Vec::new());
+        write_frame(&mut w, &key, b"first frame", &mut buf).unwrap();
+        assert_eq!(w.writes, 1);
+        write_frame(&mut w, &key, b"second", &mut buf).unwrap();
+        assert_eq!(w.writes, 2);
+        let mut expect = record(&key, b"first frame");
+        expect.extend_from_slice(&record(&key, b"second"));
+        assert_eq!(w.bytes, expect, "the bytes on the wire are unchanged");
+    }
+
+    #[test]
+    fn read_frame_decodes_a_record_arriving_one_byte_at_a_time() {
+        let key = AuthKey::from_seed(4);
+        let bytes = record(&key, b"trickled frame");
+        let sealed = read_frame(&mut OneByteReader(&bytes)).unwrap();
+        assert_eq!(sealed, key.seal(b"trickled frame"));
+    }
+
+    #[test]
+    fn back_to_back_frames_decode_in_order_through_one_buffered_reader() {
+        let key = AuthKey::from_seed(5);
+        let (mut bytes, mut buf) = (Vec::new(), Vec::new());
+        write_frame(&mut bytes, &key, b"one", &mut buf).unwrap();
+        write_frame(&mut bytes, &key, b"two", &mut buf).unwrap();
+        let mut r = BufReader::new(&bytes[..]);
+        assert_eq!(read_frame(&mut r).unwrap(), key.seal(b"one"));
+        assert_eq!(read_frame(&mut r).unwrap(), key.seal(b"two"));
+        let eof = read_frame(&mut r).unwrap_err();
+        assert_eq!(eof.kind(), io::ErrorKind::UnexpectedEof);
     }
 
     #[test]
@@ -556,11 +691,11 @@ mod tests {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let mut client = TcpStream::connect(addr).unwrap();
-        let (mut served, _) = listener.accept().unwrap();
+        let (served, _) = listener.accept().unwrap();
         let bogus = ((MAX_FRAME + 1) as u32).to_le_bytes();
         client.write_all(&bogus).unwrap();
         client.flush().unwrap();
-        let err = read_frame(&mut served).unwrap_err();
+        let err = read_frame(&mut BufReader::new(served)).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 
@@ -577,6 +712,54 @@ mod tests {
             thread::sleep(Duration::from_millis(5));
         }
         assert!(!t.shard_dead(0), "the other shard is untouched");
+    }
+
+    #[test]
+    fn shutdown_closes_a_silent_connection() {
+        let key = AuthKey::from_seed(6);
+        let mut server = TcpWorkerServer::spawn(Fixed, 1, key).unwrap();
+        let mut peer = TcpStream::connect(server.addr()).unwrap();
+        // Accepts run in arrival order: once a later handshake is acked,
+        // the silent peer is being served.
+        drop(TcpTransport::connect(&server.shard_addrs(1), TcpConfig::new(key)).unwrap());
+        server.shutdown();
+        peer.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
+        let mut byte = [0u8; 1];
+        let got = peer.read(&mut byte).expect("EOF, not a timeout");
+        assert_eq!(got, 0, "expected EOF");
+    }
+
+    #[test]
+    fn shutdown_of_an_unspecified_bind_wakes_accept_promptly() {
+        assert_eq!(
+            wake_addr("0.0.0.0:7431".parse().unwrap()),
+            "127.0.0.1:7431".parse().unwrap()
+        );
+        assert_eq!(
+            wake_addr("[::]:7431".parse().unwrap()),
+            "[::1]:7431".parse().unwrap()
+        );
+        let bound: SocketAddr = "10.1.2.3:7431".parse().unwrap();
+        assert_eq!(wake_addr(bound), bound);
+
+        let mut server =
+            TcpWorkerServer::spawn_on("0.0.0.0:0", Fixed, 1, AuthKey::from_seed(7)).unwrap();
+        let t0 = Instant::now();
+        server.shutdown();
+        assert!(
+            t0.elapsed() < Duration::from_secs(2),
+            "accept was never woken"
+        );
+    }
+
+    #[test]
+    fn second_shutdown_is_a_no_op_and_no_later_connect_is_acked() {
+        let key = AuthKey::from_seed(8);
+        let mut server = TcpWorkerServer::spawn(Fixed, 1, key).unwrap();
+        let addrs = server.shard_addrs(1);
+        server.shutdown();
+        server.shutdown();
+        assert!(TcpTransport::connect(&addrs, TcpConfig::new(key)).is_err());
     }
 
     fn key_cfg(key: AuthKey) -> TcpConfig {
