@@ -1,8 +1,9 @@
 //! Performance-regression harness (the `regress` binary).
 //!
-//! Times the pipeline's three hot paths — RPCA solves, the flow-level
-//! simulator, and full TP-matrix calibration — at the cluster sizes the
-//! paper evaluates (`N ∈ {16, 64, 196}`), and writes the measurements to
+//! Times the pipeline's hot paths — RPCA solves, the flow-level
+//! simulator, full TP-matrix calibration and the advisor model build that
+//! runs the two together — at the cluster sizes the paper evaluates
+//! (`N ∈ {16, 64, 196}`), and writes the measurements to
 //! `BENCH_<date>.json` at the repository root. Successive working sessions
 //! diff these files to catch performance regressions; the report also
 //! records the parallel-vs-serial timing of a paper-scale RPCA solve
@@ -14,6 +15,7 @@ use cloudconst_coord::{
     AuthKey, Coordinator, CoordinatorConfig, LoopbackTransport, TcpConfig, TcpTransport,
     TcpWorkerServer,
 };
+use cloudconst_core::{Advisor, AdvisorConfig};
 use cloudconst_linalg::Mat;
 use cloudconst_netmodel::{AdaptiveRetryPolicy, Calibrator, ImputePolicy, RetryPolicy};
 use cloudconst_rpca::{apg, ApgOptions};
@@ -116,6 +118,27 @@ pub fn bench_calibration(n: usize, reps: usize) -> BenchRecord {
         n: n as u64,
         seconds,
         metric: 0.0,
+    }
+}
+
+/// Time one advisor model build, `Advisor::calibrate_par` on the
+/// synthetic cloud with the default configuration: the 10-snapshot
+/// calibration (snapshots in parallel) and the α and 1/β APG solves (side
+/// by side). The metric records the build's total APG iterations, which a
+/// change that keeps the model bit-identical cannot move.
+pub fn bench_model_build(n: usize, reps: usize) -> BenchRecord {
+    let cloud = SyntheticCloud::new(CloudConfig::ec2_like(n, 7));
+    let mut iters = 0;
+    let seconds = best_of(reps, || {
+        let mut advisor = Advisor::new(AdvisorConfig::default());
+        let model = advisor.calibrate_par(&cloud, 450.0).expect("model builds");
+        iters = model.estimate.solver_iters;
+    });
+    BenchRecord {
+        name: "advisor_model_build".into(),
+        n: n as u64,
+        seconds,
+        metric: iters as f64,
     }
 }
 
@@ -341,6 +364,7 @@ pub fn run_suite(sizes: &[usize], serial_rpca_seconds: Option<f64>, date: String
     // representative size (the paper's N = 64 when in range) suffices.
     if let Some(&n) = sizes.iter().find(|&&n| n >= 64).or(sizes.last()) {
         let reps = if n >= 128 { 1 } else { 3 };
+        records.push(bench_model_build(n, reps));
         records.push(bench_calibration_faulty(n, reps));
         records.push(bench_calibration_rack_blackout(n, reps));
         records.push(bench_calibration_adaptive_retry(n, reps));
@@ -425,6 +449,15 @@ mod tests {
         assert!(names.contains(&"rpca_apg_10xN2"));
         assert!(names.contains(&"calibration_tp"));
         assert!(names.contains(&"calibration_tp_faulty_5pct"));
+        let build = report
+            .records
+            .iter()
+            .find(|r| r.name == "advisor_model_build")
+            .unwrap();
+        assert!(
+            build.metric > 0.0,
+            "the build's APG iterations are recorded"
+        );
         assert!(names.contains(&"simnet_background_60s"));
         let faulty = report
             .records

@@ -348,7 +348,7 @@ impl Advisor {
     /// Lines 1–2 through a pure probe held by shared reference (see
     /// [`Calibrator::calibrate_par`]). Produces a model bit-identical to
     /// [`Advisor::calibrate`] on the same probe.
-    pub fn calibrate_par<P: PureNetworkProbe>(
+    pub fn calibrate_par<P: PureNetworkProbe + Sync>(
         &mut self,
         probe: &P,
         now: f64,

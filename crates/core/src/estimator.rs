@@ -114,8 +114,14 @@ pub fn estimate_with_opts(
     let mut degraded = false;
     let (alpha_row, inv_beta_row, iters) = match kind {
         EstimatorKind::Rpca => {
-            let ra = run_rpca(tp.alpha_matrix(), opts, policy)?;
-            let rb = run_rpca(tp.inv_beta_matrix(), opts, policy)?;
+            // The α and 1/β solves are independent: run them side by side.
+            // Each is bit-identical to a solo solve, and `?` on α first
+            // keeps α's error when both fail.
+            let (ra, rb) = rayon::join(
+                || run_rpca(tp.alpha_matrix(), opts, policy),
+                || run_rpca(tp.inv_beta_matrix(), opts, policy),
+            );
+            let (ra, rb) = (ra?, rb?);
             degraded = ra.2 || rb.2;
             let a = extract_constant(&ra.0, ConstantMethod::TopSingular)
                 .map_err(CoreError::Rpca)?;

@@ -32,7 +32,7 @@ pub use eigen::{eigh, EighResult};
 pub use mat::Mat;
 pub use norms::{blocked_sums, count_above, fro_norm, inf_norm, l1_norm, zero_norm_frac};
 pub use shrink::{
-    for_each_chunk_pair, shrink_scalar, soft_threshold, soft_threshold_into, svt, svt_into,
+    for_each_chunk_pair, shrink_scalar, soft_threshold, soft_threshold_into, svt, svt_in_place,
     SvtResult,
 };
 pub use svd::{svd_jacobi, svd_thin, svd_trunc, Svd};

@@ -269,6 +269,29 @@ impl Mat {
         g
     }
 
+    /// Gram matrix of the columns: `selfᵀ * self` (shape `cols × cols`).
+    ///
+    /// Entry `(i, j)` sums `self[(r, i)] * self[(r, j)]` in ascending row
+    /// order from `-0.0`, so it is bit-identical to
+    /// `self.transpose().gram_rows()` without the transposed copy.
+    pub fn gram_cols(&self) -> Mat {
+        let n = self.cols;
+        let mut g = Mat::full(n, n, -0.0);
+        for r in self.data.chunks_exact(n.max(1)) {
+            for (i, &a) in r.iter().enumerate() {
+                for (s, &b) in g.data[i * n + i..(i + 1) * n].iter_mut().zip(&r[i..]) {
+                    *s += a * b;
+                }
+            }
+        }
+        for i in 0..n {
+            for j in i + 1..n {
+                g[(j, i)] = g[(i, j)];
+            }
+        }
+        g
+    }
+
     /// Elementwise sum `self + rhs`.
     pub fn add(&self, rhs: &Mat) -> Result<Mat> {
         self.zip_with(rhs, "add", |a, b| a + b)
@@ -518,6 +541,17 @@ mod tests {
                 assert!((g[(i, j)] - explicit[(i, j)]).abs() < 1e-12);
             }
         }
+    }
+
+    #[test]
+    fn gram_cols_is_the_transposed_gram_rows() {
+        let data = (0..37 * 6)
+            .map(|k| ((k * 7919) % 101) as f64 / 7.0 - 6.5)
+            .collect();
+        let a = Mat::from_vec(37, 6, data);
+        let (got, want) = (a.gram_cols(), a.transpose().gram_rows());
+        let bits = |m: &Mat| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&got), bits(&want));
     }
 
     #[test]

@@ -4,10 +4,9 @@
 //!   entry toward zero by `τ`, clamping at zero.
 //! * [`svt`] — singular-value thresholding, the proximal operator of
 //!   `τ‖·‖*` (nuclear norm): soft-threshold the singular values.
-//!   [`svt_into`] is the same operator over caller buffers.
+//!   [`svt_in_place`] is the same operator overwriting its input.
 
-use crate::mat::PAR_MATMUL_FLOPS;
-use crate::svd::row_gram_factors;
+use crate::svd::{accumulate_rows, GramFactors};
 use crate::{LinalgError, Mat, Result};
 use rayon::prelude::*;
 
@@ -100,89 +99,120 @@ pub struct SvtResult {
 /// Only singular triplets with `σ > τ` are computed (the truncated SVD never
 /// materializes the rest), which is what keeps RPCA iterations cheap on wide
 /// matrices whose low-rank part has tiny rank. Allocates its result; see
-/// [`svt_into`] for the caller-buffer form.
+/// [`svt_in_place`] for the kernel.
 pub fn svt(a: &Mat, tau: f64) -> Result<SvtResult> {
-    let mut mat = Mat::zeros(a.rows(), a.cols());
-    let (rank, nuclear) = svt_into(a, tau, &mut mat, &mut Vec::new())?;
+    let mut mat = a.clone();
+    let (rank, nuclear) = svt_in_place(&mut mat, tau)?;
     Ok(SvtResult { mat, rank, nuclear })
 }
 
-/// [`svt`] into caller buffers: overwrites `out` (the shape of `a`) with
-/// `U (Σ − τI)₊ Vᵀ` and returns `(rank, nuclear norm)` of the result.
+/// [`svt`] in place: overwrites `a` with `U (Σ − τI)₊ Vᵀ` of itself and
+/// returns `(rank, nuclear norm)` of the result.
 ///
-/// `vt` is scratch for `Vᵀ`: it is kept row-major (`rank` rows of length
-/// `max(m, n)`), which is the order the reconstruction reads, so `V` is
-/// never transposed. Give it capacity `m·n` and reuse it, and repeated
-/// calls allocate nothing proportional to `a`. A tall `a` (`m > n`) is
-/// decomposed through its transpose, one `m × n` copy per call.
+/// The factors come from the Gram matrix of the small dimension. The
+/// surviving singular vectors of the large dimension are then formed and
+/// consumed one block at a time — a block of columns of a wide `a`, a
+/// block of rows of a tall one — so besides the `k` factors the scratch
+/// is `k` values per column of a block (`k` in all for a tall `a`), and
+/// nothing proportional to `a` is allocated.
 ///
 /// Bit-identical to the thresholded `svd_trunc(a, τ)` reconstruction
-/// `(U·diag(σ − τ))·Vᵀ` through [`Mat::matmul`], for any thread count.
+/// `(U·diag(σ − τ))·Vᵀ` through [`Mat::matmul`], for any thread count:
+/// each singular-vector element accumulates in the order of
+/// [`svd_trunc`](crate::svd_trunc), and each output element sums its `k`
+/// terms in ascending order, skipping zero `U·diag(σ − τ)` entries, as
+/// `matmul` does.
 ///
 /// # Errors
-/// [`LinalgError::ShapeMismatch`] when `out` differs from `a` in shape;
 /// [`LinalgError::Empty`] for an empty `a`.
-pub fn svt_into(a: &Mat, tau: f64, out: &mut Mat, vt: &mut Vec<f64>) -> Result<(usize, f64)> {
+pub fn svt_in_place(a: &mut Mat, tau: f64) -> Result<(usize, f64)> {
     let (m, n) = a.shape();
-    if out.shape() != a.shape() {
-        return Err(LinalgError::ShapeMismatch {
-            op: "svt_into",
-            lhs: a.shape(),
-            rhs: out.shape(),
-        });
-    }
     if m == 0 || n == 0 {
         return Err(LinalgError::Empty);
     }
-    let shrink = |s: &[f64]| -> Vec<f64> { s.iter().map(|&s| s - tau).collect() };
-    let shrunk = if m <= n {
-        let (s, u) = row_gram_factors(a, tau, vt)?;
-        let shrunk = shrink(&s);
-        write_product(out, |i, k| u[(i, k)] * shrunk[k], vt);
-        shrunk
-    } else {
-        // The roles swap: the accumulated rows in `vt` are the columns of
-        // U, and the Gram eigenvectors are V.
-        let (s, v) = row_gram_factors(&a.transpose(), tau, vt)?;
-        let shrunk = shrink(&s);
-        write_product(
-            out,
-            |i, k| vt[k * m + i] * shrunk[k],
-            v.transpose().as_slice(),
-        );
-        shrunk
-    };
-    let rank = shrunk.len();
-    let nuclear = if rank == 0 { 0.0 } else { shrunk.iter().sum() };
-    Ok((rank, nuclear))
-}
-
-/// `out = US · Vᵀ` for `US[i][k] = us(i, k)` and `Vᵀ` given row-major as
-/// `vt` (`vt.len() / out.cols()` rows). Each element accumulates its terms
-/// in ascending `k`, skipping zero `US` entries — the order and skip of
-/// [`Mat::matmul`] — and rows fan out above the same flop threshold.
-fn write_product(out: &mut Mat, us: impl Fn(usize, usize) -> f64 + Sync, vt: &[f64]) {
-    let (m, n) = out.shape();
-    let k = vt.len() / n;
-    let row = |(i, o): (usize, &mut [f64])| {
-        o.fill(0.0);
-        for (kk, v_row) in vt.chunks_exact(n).enumerate() {
-            let a = us(i, kk);
-            if a == 0.0 {
-                continue;
+    let par = m * n >= PAR_SVT_ELEMS;
+    // Wide: the Gram eigenvectors are U and Vᵀ is accumulated from A's
+    // rows. Tall: the roles swap — the eigenvectors of AᵀA are V and each
+    // row of U is accumulated from the matching row of A.
+    let f = GramFactors::new(&if m <= n { a.gram_rows() } else { a.gram_cols() }, tau)?;
+    let shrunk: Vec<f64> = f.s.iter().map(|&s| s - tau).collect();
+    let k = shrunk.len();
+    let coeffs: Vec<Option<Vec<f64>>> = (0..k).map(|col| f.coeffs(col)).collect();
+    if m <= n {
+        // One block of columns: its rows of A, one slice per row.
+        let block = |rows: &mut [&mut [f64]]| {
+            let w = rows[0].len();
+            let mut vt = vec![0.0; k * w];
+            for (v_row, c) in vt.chunks_exact_mut(w).zip(&coeffs) {
+                if let Some(c) = c {
+                    accumulate_rows(v_row, c, |r| &*rows[r]);
+                }
             }
-            for (o, &b) in o.iter_mut().zip(v_row) {
-                *o += a * b;
+            for (i, out) in rows.iter_mut().enumerate() {
+                write_row(out, |kk| f.u[(i, kk)] * shrunk[kk], &vt);
+            }
+        };
+        let mut blocks: Vec<Vec<&mut [f64]>> = (0..n.div_ceil(SVT_BLOCK))
+            .map(|_| Vec::with_capacity(m))
+            .collect();
+        for row in a.as_mut_slice().chunks_exact_mut(n) {
+            for (b, part) in blocks.iter_mut().zip(row.chunks_mut(SVT_BLOCK)) {
+                b.push(part);
             }
         }
-    };
-    if m * k * n >= PAR_MATMUL_FLOPS {
-        out.as_mut_slice()
-            .par_chunks_mut(n)
-            .enumerate()
-            .for_each(row);
+        if par {
+            blocks.par_chunks_mut(1).for_each(|b| block(&mut b[0]));
+        } else {
+            blocks.iter_mut().for_each(|b| block(b));
+        }
     } else {
-        out.as_mut_slice().chunks_mut(n).enumerate().for_each(row);
+        // Vᵀ row-major, the layout each output row streams.
+        let vt = f.u.transpose().into_vec();
+        // One block of rows: each row's U entries, then the row itself.
+        let block = |rows: &mut [f64]| {
+            let mut u_row = vec![0.0; k];
+            for out in rows.chunks_exact_mut(n) {
+                for (u, c) in u_row.iter_mut().zip(&coeffs) {
+                    *u = 0.0;
+                    if let Some(c) = c {
+                        accumulate_rows(std::slice::from_mut(u), c, |j| &out[j..]);
+                    }
+                }
+                write_row(out, |kk| u_row[kk] * shrunk[kk], &vt);
+            }
+        };
+        let chunk = n * SVT_BLOCK.div_ceil(n);
+        if par {
+            a.as_mut_slice().par_chunks_mut(chunk).for_each(block);
+        } else {
+            a.as_mut_slice().chunks_mut(chunk).for_each(block);
+        }
+    }
+    let nuclear = if k == 0 { 0.0 } else { shrunk.iter().sum() };
+    Ok((k, nuclear))
+}
+
+/// Element count from which [`svt_in_place`] fans its blocks out across
+/// threads.
+const PAR_SVT_ELEMS: usize = 1 << 16;
+
+/// Columns (of a wide input) or elements (of a tall one) per block of
+/// [`svt_in_place`].
+const SVT_BLOCK: usize = 1024;
+
+/// `out = Σ_k us(k) · vt[k]` for `vt` holding `out.len()`-long rows: each
+/// element sums over `k` in ascending order and skips zero `us(k)` — the
+/// order and skip of [`Mat::matmul`].
+fn write_row(out: &mut [f64], us: impl Fn(usize) -> f64, vt: &[f64]) {
+    out.fill(0.0);
+    for (kk, v_row) in vt.chunks_exact(out.len()).enumerate() {
+        let a = us(kk);
+        if a == 0.0 {
+            continue;
+        }
+        for (o, &b) in out.iter_mut().zip(v_row) {
+            *o += a * b;
+        }
     }
 }
 

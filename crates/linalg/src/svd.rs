@@ -116,87 +116,110 @@ pub fn svd_trunc(a: &Mat, min_sv: f64) -> Result<Svd> {
 /// Core Gram-trick SVD for `m ≤ n`: eigendecompose `A Aᵀ`.
 fn svd_via_row_gram(a: &Mat, min_sv: f64) -> Result<Svd> {
     let n = a.cols();
-    let mut vt = Vec::new();
-    let (s, u) = row_gram_factors(a, min_sv, &mut vt)?;
-    let mut v = Mat::zeros(n, s.len());
+    let f = GramFactors::new(&a.gram_rows(), min_sv)?;
+    let k = f.s.len();
+    // Vᵀ row-major: row `col` is `Aᵀ u_col / σ`, zero for σ ≈ 0.
+    let mut vt = vec![0.0; k * n];
+    for (col, v_row) in vt.chunks_exact_mut(n).enumerate() {
+        let Some(coeffs) = f.coeffs(col) else {
+            continue;
+        };
+        let accumulate = |(chunk_idx, chunk): (usize, &mut [f64])| {
+            let base = chunk_idx * PAR_V_COLS;
+            accumulate_rows(chunk, &coeffs, |row| &a.row(row)[base..]);
+        };
+        if n >= 2 * PAR_V_COLS {
+            v_row
+                .par_chunks_mut(PAR_V_COLS)
+                .enumerate()
+                .for_each(accumulate);
+        } else {
+            v_row
+                .chunks_mut(PAR_V_COLS)
+                .enumerate()
+                .for_each(accumulate);
+        }
+    }
+    let mut v = Mat::zeros(n, k);
     for (col, v_row) in vt.chunks_exact(n).enumerate() {
         for (c, &val) in v_row.iter().enumerate() {
             v[(c, col)] = val;
         }
     }
-    Ok(Svd { u, s, v })
+    Ok(Svd { u: f.u, s: f.s, v })
 }
 
-/// The Gram-trick factors of `a` (`m ≤ n`) for singular values strictly
-/// greater than `min_sv`: returns `(s, U)` with `U` of shape `m × k`, and
-/// leaves `Vᵀ` in `vt` as `k` rows of length `n`, row-major — the layout a
-/// reconstruction `U Σ Vᵀ` streams, so no caller has to transpose `V`.
-///
-/// `vt` is cleared and refilled; a caller that keeps it across calls with
-/// capacity `m·n` never reallocates.
-pub(crate) fn row_gram_factors(
-    a: &Mat,
-    min_sv: f64,
-    vt: &mut Vec<f64>,
-) -> Result<(Vec<f64>, Mat)> {
-    let (m, n) = a.shape();
-    debug_assert!(m <= n);
-    let g = a.gram_rows();
-    let eig = eigh(&g)?;
-    let smax = eig.values.first().copied().unwrap_or(0.0).max(0.0).sqrt();
-    let zero_tol = crate::DEFAULT_RELATIVE_TOL * smax;
+/// The Gram-trick factors of a matrix `A` (`m ≤ n`) read off the
+/// eigendecomposition of its `m × m` row Gram matrix `A Aᵀ`, for the
+/// singular values strictly greater than a threshold.
+pub(crate) struct GramFactors {
+    /// Singular values, descending.
+    pub s: Vec<f64>,
+    /// Left singular vectors as columns, `m × k`.
+    pub u: Mat,
+    /// Singular values at or below this are numerically zero: their right
+    /// singular vectors cannot be recovered and are left at zero.
+    zero_tol: f64,
+}
 
-    let mut keep: Vec<(f64, usize)> = Vec::new();
-    for (idx, &lam) in eig.values.iter().enumerate() {
-        let sigma = lam.max(0.0).sqrt();
-        if sigma > min_sv {
-            keep.push((sigma, idx));
-        }
-    }
-    // When min_sv == 0.0 keep exactly min(m,n) = m triplets (all of them).
-    let k = keep.len();
-    let mut u = Mat::zeros(m, k);
-    let mut s = Vec::with_capacity(k);
-    vt.clear();
-    vt.resize(k * n, 0.0);
-    for (col, &(sigma, idx)) in keep.iter().enumerate() {
-        s.push(sigma);
-        for r in 0..m {
-            u[(r, col)] = eig.vectors[(r, idx)];
-        }
-        if sigma > zero_tol && sigma > 0.0 {
-            // v_col = Aᵀ u_col / σ — one pass over the rows of A. Element
-            // c accumulates row contributions in ascending row order, so
-            // the parallel split over c is bit-identical to a serial pass.
-            let coeffs: Vec<f64> = (0..m).map(|row| eig.vectors[(row, idx)] / sigma).collect();
-            let v_col = &mut vt[col * n..(col + 1) * n];
-            let accumulate = |(chunk_idx, chunk): (usize, &mut [f64])| {
-                let base = chunk_idx * PAR_V_COLS;
-                for (row, &coeff) in coeffs.iter().enumerate() {
-                    if coeff == 0.0 {
-                        continue;
-                    }
-                    let arow = &a.row(row)[base..base + chunk.len()];
-                    for (o, &av) in chunk.iter_mut().zip(arow.iter()) {
-                        *o += coeff * av;
-                    }
-                }
-            };
-            if n >= 2 * PAR_V_COLS {
-                v_col
-                    .par_chunks_mut(PAR_V_COLS)
-                    .enumerate()
-                    .for_each(accumulate);
-            } else {
-                v_col
-                    .chunks_mut(PAR_V_COLS)
-                    .enumerate()
-                    .for_each(accumulate);
+impl GramFactors {
+    /// Factor the Gram matrix `g`, keeping singular values `> min_sv`.
+    pub fn new(g: &Mat, min_sv: f64) -> Result<Self> {
+        let m = g.rows();
+        let eig = eigh(g)?;
+        let smax = eig.values.first().copied().unwrap_or(0.0).max(0.0).sqrt();
+        let keep: Vec<(f64, usize)> = eig
+            .values
+            .iter()
+            .enumerate()
+            .map(|(idx, &lam)| (lam.max(0.0).sqrt(), idx))
+            .filter(|&(sigma, _)| sigma > min_sv)
+            .collect();
+        // When min_sv == 0.0 this keeps exactly min(m,n) = m triplets.
+        let mut u = Mat::zeros(m, keep.len());
+        for (col, &(_, idx)) in keep.iter().enumerate() {
+            for r in 0..m {
+                u[(r, col)] = eig.vectors[(r, idx)];
             }
         }
-        // else: leave the Vᵀ row at zero; σ ≈ 0 makes it irrelevant.
+        Ok(GramFactors {
+            s: keep.iter().map(|&(sigma, _)| sigma).collect(),
+            u,
+            zero_tol: crate::DEFAULT_RELATIVE_TOL * smax,
+        })
     }
-    Ok((s, u))
+
+    /// The row weights `u_col / σ` that turn `A`'s rows into the right
+    /// singular vector `v_col = Aᵀ u_col / σ` (see [`accumulate_rows`]),
+    /// or `None` when `σ` is numerically zero.
+    pub fn coeffs(&self, col: usize) -> Option<Vec<f64>> {
+        let sigma = self.s[col];
+        (sigma > self.zero_tol && sigma > 0.0).then(|| {
+            (0..self.u.rows())
+                .map(|r| self.u[(r, col)] / sigma)
+                .collect()
+        })
+    }
+}
+
+/// `out[c] += Σ_row coeffs[row] · rows(row)[c]`, over the rows in
+/// ascending order and skipping zero coefficients — the one accumulation
+/// order of every Gram-trick singular vector. Element `c` depends on
+/// column `c` of the rows alone, so any split of `out` into column ranges
+/// (`rows(row)` starting at the range's first column) gives the same bits.
+pub(crate) fn accumulate_rows<'a>(
+    out: &mut [f64],
+    coeffs: &[f64],
+    rows: impl Fn(usize) -> &'a [f64],
+) {
+    for (row, &coeff) in coeffs.iter().enumerate() {
+        if coeff == 0.0 {
+            continue;
+        }
+        for (o, &av) in out.iter_mut().zip(rows(row)) {
+            *o += coeff * av;
+        }
+    }
 }
 
 /// One-sided Jacobi SVD.

@@ -9,7 +9,7 @@
 //! parallel path.
 
 use cloudconst_linalg::{
-    fro_norm, l1_norm, soft_threshold, svd_thin, svd_trunc, svt_into, Mat,
+    fro_norm, l1_norm, soft_threshold, svd_thin, svd_trunc, svt, svt_in_place, Mat,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -159,16 +159,14 @@ fn svd_v_accumulation_parallel_is_bit_identical_to_serial() {
 }
 
 #[test]
-fn svt_into_is_bit_identical_to_the_svd_reconstruction() {
+fn svt_in_place_is_bit_identical_to_the_svd_reconstruction() {
     // Reference: truncated SVD, U scaled by σ − τ, times the transposed V
-    // through matmul. Wide 40×9000 takes the parallel V accumulation and
-    // row fan-out; tall and small shapes take the serial and transposed
-    // paths. One scratch is reused across shapes and ranks.
-    let mut vt = Vec::new();
-    for (rows, cols, seed) in [(40, 9000, 9), (9000, 12, 10), (7, 30, 11)] {
+    // through matmul. Wide 40×9000 and tall 9000×12 fan their blocks out;
+    // the small wide 7×30 and tall 30×7 shapes run serially.
+    for (rows, cols, seed) in [(40, 9000, 9), (9000, 12, 10), (7, 30, 11), (30, 7, 12)] {
         let a = random_mat(rows, cols, seed);
         let s0 = svd_thin(&a).unwrap().s;
-        for tau in [s0[0] * 0.5, s0[s0.len() / 2], 0.0] {
+        for tau in [s0[0] * 0.5, s0[s0.len() / 2], 0.0, s0[0] * 2.0] {
             let svd = svd_trunc(&a, tau).unwrap();
             let mut us = svd.u.clone();
             for i in 0..us.rows() {
@@ -176,13 +174,23 @@ fn svt_into_is_bit_identical_to_the_svd_reconstruction() {
                     *v *= s - tau;
                 }
             }
-            let want = us.matmul(&svd.v.transpose()).unwrap();
-            let mut got = Mat::full(rows, cols, f64::NAN);
-            let (rank, _) = svt_into(&a, tau, &mut got, &mut vt).unwrap();
+            let want = if svd.s.is_empty() {
+                Mat::zeros(rows, cols)
+            } else {
+                us.matmul(&svd.v.transpose()).unwrap()
+            };
+            let mut got = a.clone();
+            let (rank, nuclear) = svt_in_place(&mut got, tau).unwrap();
             assert_eq!(rank, svd.s.len(), "{rows}x{cols} τ={tau}");
-            assert_bits_eq(got.as_slice(), want.as_slice(), "svt_into");
+            assert_bits_eq(got.as_slice(), want.as_slice(), "svt_in_place");
+            // `svt` is the allocating wrapper over the same kernel.
+            let wrapped = svt(&a, tau).unwrap();
+            assert_bits_eq(wrapped.mat.as_slice(), want.as_slice(), "svt");
+            assert_eq!(
+                (wrapped.rank, wrapped.nuclear.to_bits()),
+                (rank, nuclear.to_bits())
+            );
         }
     }
-    let mut wrong = Mat::zeros(3, 3);
-    assert!(svt_into(&random_mat(3, 4, 12), 0.1, &mut wrong, &mut vt).is_err());
+    assert!(svt_in_place(&mut Mat::zeros(0, 4), 0.1).is_err());
 }

@@ -26,6 +26,7 @@ use crate::fallible::{
 use crate::perf_matrix::PerfMatrix;
 use crate::tp_matrix::{ImputePolicy, TpMatrix};
 use crate::{NetworkProbe, PureNetworkProbe, ALPHA_PROBE_BYTES, BETA_PROBE_BYTES};
+use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// Round-robin (circle method) schedule of directed probe rounds.
@@ -315,21 +316,36 @@ impl Calibrator {
         steps: usize,
     ) -> (TpMatrix, f64) {
         let n = probe.n();
-        stack_snapshots(n, start, interval, steps, |t| self.calibrate(probe, t))
+        stack_snapshots(
+            n,
+            (0..steps).map(|k| {
+                let t = snapshot_time(start, interval, k);
+                (t, self.calibrate(probe, t))
+            }),
+        )
     }
 
     /// [`Calibrator::calibrate_tp`] through a shared reference; see
-    /// [`Calibrator::calibrate_par`].
-    pub fn calibrate_tp_par<P: PureNetworkProbe>(
+    /// [`Calibrator::calibrate_par`]. A pure probe makes each snapshot a
+    /// function of its start time alone, so the snapshots run as one
+    /// ordered parallel map — each still through the serial round kernel —
+    /// and stack in time order: the TP-matrix and the overhead are the
+    /// bits of the serial loop.
+    pub fn calibrate_tp_par<P: PureNetworkProbe + Sync>(
         &self,
         probe: &P,
         start: f64,
         interval: f64,
         steps: usize,
     ) -> (TpMatrix, f64) {
-        stack_snapshots(probe.n(), start, interval, steps, |t| {
-            self.calibrate_par(probe, t)
-        })
+        let runs: Vec<(f64, CalibrationRun)> = (0..steps)
+            .into_par_iter()
+            .map(|k| {
+                let t = snapshot_time(start, interval, k);
+                (t, self.calibrate_par(probe, t))
+            })
+            .collect();
+        stack_snapshots(probe.n(), runs)
     }
 
     /// Build a TP-matrix through the fallible path: each snapshot runs
@@ -362,7 +378,7 @@ impl Calibrator {
         let mut overhead = 0.0;
         let mut logs = Vec::with_capacity(steps);
         for k in 0..steps {
-            let t = start + k as f64 * interval;
+            let t = snapshot_time(start, interval, k);
             let run = snapshot(t);
             overhead += run.overhead;
             let tp = tp.get_or_insert_with(|| TpMatrix::new(run.perf.n()));
@@ -377,24 +393,24 @@ impl Calibrator {
     }
 }
 
-/// The snapshot loop of the infallible TP paths: `steps` snapshots, one
-/// every `interval` seconds from `start`, stacked fully observed.
+/// Stack the snapshots of an infallible TP path, in time order, fully
+/// observed; the overhead sums in the same order.
 fn stack_snapshots(
     n: usize,
-    start: f64,
-    interval: f64,
-    steps: usize,
-    mut snapshot: impl FnMut(f64) -> CalibrationRun,
+    runs: impl IntoIterator<Item = (f64, CalibrationRun)>,
 ) -> (TpMatrix, f64) {
     let mut tp = TpMatrix::new(n);
     let mut total = 0.0;
-    for k in 0..steps {
-        let t = start + k as f64 * interval;
-        let run = snapshot(t);
+    for (t, run) in runs {
         total += run.overhead;
         tp.push(t, &run.perf);
     }
     (tp, total)
+}
+
+/// Start time of snapshot `k` of a campaign.
+fn snapshot_time(start: f64, interval: f64, k: usize) -> f64 {
+    start + k as f64 * interval
 }
 
 /// Result of a fault-tolerant TP-matrix calibration campaign.

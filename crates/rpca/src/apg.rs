@@ -12,22 +12,26 @@
 //! parameter `μ` is geometrically decreased (continuation) from `δ·‖A‖₂`
 //! down to a floor `μ̄`; as `μ → μ̄` the solution approaches the constrained
 //! optimum. Each iteration costs one truncated SVD of the low-rank iterate —
-//! cheap because [`cloudconst_linalg::svt_into`] only materializes singular
-//! values above the threshold.
+//! cheap because [`cloudconst_linalg::svt_in_place`] only materializes
+//! singular values above the threshold.
 //!
-//! A solve allocates its working set once — `D`, `D_prev`, `E`, `E_prev`,
-//! the gradient's `D` half, the next `D` and `E`, and the SVT's `Vᵀ`
-//! scratch — and each iteration makes three passes over it: the
-//! extrapolation, gradient and `E` shrinkage in one elementwise pass; the
-//! Gram/SVT of the `D` half written straight into the next `D`; and one
-//! blocked reduction for the four norms of the stopping test. Each element
-//! is a fixed expression of its index and each norm sums in `fro_norm`'s
-//! block order, so the output is the same bits for any thread count; the
-//! workspace's `apg_golden` test pins those bits.
+//! A solve allocates its working set once — six `m × n` buffers: `D`,
+//! `D_prev`, `E`, `E_prev`, the gradient's `D` half and the next `E` — and
+//! each iteration makes three passes over it: the extrapolation, gradient
+//! and `E` shrinkage in one elementwise pass; the Gram/SVT of the `D` half
+//! in place, which turns that buffer into the next `D`; and one blocked
+//! reduction for the four norms of the stopping test. The normalized input
+//! `Â = A/‖A‖_F` is not kept (a scaled copy lives only for the spectral
+//! norm, before the working set exists): every pass reads
+//! `a[i] · (1/‖A‖_F)`, the expression `Mat::scale` computes. At exit one
+//! more blocked pass takes the residual, and `D` and `E` are rescaled in
+//! place. Each element is a fixed expression of its index and each norm
+//! sums in `fro_norm`'s block order, so the output is the same bits for
+//! any thread count; the workspace's `apg_golden` test pins those bits.
 
 use crate::{default_lambda, spectral_norm, Result, RpcaError, RpcaResult};
 use cloudconst_linalg::{
-    blocked_sums, for_each_chunk_pair, fro_norm, shrink_scalar, svt_into, Mat,
+    blocked_sums, for_each_chunk_pair, fro_norm, shrink_scalar, svt_in_place, Mat,
 };
 use serde::{Deserialize, Serialize};
 
@@ -97,27 +101,27 @@ pub fn apg(a: &Mat, opts: &ApgOptions) -> Result<RpcaResult> {
     // compares against max(1, ‖[D E]‖_F), which silently "converges" at
     // iteration zero when the data scale is far below 1 (inverse
     // bandwidths are ~1e-8 s/byte). The problem is scale-equivariant, so
-    // solve on Â = A/‖A‖_F and rescale D, E afterwards.
-    let a = a.scale(1.0 / a_fro_orig);
-    let a = &a;
-    let a_norm2 = spectral_norm(a)?;
-    let a_fro = 1.0;
+    // solve on Â = A/‖A‖_F and rescale D, E afterwards. Â is read as
+    // `xa[i] * inv`; the one scaled copy lives only for the spectral norm,
+    // before the working set exists.
+    let inv = 1.0 / a_fro_orig;
+    let xa = a.as_slice();
+    let a_norm2 = spectral_norm(&a.scale(inv))?;
 
     let mu_init = opts.mu_init_factor * a_norm2;
     let mu_floor = opts.mu_floor_factor * mu_init;
 
     // The whole working set, allocated once per solve: the iterates X_k
-    // and X_{k−1}, the D half of the gradient step, the next iterates,
-    // and the SVT's Vᵀ scratch. The extrapolations Y_D, Y_E and the full
-    // gradient are never stored; each pass recomputes them per element.
+    // and X_{k−1}, the D half of the gradient step (thresholded in place
+    // into the next D), and the next E. The extrapolations Y_D, Y_E and
+    // the full gradient are never stored; each pass recomputes them per
+    // element.
     let mut d = Mat::zeros(m, n);
     let mut d_prev = Mat::zeros(m, n);
     let mut e = Mat::zeros(m, n);
     let mut e_prev = Mat::zeros(m, n);
     let mut gd = Mat::zeros(m, n);
-    let mut d_next = Mat::zeros(m, n);
     let mut e_next = Mat::zeros(m, n);
-    let mut vt = Vec::with_capacity(m * n);
     let mut t: f64 = 1.0;
     let mut t_prev: f64 = 1.0;
     let mut mu = mu_init;
@@ -125,12 +129,11 @@ pub fn apg(a: &Mat, opts: &ApgOptions) -> Result<RpcaResult> {
 
     for k in 0..opts.max_iters {
         let beta = (t_prev - 1.0) / t;
-        let xa = a.as_slice();
         let (xd, xd_prev) = (d.as_slice(), d_prev.as_slice());
         let (xe, xe_prev) = (e.as_slice(), e_prev.as_slice());
 
         // Pass A. Momentum extrapolation Y = X_k + β (X_k − X_{k−1}), then
-        // the gradient of the smooth term at (Y_D, Y_E): G = Y_D + Y_E − A
+        // the gradient of the smooth term at (Y_D, Y_E): G = Y_D + Y_E − Â
         // for both blocks; the Lipschitz constant of the joint gradient is
         // 2, so the step is ½. The E half is shrunk at once.
         let tau_e = lambda * mu / 2.0;
@@ -143,14 +146,14 @@ pub fn apg(a: &Mat, opts: &ApgOptions) -> Result<RpcaResult> {
                     extrapolate(d[i], dp[i], beta),
                     extrapolate(e[i], ep[i], beta),
                 );
-                let g = (yd + ye) - a[i];
+                let g = (yd + ye) - a[i] * inv;
                 gd[i] = yd - 0.5 * g;
                 en[i] = shrink_scalar(ye - 0.5 * g, tau_e);
             }
         });
 
-        // Gram + SVT: D_{k+1} = U (Σ − μ/2)₊ Vᵀ of the D half.
-        rank = svt_into(&gd, mu / 2.0, &mut d_next, &mut vt)?.0;
+        // Gram + SVT in place: D_{k+1} = U (Σ − μ/2)₊ Vᵀ of the D half.
+        rank = svt_in_place(&mut gd, mu / 2.0)?.0;
 
         // Norms pass. Stationarity measure from the reference
         // implementation:
@@ -159,7 +162,7 @@ pub fn apg(a: &Mat, opts: &ApgOptions) -> Result<RpcaResult> {
         // symmetrically for E (both blocks share the second term). The
         // four squared norms share fro_norm's block order, so each equals
         // fro_norm of the matrix it would have been.
-        let (dn, en) = (d_next.as_slice(), e_next.as_slice());
+        let (dn, en) = (gd.as_slice(), e_next.as_slice());
         let [sd2, se2, dn2, en2] = blocked_sums(m * n, |i| {
             let yd = extrapolate(xd[i], xd_prev[i], beta);
             let ye = extrapolate(xe[i], xe_prev[i], beta);
@@ -173,7 +176,7 @@ pub fn apg(a: &Mat, opts: &ApgOptions) -> Result<RpcaResult> {
 
         // X_{k−1} ← X_k ← X_{k+1}; the oldest buffer becomes next scratch.
         std::mem::swap(&mut d_prev, &mut d);
-        std::mem::swap(&mut d, &mut d_next);
+        std::mem::swap(&mut d, &mut gd);
         std::mem::swap(&mut e_prev, &mut e);
         std::mem::swap(&mut e, &mut e_next);
         t_prev = t;
@@ -181,12 +184,11 @@ pub fn apg(a: &Mat, opts: &ApgOptions) -> Result<RpcaResult> {
         mu = (opts.eta * mu).max(mu_floor);
 
         if stat <= opts.tol * xscale {
-            let residual = fro_norm(&a.sub(&d)?.sub(&e)?) / a_fro;
             return Ok(RpcaResult {
-                d: d.scale(a_fro_orig),
-                e: e.scale(a_fro_orig),
+                residual: residual(xa, inv, &d, &e),
+                d: rescale(d, a_fro_orig),
+                e: rescale(e, a_fro_orig),
                 iters: k + 1,
-                residual,
                 rank,
             });
         }
@@ -196,19 +198,38 @@ pub fn apg(a: &Mat, opts: &ApgOptions) -> Result<RpcaResult> {
     // dropping it. The solver ran on Â = A/‖A‖_F, so D and E must be
     // rescaled exactly like the convergence path above; the relative
     // residual is scale-invariant and therefore already consistent.
-    let residual = fro_norm(&a.sub(&d)?.sub(&e)?) / a_fro;
+    let residual = residual(xa, inv, &d, &e);
     let rank = svd_rank_of(&d);
     Err(RpcaError::NoConvergence {
         iters: opts.max_iters,
         residual,
         partial: Box::new(RpcaResult {
-            d: d.scale(a_fro_orig),
-            e: e.scale(a_fro_orig),
+            d: rescale(d, a_fro_orig),
+            e: rescale(e, a_fro_orig),
             iters: opts.max_iters,
             residual,
             rank,
         }),
     })
+}
+
+/// Relative residual `‖Â − D − E‖_F / ‖Â‖_F` of the normalized problem
+/// (`‖Â‖_F = 1`) in one blocked pass, `Â` read as `a[i] * inv`: the bits
+/// of `fro_norm(&a_hat.sub(d)?.sub(e)?)`.
+fn residual(a: &[f64], inv: f64, d: &Mat, e: &Mat) -> f64 {
+    let (d, e) = (d.as_slice(), e.as_slice());
+    let [r2] = blocked_sums(a.len(), |i| {
+        let r = (a[i] * inv - d[i]) - e[i];
+        [r * r]
+    });
+    r2.sqrt()
+}
+
+/// Undo the normalization in place: every element times `‖A‖_F`, as
+/// `Mat::scale` computes it.
+fn rescale(mut x: Mat, a_fro: f64) -> Mat {
+    x.as_mut_slice().iter_mut().for_each(|v| *v *= a_fro);
+    x
 }
 
 /// Momentum extrapolation of one element: `x + β (x − x_prev)`.

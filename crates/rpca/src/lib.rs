@@ -126,11 +126,7 @@ pub fn spectral_norm(a: &Mat) -> Result<f64, LinalgError> {
     if m == 0 || n == 0 {
         return Err(LinalgError::Empty);
     }
-    let gram = if m <= n {
-        a.gram_rows()
-    } else {
-        a.transpose().gram_rows()
-    };
+    let gram = if m <= n { a.gram_rows() } else { a.gram_cols() };
     let lam0 = eigh(&gram)?.values.first().copied().unwrap_or(0.0);
     let sigma = lam0.max(0.0).sqrt();
     // The SVD keeps only σ > 0 and reports +0.0 when none survives.

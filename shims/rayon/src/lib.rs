@@ -2,8 +2,9 @@
 //!
 //! The build environment has no access to crates.io, so this workspace-local
 //! crate provides the subset of rayon's API that cloudconst uses, backed by
-//! a real global thread pool (`std::thread` workers with a work-helping wait
-//! so nested parallel regions cannot deadlock). See [`iter`] for the
+//! a real global thread pool (`std::thread` workers; a parallel region or
+//! `join` nested in another region's body runs inline, so nothing can
+//! deadlock). See [`iter`] for the
 //! determinism contract: parallel combinators produce bit-identical results
 //! to their serial equivalents.
 

@@ -1,17 +1,28 @@
-//! A small global thread pool with work-helping waits.
+//! A small global thread pool.
 //!
 //! A "parallel region" enqueues `helpers` copies of one shared closure; the
 //! closure internally pulls chunk indices from an atomic counter, so every
-//! participant (the caller plus any helper that picks the job up) drains the
-//! same work queue. The caller *helps* while waiting — it keeps executing
-//! queued jobs instead of blocking — which makes nested parallel regions
-//! deadlock-free even on a single-worker pool.
+//! participant (the caller plus any worker that picks a copy up) drains the
+//! same work queue. [`join`] is a region of two different bodies: the
+//! caller runs the first while a worker may take the second.
+//!
+//! Regions and joins started inside a region body — every job a worker
+//! runs, and the caller's own share of a region or join — run inline on
+//! that thread. So a worker never enqueues work or waits for any, and a
+//! caller never waits on more than the jobs workers have already taken:
+//! once its own share is done it runs its unclaimed jobs itself, then
+//! blocks on the region's latch. Nothing can deadlock, even with one
+//! worker.
 
 use std::any::Any;
+use std::cell::Cell;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
-use std::time::Duration;
+
+/// Every pool lock guards a few field updates that cannot panic; job
+/// bodies run with no lock held.
+const UNPOISONED: &str = "no pool lock is held across a panic";
 
 /// One unit of queued work: a shared region body plus its completion latch.
 struct Job {
@@ -19,11 +30,11 @@ struct Job {
     latch: Arc<Latch>,
 }
 
-/// Counts outstanding helper executions of a region body.
+/// Counts outstanding executions of a region's queued jobs.
 struct Latch {
     remaining: Mutex<usize>,
     cv: Condvar,
-    /// The first panic payload a helper execution raised.
+    /// The first panic payload a queued job raised.
     panic: Mutex<Option<Box<dyn Any + Send>>>,
 }
 
@@ -37,16 +48,45 @@ impl Latch {
     }
 
     fn count_down(&self) {
-        let mut g = self.remaining.lock().unwrap();
+        let mut g = self.remaining.lock().expect(UNPOISONED);
         *g -= 1;
         if *g == 0 {
             self.cv.notify_all();
         }
     }
 
-    fn is_done(&self) -> bool {
-        *self.remaining.lock().unwrap() == 0
+    fn wait(&self) {
+        let mut g = self.remaining.lock().expect(UNPOISONED);
+        while *g > 0 {
+            g = self.cv.wait(g).expect(UNPOISONED);
+        }
     }
+
+    /// Re-raise the first panic a queued job captured, if any.
+    fn resume_panic(&self) {
+        let payload = self
+            .panic
+            .lock()
+            .expect("nothing panics while holding the panic slot")
+            .take();
+        if let Some(p) = payload {
+            resume_unwind(p);
+        }
+    }
+}
+
+thread_local! {
+    /// True while this thread runs a region body (always, on a worker).
+    static IN_BODY: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Run `f` as a region body: regions it starts run inline. Panics are
+/// caught so the caller can wait for its helpers before unwinding.
+fn run_as_body<R>(f: impl FnOnce() -> R) -> std::thread::Result<R> {
+    let outer = IN_BODY.with(|b| b.replace(true));
+    let result = catch_unwind(AssertUnwindSafe(f));
+    IN_BODY.with(|b| b.set(outer));
+    result
 }
 
 struct PoolInner {
@@ -58,7 +98,7 @@ struct PoolInner {
 
 impl PoolInner {
     fn run_job(&self, job: Job) {
-        if let Err(p) = catch_unwind(AssertUnwindSafe(|| (job.body)())) {
+        if let Err(p) = run_as_body(job.body) {
             job.latch
                 .panic
                 .lock()
@@ -68,27 +108,45 @@ impl PoolInner {
         job.latch.count_down();
     }
 
-    /// Wait for `latch`, executing queued jobs instead of sleeping whenever
-    /// work is available.
-    fn wait_helping(&self, latch: &Latch) {
-        loop {
-            if latch.is_done() {
-                return;
-            }
-            let job = self.queue.lock().unwrap().pop_front();
-            match job {
-                Some(j) => self.run_job(j),
-                None => {
-                    let g = latch.remaining.lock().unwrap();
-                    if *g == 0 {
-                        return;
-                    }
-                    // Short timed wait: a helper may enqueue nested jobs we
-                    // should pick up rather than sleep through.
-                    let _ = latch.cv.wait_timeout(g, Duration::from_micros(200)).unwrap();
-                }
+    /// Queue `copies` jobs of `body` under a fresh latch.
+    ///
+    /// # Safety
+    /// The caller must not return (or unwind) before [`PoolInner::finish`]
+    /// has returned for the latch: the jobs borrow `body` as `'static`.
+    unsafe fn submit(&self, body: &(dyn Fn() + Sync), copies: usize) -> Arc<Latch> {
+        let latch = Arc::new(Latch::new(copies));
+        // SAFETY: per this function's contract, every queued Job holds the
+        // borrow only until its latch counts down, and the caller outlives
+        // `finish`, which returns only after every count-down.
+        let body: &'static (dyn Fn() + Sync) =
+            unsafe { std::mem::transmute::<&(dyn Fn() + Sync), &'static (dyn Fn() + Sync)>(body) };
+        {
+            let mut q = self.queue.lock().expect(UNPOISONED);
+            for _ in 0..copies {
+                q.push_back(Job {
+                    body,
+                    latch: Arc::clone(&latch),
+                });
             }
         }
+        self.cv.notify_all();
+        latch
+    }
+
+    /// Run the jobs of `latch` that no worker has taken, then block until
+    /// the taken ones finish. Workers never wait on anything, so the taken
+    /// jobs always complete.
+    fn finish(&self, latch: &Arc<Latch>) {
+        let mine: VecDeque<Job> = {
+            let mut q = self.queue.lock().expect(UNPOISONED);
+            let (mine, rest) = q.drain(..).partition(|j| Arc::ptr_eq(&j.latch, latch));
+            *q = rest;
+            mine
+        };
+        for job in mine {
+            self.run_job(job);
+        }
+        latch.wait();
     }
 }
 
@@ -125,14 +183,15 @@ fn pool() -> &'static Arc<PoolInner> {
 }
 
 fn worker_loop(pool: &PoolInner) {
+    IN_BODY.with(|b| b.set(true));
     loop {
         let job = {
-            let mut q = pool.queue.lock().unwrap();
+            let mut q = pool.queue.lock().expect(UNPOISONED);
             loop {
                 if let Some(j) = q.pop_front() {
                     break j;
                 }
-                q = pool.cv.wait(q).unwrap();
+                q = pool.cv.wait(q).expect(UNPOISONED);
             }
         };
         pool.run_job(job);
@@ -145,49 +204,35 @@ pub fn current_num_threads() -> usize {
 }
 
 /// Execute `body` on the caller plus up to `parallelism - 1` pool workers.
-/// `body` must be idempotent-safe under concurrent invocation: every copy
-/// pulls work from a shared atomic cursor. Returns after all copies finish;
-/// a panic in any copy propagates to the caller with its own payload (the
-/// caller's first, else the first helper's).
+/// `body` must be safe under concurrent invocation and return only once
+/// the shared work is drained: every copy pulls work from a shared atomic
+/// cursor, so a copy no worker has taken by then finds nothing to do.
+/// Returns after all copies finish; a panic in any copy propagates to the
+/// caller with its own payload (the caller's first, else the first
+/// helper's). Inside a region body, runs `body` once, inline.
 pub(crate) fn run_region(parallelism: usize, body: &(dyn Fn() + Sync)) {
     let inner = pool();
     let helpers = inner.workers.min(parallelism.saturating_sub(1));
-    if helpers == 0 {
+    if helpers == 0 || IN_BODY.with(Cell::get) {
         body();
         return;
     }
-    let latch = Arc::new(Latch::new(helpers));
-    // SAFETY: every queued Job holds this borrow only until its latch counts
-    // down, and we do not return before `wait_helping` has observed all
-    // count-downs — so the 'static lifetime never outlives the real borrow.
-    let body_static: &'static (dyn Fn() + Sync) =
-        unsafe { std::mem::transmute::<&(dyn Fn() + Sync), &'static (dyn Fn() + Sync)>(body) };
-    {
-        let mut q = inner.queue.lock().unwrap();
-        for _ in 0..helpers {
-            q.push_back(Job {
-                body: body_static,
-                latch: Arc::clone(&latch),
-            });
-        }
-    }
-    inner.cv.notify_all();
-    let caller_result = catch_unwind(AssertUnwindSafe(body));
-    inner.wait_helping(&latch);
+    // SAFETY: `finish` runs below before this frame returns or unwinds.
+    let latch = unsafe { inner.submit(body, helpers) };
+    let caller_result = run_as_body(body);
+    inner.finish(&latch);
     if let Err(p) = caller_result {
         resume_unwind(p);
     }
-    let helper_panic = latch
-        .panic
-        .lock()
-        .expect("nothing panics while holding the panic slot")
-        .take();
-    if let Some(p) = helper_panic {
-        resume_unwind(p);
-    }
+    latch.resume_panic();
 }
 
-/// Run two closures, potentially in parallel, returning both results.
+/// Run two closures, returning both results in order. The caller runs
+/// `oper_a` while an idle pool worker may take `oper_b`; if none has taken
+/// it by the time `oper_a` returns, the caller runs it too. Inside a
+/// region body (or on a one-thread pool) both run inline, `oper_a` first.
+/// A panic in either propagates after both have finished, `oper_a`'s
+/// first.
 pub fn join<A, B, RA, RB>(oper_a: A, oper_b: B) -> (RA, RB)
 where
     A: FnOnce() -> RA + Send,
@@ -195,13 +240,38 @@ where
     RA: Send,
     RB: Send,
 {
-    // Sequential execution is a correct implementation of join's contract.
-    (oper_a(), oper_b())
+    let inner = pool();
+    if inner.workers == 0 || IN_BODY.with(Cell::get) {
+        return (oper_a(), oper_b());
+    }
+    let oper_b = Mutex::new(Some(oper_b));
+    let result_b = Mutex::new(None);
+    let body_b = || {
+        let f = oper_b
+            .lock()
+            .expect(UNPOISONED)
+            .take()
+            .expect("oper_b runs once");
+        let rb = f();
+        *result_b.lock().expect(UNPOISONED) = Some(rb);
+    };
+    // SAFETY: `finish` runs below before this frame returns or unwinds.
+    let latch = unsafe { inner.submit(&body_b, 1) };
+    let result_a = run_as_body(oper_a);
+    inner.finish(&latch);
+    let ra = result_a.unwrap_or_else(|p| resume_unwind(p));
+    latch.resume_panic();
+    let rb = result_b
+        .into_inner()
+        .expect(UNPOISONED)
+        .expect("oper_b finished without panicking");
+    (ra, rb)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn boom() {
         panic!("boom");
@@ -220,8 +290,88 @@ mod tests {
                 latch: Arc::clone(&latch),
             });
         }
-        assert!(latch.is_done());
+        assert_eq!(*latch.remaining.lock().unwrap(), 0);
         let payload = latch.panic.lock().unwrap().take().expect("payload kept");
         assert_eq!(payload.downcast_ref::<&str>(), Some(&"boom"));
+    }
+
+    #[test]
+    fn join_runs_both_and_returns_in_order() {
+        for k in 0..64u64 {
+            let (a, b) = join(|| k * 3, || format!("b{k}"));
+            assert_eq!(a, k * 3);
+            assert_eq!(b, format!("b{k}"));
+        }
+        // Borrowed, mutably captured state on both sides.
+        let (mut left, mut right) = (vec![0u64; 1000], vec![0u64; 1000]);
+        let (sa, sb) = join(
+            || {
+                left.iter_mut().enumerate().for_each(|(i, x)| *x = i as u64);
+                left.iter().sum::<u64>()
+            },
+            || {
+                right
+                    .iter_mut()
+                    .enumerate()
+                    .for_each(|(i, x)| *x = 2 * i as u64);
+                right.iter().sum::<u64>()
+            },
+        );
+        assert_eq!((sa, sb), (499_500, 999_000));
+        assert_eq!(right[7], 14);
+    }
+
+    #[test]
+    fn join_propagates_panic_of_b() {
+        let ran_a = AtomicUsize::new(0);
+        let caught = catch_unwind(AssertUnwindSafe(|| {
+            join(
+                || ran_a.fetch_add(1, Ordering::SeqCst),
+                || -> usize { panic!("b failed") },
+            )
+        }));
+        let payload = caught.expect_err("b's panic must reach the caller");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"b failed"));
+        assert_eq!(ran_a.load(Ordering::SeqCst), 1, "a still ran to completion");
+    }
+
+    #[test]
+    fn join_prefers_panic_of_a() {
+        let caught = catch_unwind(AssertUnwindSafe(|| {
+            join(
+                || -> u8 { panic!("a failed") },
+                || -> u8 { panic!("b failed") },
+            )
+        }));
+        let payload = caught.expect_err("a panic must reach the caller");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"a failed"));
+    }
+
+    #[test]
+    fn nested_join_and_region_run_inline_without_deadlock() {
+        let calls = AtomicUsize::new(0);
+        let body = || {
+            let me = std::thread::current().id();
+            // A nested join runs both halves on this very thread ...
+            let (a, b) = join(
+                || std::thread::current().id(),
+                || std::thread::current().id(),
+            );
+            assert_eq!((a, b), (me, me));
+            // ... and so does a nested region.
+            let inner = AtomicUsize::new(0);
+            run_region(8, &|| {
+                assert_eq!(std::thread::current().id(), me);
+                inner.fetch_add(1, Ordering::SeqCst);
+            });
+            assert_eq!(inner.load(Ordering::SeqCst), 1, "one inline copy");
+            calls.fetch_add(1, Ordering::SeqCst);
+        };
+        for _ in 0..32 {
+            let ((), ()) = join(body, body);
+            run_region(current_num_threads(), &body);
+        }
+        assert!(calls.load(Ordering::SeqCst) >= 32 * 3);
+        assert!(!IN_BODY.with(Cell::get), "the caller's mark is restored");
     }
 }
