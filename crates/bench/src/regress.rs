@@ -219,7 +219,7 @@ pub fn bench_calibration_adaptive_retry(n: usize, reps: usize) -> BenchRecord {
     let adaptive = AdaptiveRetryPolicy::default();
     let mut success_rate = 0.0;
     let seconds = best_of(reps, || {
-        let run = Calibrator::new().calibrate_tp_faulty_adaptive_par(
+        let run = Calibrator::new().calibrate_tp_faulty_adaptive(
             &cloud,
             0.0,
             60.0,

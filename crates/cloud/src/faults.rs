@@ -22,7 +22,7 @@
 use crate::hash;
 use crate::placement::Placement;
 use crate::synthetic::SyntheticCloud;
-use cloudconst_netmodel::{FallibleNetworkProbe, NetworkProbe, ProbeAttempt, PureNetworkProbe};
+use cloudconst_netmodel::{FallibleNetworkProbe, ProbeAttempt, PureNetworkProbe};
 use serde::{Deserialize, Serialize};
 
 /// Fault-stream tags (disjoint from the cloud's 0xA1–0xE8 noise streams).
@@ -358,10 +358,9 @@ impl FaultPlan {
 /// [`SyntheticCloud`] plus a [`FaultPlan`]: the fault-injected view of the
 /// same ground truth.
 ///
-/// The infallible [`NetworkProbe`] impls delegate straight to the inner
-/// cloud (faults only exist on the fallible path — useful for oracle
-/// comparisons), while [`FallibleNetworkProbe`] filters every attempt
-/// through the plan.
+/// It is a [`FallibleNetworkProbe`] only: every attempt is filtered through
+/// the plan. The fault-free view of the same cloud is [`FaultyCloud::inner`],
+/// itself a fallible probe whose attempts never fail.
 #[derive(Debug, Clone)]
 pub struct FaultyCloud {
     inner: SyntheticCloud,
@@ -390,21 +389,6 @@ impl FaultyCloud {
     /// The plan in force.
     pub fn plan(&self) -> &FaultPlan {
         &self.plan
-    }
-}
-
-impl NetworkProbe for FaultyCloud {
-    fn n(&self) -> usize {
-        self.inner.n()
-    }
-    fn probe(&mut self, i: usize, j: usize, bytes: u64, now: f64) -> f64 {
-        self.inner.probe(i, j, bytes, now)
-    }
-}
-
-impl PureNetworkProbe for FaultyCloud {
-    fn probe_pure(&self, i: usize, j: usize, bytes: u64, now: f64) -> f64 {
-        self.inner.probe_pure(i, j, bytes, now)
     }
 }
 
@@ -458,8 +442,8 @@ mod tests {
         };
 
         let plain = cal.calibrate(&mut c.clone(), 450.0);
-        let plain_par = cal.calibrate_par(&c, 450.0);
-        let ft = cal.calibrate_faulty_par(&faulty, 450.0, &retry);
+        let plain_par = cal.calibrate_par(&c, 450.0, &retry);
+        let ft = cal.calibrate_par(&faulty, 450.0, &retry);
 
         for (label, run) in [("fallible", &ft), ("shared-reference", &plain_par)] {
             assert_eq!(run.rounds, plain.rounds, "{label} rounds");

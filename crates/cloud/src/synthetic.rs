@@ -205,7 +205,7 @@ impl PureNetworkProbe for SyntheticCloud {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cloudconst_netmodel::{Calibrator, BETA_PROBE_BYTES};
+    use cloudconst_netmodel::{Calibrator, RetryPolicy, BETA_PROBE_BYTES};
 
     fn calm(n: usize) -> SyntheticCloud {
         SyntheticCloud::new(CloudConfig::calm(n, 17))
@@ -348,7 +348,7 @@ mod tests {
         // serial measurement matrix bit for bit.
         let cloud = SyntheticCloud::new(CloudConfig::ec2_like(16, 77));
         let serial = Calibrator::new().calibrate(&mut cloud.clone(), 450.0);
-        let par = Calibrator::new().calibrate_par(&cloud, 450.0);
+        let par = Calibrator::new().calibrate_par(&cloud, 450.0, &RetryPolicy::default());
         assert_eq!(par.rounds, serial.rounds);
         assert_eq!(par.overhead.to_bits(), serial.overhead.to_bits());
         for i in 0..16 {

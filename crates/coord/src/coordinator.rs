@@ -27,8 +27,8 @@ use crate::transport::{Transport, WireStats};
 use crate::wire::{Body, Message, PartialTpMatrix, Phase, ShardTask};
 use crate::CoordError;
 use cloudconst_netmodel::{
-    CalibrationConfig, FaultyTpRun, ImputePolicy, LinkPerf, PerfMatrix, ProbeLog, ProbeOutcome,
-    RetryPolicy, TpMatrix,
+    CalibrationConfig, CalibrationRun, FaultyTpRun, ImputePolicy, LinkPerf, PerfMatrix, ProbeLog,
+    ProbeOutcome, RetryPolicy,
 };
 use serde::Serialize;
 use std::collections::BTreeMap;
@@ -156,15 +156,13 @@ impl Coordinator {
             failovers: 0,
         };
 
-        let mut tp = TpMatrix::new(n);
-        let mut overhead = 0.0;
-        let mut logs: Vec<ProbeLog> = Vec::with_capacity(steps);
+        let mut run = FaultyTpRun::new(n);
         for k in 0..steps {
             let t = start + k as f64 * interval;
             // A shard death resets the survivors and restarts the snapshot
             // with a re-partitioned plan. Completed snapshots are never
             // revisited.
-            let (perf, log, clock) = loop {
+            let snapshot = loop {
                 match self.snapshot(transport, &mut d, k as u32, t) {
                     Ok(done) => break done,
                     Err(Barrier::Dead { shards, missing }) => {
@@ -173,19 +171,16 @@ impl Coordinator {
                     Err(Barrier::Failed(e)) => return Err(e),
                 }
             };
-            overhead += clock - t;
-            tp.push_masked(t, &perf, &log.observed_mask(), self.config.impute);
-            logs.push(log);
+            run.push(t, snapshot, self.config.impute);
         }
 
-        let run = FaultyTpRun { tp, overhead, logs };
         let total = run.aggregate_log();
         let report = CampaignReport {
             n: n as u64,
             shards: self.config.shards as u64,
             steps: steps as u64,
             rounds: d.plan.rounds() as u64,
-            overhead,
+            overhead: run.overhead,
             probe_attempts: total.attempts,
             probe_successes: total.successes,
             probe_retries: total.retries,
@@ -201,15 +196,14 @@ impl Coordinator {
     }
 
     /// One attempt at snapshot `k` starting at time `t`: every round's two
-    /// phase barriers, then the flush barrier and the merge. Returns the
-    /// snapshot's measurements, log and final clock.
+    /// phase barriers, then the flush barrier and the merge.
     fn snapshot<T: Transport>(
         &self,
         transport: &mut T,
         d: &mut Dispatch,
         k: u32,
         t: f64,
-    ) -> Result<(PerfMatrix, ProbeLog, f64), Barrier> {
+    ) -> Result<CalibrationRun, Barrier> {
         let mut clock = t;
         for r in 0..d.plan.rounds() {
             for (phase, bytes) in [
@@ -234,7 +228,12 @@ impl Coordinator {
                     })
                     .collect();
                 let maxima = self.run_barrier(transport, d, tasks, |body| match body {
-                    Body::Ack { max_consumed } => Ok(max_consumed),
+                    Body::Ack { max_consumed }
+                        if max_consumed.is_finite() && max_consumed >= 0.0 =>
+                    {
+                        Ok(max_consumed)
+                    }
+                    Body::Ack { .. } => Err(CoordError::Protocol("phase ack with an invalid time")),
                     _ => Err(CoordError::Protocol("expected a phase ack")),
                 })?;
                 clock += maxima.into_iter().fold(0.0, f64::max);
@@ -248,8 +247,13 @@ impl Coordinator {
             Body::Partial(p) => Ok(p),
             _ => Err(CoordError::Protocol("expected a partial TP-matrix")),
         })?;
-        let (perf, log) = merge_partials(d.plan.n(), k, &partials)?;
-        Ok((perf, log, clock))
+        let (perf, outcomes) = merge_partials(d.plan.n(), k, &partials)?;
+        Ok(CalibrationRun {
+            perf,
+            overhead: clock - t,
+            rounds: d.plan.rounds(),
+            outcomes,
+        })
     }
 
     /// Number `requests` with fresh seqs, send them, and pump the wire
@@ -410,7 +414,8 @@ impl From<CoordError> for Barrier {
 /// probe log. Cells are disjoint and counters are sums, so any fragment
 /// order yields identical bits. Fragments come from outside the program:
 /// a wrong cluster size or snapshot, an out-of-range or twice-reported
-/// cell, and a scheduled cell nobody reported are each a
+/// cell, a measured cell whose α is not finite and `≥ 0` or whose β is not
+/// finite and `> 0`, and a scheduled cell nobody reported are each a
 /// [`CoordError::Protocol`].
 fn merge_partials(
     n: usize,
@@ -440,6 +445,11 @@ fn merge_partials(
                 return Err(CoordError::Protocol("two shards reported one cell"));
             }
             if let ProbeOutcome::Ok(_) = c.outcome {
+                let alpha_ok = c.alpha.is_finite() && c.alpha >= 0.0;
+                let beta_ok = c.beta.is_finite() && c.beta > 0.0;
+                if !(alpha_ok && beta_ok) {
+                    return Err(CoordError::Protocol("measured cell with an invalid α or β"));
+                }
                 perf.set(
                     i,
                     j,

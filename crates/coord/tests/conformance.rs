@@ -22,7 +22,9 @@ use cloudconst_coord::{
     ShardTask, SimConfig, SimTransport, TcpConfig, TcpTransport, TcpWorkerServer, Transport,
     WireStats,
 };
-use cloudconst_netmodel::{Calibrator, FaultyTpRun, ImputePolicy, RetryPolicy, TpMatrix};
+use cloudconst_netmodel::{
+    Calibrator, FaultyTpRun, ImputePolicy, ProbeOutcome, RetryPolicy, TpMatrix,
+};
 use std::time::Duration;
 
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
@@ -346,19 +348,22 @@ fn loopback_campaign_reports_every_shard_alive() {
 }
 
 // ---------------------------------------------------------------------------
-// Contract 5: fragments come from outside the program, so one that leaves
-// a scheduled cell unreported is a typed protocol error — never an `Ok`
-// whose missing cells were silently imputed as masked.
+// Contract 5: frames come from outside the program, so a fragment that
+// leaves a scheduled cell unreported, a measured cell whose α or β is not a
+// valid link figure, or a phase ack whose time is not a valid duration is
+// each a typed protocol error — never an `Ok` whose missing cells were
+// silently imputed, nor a panic or a non-finite cell in the TP-matrix.
 // ---------------------------------------------------------------------------
 
-/// Wraps a transport and drops the last cell of every fragment `shard`
-/// ships.
-struct DropsACell<T> {
+/// Wraps a transport and lets `tamper` rewrite the body of every frame
+/// `shard` ships.
+struct Tampered<T, F> {
     inner: T,
     shard: u32,
+    tamper: F,
 }
 
-impl<T: Transport> Transport for DropsACell<T> {
+impl<T: Transport, F: FnMut(&mut Body)> Transport for Tampered<T, F> {
     fn n(&self) -> usize {
         self.inner.n()
     }
@@ -376,13 +381,11 @@ impl<T: Transport> Transport for DropsACell<T> {
             return Ok(None);
         };
         let mut msg = Message::decode(&frame)?;
-        match &mut msg.body {
-            Body::Partial(p) if msg.shard == self.shard => {
-                p.cells.pop();
-                Ok(Some(msg.encode()))
-            }
-            _ => Ok(Some(frame)),
+        if msg.shard != self.shard {
+            return Ok(Some(frame));
         }
+        (self.tamper)(&mut msg.body);
+        Ok(Some(msg.encode()))
     }
 
     fn stats(&self) -> WireStats {
@@ -394,24 +397,69 @@ impl<T: Transport> Transport for DropsACell<T> {
     }
 }
 
-#[test]
-fn fragment_missing_a_scheduled_cell_is_a_protocol_error() {
-    let cloud = FaultyCloud::new(
-        SyntheticCloud::new(CloudConfig::small_test(16, 11)),
-        FaultPlan::none(23),
-    );
-    let mut transport = DropsACell {
+/// Run a K=2 loopback campaign whose shard 1 frames pass through `tamper`
+/// and require a protocol error.
+fn assert_tampering_is_a_protocol_error(what: &str, tamper: impl FnMut(&mut Body)) {
+    let cloud = SyntheticCloud::new(CloudConfig::small_test(16, 11));
+    let mut transport = Tampered {
         inner: LoopbackTransport::new(cloud, 2),
         shard: 1,
+        tamper,
     };
     match Coordinator::new(CoordinatorConfig::new(2)).calibrate_tp(&mut transport, 0.0, 60.0, 10)
     {
         Err(CoordError::Protocol(_)) => {}
-        Err(other) => panic!("expected a protocol error, got {other:?}"),
+        Err(other) => panic!("{what}: expected a protocol error, got {other:?}"),
         Ok(run) => panic!(
-            "an incomplete fragment was accepted: success rate {}",
+            "{what}: the tampered frame was accepted: success rate {}",
             run.report.success_rate
         ),
+    }
+}
+
+#[test]
+fn fragment_missing_a_scheduled_cell_is_a_protocol_error() {
+    assert_tampering_is_a_protocol_error("dropped cell", |body| {
+        if let Body::Partial(p) = body {
+            p.cells.pop();
+        }
+    });
+}
+
+#[test]
+fn fragment_with_an_invalid_measurement_is_a_protocol_error() {
+    for (what, alpha, beta) in [
+        ("NaN α", f64::NAN, 1e9),
+        ("negative α", -1e-4, 1e9),
+        ("infinite α", f64::INFINITY, 1e9),
+        ("zero β", 1e-4, 0.0),
+        ("NaN β", 1e-4, f64::NAN),
+    ] {
+        assert_tampering_is_a_protocol_error(what, |body| {
+            if let Body::Partial(p) = body {
+                let cell = p
+                    .cells
+                    .iter_mut()
+                    .find(|c| matches!(c.outcome, ProbeOutcome::Ok(_)));
+                let cell = cell.expect("a clean cloud measures every cell");
+                (cell.alpha, cell.beta) = (alpha, beta);
+            }
+        });
+    }
+}
+
+#[test]
+fn phase_ack_with_an_invalid_time_is_a_protocol_error() {
+    for (what, bad) in [
+        ("NaN", f64::NAN),
+        ("negative", -1.0),
+        ("infinite", f64::INFINITY),
+    ] {
+        assert_tampering_is_a_protocol_error(what, |body| {
+            if let Body::Ack { max_consumed } = body {
+                *max_consumed = bad;
+            }
+        });
     }
 }
 

@@ -3,8 +3,8 @@
 use crate::estimator::{estimate_with_opts, ConstantEstimate, DegradedPolicy, EstimatorKind};
 use crate::{CoreError, Result};
 use cloudconst_netmodel::{
-    CalibrationConfig, Calibrator, FallibleNetworkProbe, FaultyTpRun, ImputePolicy, NetworkProbe,
-    PerfMatrix, ProbeLog, ProbeOutcome, PureNetworkProbe, RetryPolicy, TpMatrix,
+    CalibrationConfig, Calibrator, FallibleNetworkProbe, FaultyTpRun, ImputePolicy, PerfMatrix,
+    ProbeLog, ProbeOutcome, RetryPolicy, TpMatrix,
 };
 use cloudconst_rpca::{ApgOptions, RpcaError};
 use serde::{Deserialize, Serialize};
@@ -24,10 +24,11 @@ pub struct AdvisorConfig {
     pub estimator: EstimatorKind,
     /// Probe protocol parameters.
     pub calibration: CalibrationConfig,
-    /// Per-probe deadline and retry/backoff for the fault-aware
-    /// calibration path ([`Advisor::calibrate_faulty_par`]).
+    /// Per-probe deadline and retry/backoff of [`Advisor::calibrate_par`]
+    /// (a probe that never fails never engages it).
     pub retry: RetryPolicy,
-    /// How unobserved TP-matrix cells are filled on the fault-aware path.
+    /// How [`Advisor::calibrate_par`] fills TP-matrix cells no probe
+    /// attempt observed.
     pub impute: ImputePolicy,
     /// What to do when the RPCA solver exhausts its budget (applies to
     /// every calibration path; the default `Fail` reproduces the historic
@@ -87,8 +88,8 @@ impl Default for AdvisorConfig {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct HealthReport {
     /// Fraction of probe attempts in the model's calibration campaign that
-    /// returned a measurement (1.0 when the model came from the infallible
-    /// path, which records no attempt statistics).
+    /// returned a measurement (1.0 for a campaign on a probe that never
+    /// fails, which spends `2·N(N−1)` first-try attempts per snapshot).
     pub probe_success_rate: f64,
     /// Total probe attempts in the campaign.
     pub attempts: u64,
@@ -279,8 +280,8 @@ pub struct Advisor {
     cfg: AdvisorConfig,
     model: Option<ModelState>,
     calibrations: usize,
-    /// Aggregate probe counters of the last fault-aware campaign.
-    probe_stats: Option<ProbeLog>,
+    /// Aggregate probe counters of the last adopted campaign.
+    probe_stats: ProbeLog,
     /// Consecutive fully-failed snapshots per directed link (`N²`,
     /// row-major), feeding the quarantine list.
     fail_streaks: Vec<u32>,
@@ -302,7 +303,7 @@ impl Advisor {
             cfg,
             model: None,
             calibrations: 0,
-            probe_stats: None,
+            probe_stats: ProbeLog::new(0),
             fail_streaks: Vec::new(),
             quarantined: Vec::new(),
             fell_back: false,
@@ -333,39 +334,12 @@ impl Advisor {
         }
     }
 
-    /// Lines 1–2: calibrate a fresh TP-matrix and rebuild the model.
-    /// Returns the new state.
-    pub fn calibrate<P: NetworkProbe>(&mut self, probe: &mut P, now: f64) -> Result<&ModelState> {
-        let (tp, overhead) = self.calibrator().calibrate_tp(
-            probe,
-            now,
-            self.cfg.snapshot_interval,
-            self.cfg.time_step,
-        );
-        self.install_model(tp, overhead, now)
-    }
-
-    /// Lines 1–2 through a pure probe held by shared reference (see
-    /// [`Calibrator::calibrate_par`]). Produces a model bit-identical to
-    /// [`Advisor::calibrate`] on the same probe.
-    pub fn calibrate_par<P: PureNetworkProbe + Sync>(
-        &mut self,
-        probe: &P,
-        now: f64,
-    ) -> Result<&ModelState> {
-        let (tp, overhead) = self.calibrator().calibrate_tp_par(
-            probe,
-            now,
-            self.cfg.snapshot_interval,
-            self.cfg.time_step,
-        );
-        self.install_model(tp, overhead, now)
-    }
-
-    /// Fault-aware lines 1–2: calibrate through the fallible probe path
-    /// with the configured retry/backoff, impute-and-mask unobserved
-    /// cells, then adopt the run (see [`Advisor::adopt_faulty_run`]).
-    pub fn calibrate_faulty_par<P: FallibleNetworkProbe>(
+    /// Lines 1–2: calibrate a fresh TP-matrix through `probe` with the
+    /// configured retry/backoff, impute-and-mask unobserved cells, then
+    /// adopt the run (see [`Advisor::adopt_faulty_run`]). A probe that
+    /// never fails yields a fully observed TP-matrix — the same bits
+    /// [`Calibrator::calibrate_tp`] measures through a `&mut` reference.
+    pub fn calibrate_par<P: FallibleNetworkProbe + Sync>(
         &mut self,
         probe: &P,
         now: f64,
@@ -381,16 +355,16 @@ impl Advisor {
         self.adopt_faulty_run(run, now)
     }
 
-    /// Adopt a fault-aware calibration run — the advisor's own
-    /// [`Advisor::calibrate_faulty_par`], or one produced *outside* the
-    /// advisor's probe loop, e.g. the sharded coordinator's merged
-    /// `ShardedRun.run` (`cloudconst-coord`), which is bit-identical to
-    /// the internal run on the same probe. Updates link-failure streaks
-    /// and the quarantine list from the run's per-snapshot logs, then
-    /// rebuilds the model under the configured [`DegradedPolicy`].
+    /// Adopt a calibration run — the advisor's own
+    /// [`Advisor::calibrate_par`], or one produced *outside* the advisor's
+    /// probe loop, e.g. the sharded coordinator's merged `ShardedRun.run`
+    /// (`cloudconst-coord`), which is bit-identical to the internal run on
+    /// the same probe. Updates link-failure streaks and the quarantine
+    /// list from the run's per-snapshot logs, then rebuilds the model
+    /// under the configured [`DegradedPolicy`].
     pub fn adopt_faulty_run(&mut self, run: FaultyTpRun, now: f64) -> Result<&ModelState> {
         self.update_link_health(&run.logs);
-        self.probe_stats = Some(run.aggregate_log());
+        self.probe_stats = run.aggregate_log();
         let FaultyTpRun { tp, overhead, .. } = run;
         self.install_model(tp, overhead, now)
     }
@@ -489,18 +463,13 @@ impl Advisor {
     /// model is installed.
     pub fn health(&self, now: f64) -> Result<HealthReport> {
         let model = self.model.as_ref().ok_or(CoreError::NotCalibrated)?;
-        let (rate, attempts, retries, timeouts, losses) = match &self.probe_stats {
-            Some(s) => (s.success_rate(), s.attempts, s.retries, s.timeouts, s.losses),
-            // Infallible path: every probe succeeded by construction, but
-            // no attempt counters were recorded.
-            None => (1.0, 0, 0, 0, 0),
-        };
+        let s = &self.probe_stats;
         Ok(HealthReport {
-            probe_success_rate: rate,
-            attempts,
-            retries,
-            timeouts,
-            losses,
+            probe_success_rate: s.success_rate(),
+            attempts: s.attempts,
+            retries: s.retries,
+            timeouts: s.timeouts,
+            losses: s.losses,
             masked_fraction: model.tp.masked_fraction(),
             model_age: now - model.calibrated_at,
             degraded: model.estimate.degraded || self.fell_back,
@@ -582,16 +551,16 @@ impl Advisor {
 
     /// Lines 4–9 in one call: check, and re-calibrate on demand. Returns
     /// the decision that was acted on.
-    pub fn observe<P: NetworkProbe>(
+    pub fn observe<P: FallibleNetworkProbe + Sync>(
         &mut self,
-        probe: &mut P,
+        probe: &P,
         now: f64,
         expected: f64,
         observed: f64,
     ) -> Result<MaintenanceDecision> {
         let d = self.check(expected, observed);
         if d == MaintenanceDecision::Recalibrate {
-            self.calibrate(probe, now)?;
+            self.calibrate_par(probe, now)?;
         }
         Ok(d)
     }
@@ -606,7 +575,7 @@ impl Advisor {
 mod tests {
     use super::*;
     use cloudconst_cloud::{CloudConfig, FaultPlan, FaultyCloud, FlakyLink, SyntheticCloud};
-    use cloudconst_netmodel::BETA_PROBE_BYTES;
+    use cloudconst_netmodel::{NetworkProbe, BETA_PROBE_BYTES};
 
     fn quick_cfg() -> AdvisorConfig {
         AdvisorConfig {
@@ -618,10 +587,10 @@ mod tests {
 
     #[test]
     fn calibrate_then_guide() {
-        let mut cloud = SyntheticCloud::new(CloudConfig::calm(8, 3));
+        let cloud = SyntheticCloud::new(CloudConfig::calm(8, 3));
         let mut advisor = Advisor::new(quick_cfg());
         assert!(matches!(advisor.constant(), Err(CoreError::NotCalibrated)));
-        advisor.calibrate(&mut cloud, 0.0).unwrap();
+        advisor.calibrate_par(&cloud, 0.0).unwrap();
         let truth = cloud.ground_truth(0);
         let est = advisor.constant().unwrap();
         for i in 0..8 {
@@ -638,21 +607,28 @@ mod tests {
     }
 
     #[test]
-    fn parallel_calibrate_builds_identical_model() {
+    fn calibrate_par_builds_the_model_of_the_mutable_reference_path() {
         let cloud = SyntheticCloud::new(CloudConfig::ec2_like(12, 6));
-        let mut serial = Advisor::new(quick_cfg());
-        let mut par = Advisor::new(quick_cfg());
-        serial.calibrate(&mut cloud.clone(), 0.0).unwrap();
-        par.calibrate_par(&cloud, 0.0).unwrap();
-        let (ms, mp) = (serial.model().unwrap(), par.model().unwrap());
-        assert_eq!(
-            ms.calibration_overhead.to_bits(),
-            mp.calibration_overhead.to_bits()
+        let cfg = quick_cfg();
+        let (tp, overhead) = Calibrator::new().calibrate_tp(
+            &mut cloud.clone(),
+            0.0,
+            cfg.snapshot_interval,
+            cfg.time_step,
         );
-        assert_eq!(ms.estimate.norm_ne.to_bits(), mp.estimate.norm_ne.to_bits());
+        let serial = estimate_with_opts(&tp, cfg.estimator, cfg.degraded, &cfg.rpca).unwrap();
+        let mut par = Advisor::new(cfg);
+        par.calibrate_par(&cloud, 0.0).unwrap();
+        let mp = par.model().unwrap();
+        assert_eq!(overhead.to_bits(), mp.calibration_overhead.to_bits());
+        assert_eq!(serial.norm_ne.to_bits(), mp.estimate.norm_ne.to_bits());
+        assert_eq!(
+            serial.norm_ne_l1.to_bits(),
+            mp.estimate.norm_ne_l1.to_bits()
+        );
         for i in 0..12 {
             for j in 0..12 {
-                let a = ms.estimate.perf.link(i, j);
+                let a = serial.perf.link(i, j);
                 let b = mp.estimate.perf.link(i, j);
                 assert_eq!(a.alpha.to_bits(), b.alpha.to_bits(), "alpha ({i},{j})");
                 assert_eq!(a.beta.to_bits(), b.beta.to_bits(), "beta ({i},{j})");
@@ -662,23 +638,23 @@ mod tests {
 
     #[test]
     fn calm_cloud_norm_ne_near_zero() {
-        let mut cloud = SyntheticCloud::new(CloudConfig::calm(6, 4));
+        let cloud = SyntheticCloud::new(CloudConfig::calm(6, 4));
         let mut advisor = Advisor::new(quick_cfg());
-        advisor.calibrate(&mut cloud, 0.0).unwrap();
+        advisor.calibrate_par(&cloud, 0.0).unwrap();
         assert!(advisor.norm_ne().unwrap() < 0.05);
     }
 
     #[test]
     fn noisy_cloud_norm_ne_larger_than_calm() {
-        let mut calm = SyntheticCloud::new(CloudConfig::calm(6, 4));
+        let calm = SyntheticCloud::new(CloudConfig::calm(6, 4));
         let mut noisy_cfg = CloudConfig::small_test(6, 4);
         noisy_cfg.volatility_sigma = 0.3;
         noisy_cfg.spike_prob = 0.3;
-        let mut noisy = SyntheticCloud::new(noisy_cfg);
+        let noisy = SyntheticCloud::new(noisy_cfg);
         let mut a1 = Advisor::new(quick_cfg());
         let mut a2 = Advisor::new(quick_cfg());
-        a1.calibrate(&mut calm, 0.0).unwrap();
-        a2.calibrate(&mut noisy, 0.0).unwrap();
+        a1.calibrate_par(&calm, 0.0).unwrap();
+        a2.calibrate_par(&noisy, 0.0).unwrap();
         assert!(
             a2.model().unwrap().estimate.norm_ne_l1 > a1.model().unwrap().estimate.norm_ne_l1,
             "noisy {} <= calm {}",
@@ -720,23 +696,23 @@ mod tests {
 
     #[test]
     fn observe_recalibrates_on_big_change() {
-        let mut cloud = SyntheticCloud::new(CloudConfig::calm(6, 8));
+        let cloud = SyntheticCloud::new(CloudConfig::calm(6, 8));
         let mut advisor = Advisor::new(quick_cfg());
-        advisor.calibrate(&mut cloud, 0.0).unwrap();
-        let d = advisor.observe(&mut cloud, 500.0, 1.0, 5.0).unwrap();
+        advisor.calibrate_par(&cloud, 0.0).unwrap();
+        let d = advisor.observe(&cloud, 500.0, 1.0, 5.0).unwrap();
         assert_eq!(d, MaintenanceDecision::Recalibrate);
         assert_eq!(advisor.calibrations(), 2);
         assert_eq!(advisor.model().unwrap().calibrated_at, 500.0);
-        let d = advisor.observe(&mut cloud, 600.0, 1.0, 1.1).unwrap();
+        let d = advisor.observe(&cloud, 600.0, 1.0, 1.1).unwrap();
         assert_eq!(d, MaintenanceDecision::Keep);
         assert_eq!(advisor.calibrations(), 2);
     }
 
     #[test]
     fn expected_transfer_uses_constant() {
-        let mut cloud = SyntheticCloud::new(CloudConfig::calm(4, 1));
+        let cloud = SyntheticCloud::new(CloudConfig::calm(4, 1));
         let mut advisor = Advisor::new(quick_cfg());
-        advisor.calibrate(&mut cloud, 0.0).unwrap();
+        advisor.calibrate_par(&cloud, 0.0).unwrap();
         let t = advisor.expected_transfer(0, 1, BETA_PROBE_BYTES).unwrap();
         let truth = cloud
             .ground_truth(0)
@@ -745,36 +721,17 @@ mod tests {
     }
 
     #[test]
-    fn fault_free_faulty_path_builds_identical_model_and_clean_health() {
-        let cloud = SyntheticCloud::new(CloudConfig::ec2_like(12, 6));
-        let faulty = FaultyCloud::new(cloud.clone(), FaultPlan::none(1));
-        let mut plain = Advisor::new(quick_cfg());
-        let mut ft = Advisor::new(AdvisorConfig {
-            retry: RetryPolicy {
-                deadline: 1e9,
-                ..RetryPolicy::default()
-            },
-            ..quick_cfg()
-        });
-        plain.calibrate(&mut cloud.clone(), 0.0).unwrap();
-        ft.calibrate_faulty_par(&faulty, 0.0).unwrap();
-        let (mp, mf) = (plain.model().unwrap(), ft.model().unwrap());
-        assert_eq!(
-            mp.calibration_overhead.to_bits(),
-            mf.calibration_overhead.to_bits()
-        );
-        assert_eq!(mp.estimate.norm_ne.to_bits(), mf.estimate.norm_ne.to_bits());
-        for i in 0..12 {
-            for j in 0..12 {
-                let a = mp.estimate.perf.link(i, j);
-                let b = mf.estimate.perf.link(i, j);
-                assert_eq!(a.alpha.to_bits(), b.alpha.to_bits(), "alpha ({i},{j})");
-                assert_eq!(a.beta.to_bits(), b.beta.to_bits(), "beta ({i},{j})");
-            }
-        }
-        let h = ft.health(100.0).unwrap();
-        assert_eq!(h.probe_success_rate, 1.0);
-        assert!(h.attempts > 0);
+    fn clean_calibration_reports_real_probe_counters() {
+        let (n, cfg) = (12, quick_cfg());
+        let steps = cfg.time_step as u64;
+        let cloud = SyntheticCloud::new(CloudConfig::ec2_like(n, 6));
+        let mut advisor = Advisor::new(cfg);
+        advisor.calibrate_par(&cloud, 0.0).unwrap();
+        let h = advisor.health(100.0).unwrap();
+        // Two first-try probes (α and β) per directed link per snapshot.
+        let probes = 2 * (n * (n - 1)) as u64 * steps;
+        assert_eq!(h.attempts, probes);
+        assert_eq!(h.probe_success_rate, 1.0, "successes = attempts");
         assert_eq!(h.retries + h.timeouts + h.losses, 0);
         assert_eq!(h.masked_fraction, 0.0);
         assert_eq!(h.model_age, 100.0);
@@ -790,7 +747,7 @@ mod tests {
             degraded: DegradedPolicy::AcceptNearTolerance(0.05),
             ..quick_cfg()
         });
-        advisor.calibrate_faulty_par(&faulty, 0.0).unwrap();
+        advisor.calibrate_par(&faulty, 0.0).unwrap();
         let h = advisor.health(50.0).unwrap();
         assert!(h.probe_success_rate < 1.0, "faults must show in the rate");
         assert!(h.probe_success_rate > 0.5, "10% faults with retries");
@@ -806,16 +763,15 @@ mod tests {
     #[test]
     fn fall_back_to_previous_keeps_old_model() {
         let cloud = SyntheticCloud::new(CloudConfig::ec2_like(8, 15));
-        let faulty = FaultyCloud::new(cloud.clone(), FaultPlan::none(2));
         let mut advisor = Advisor::new(quick_cfg());
-        advisor.calibrate(&mut cloud.clone(), 0.0).unwrap();
+        advisor.calibrate_par(&cloud, 0.0).unwrap();
         let before = advisor.model().unwrap().estimate.perf.clone();
 
         // Starve the solver and ask for fall-back: the re-calibration must
         // keep the old model and flag degraded mode.
         advisor.config_mut().rpca.max_iters = 10;
         advisor.config_mut().degraded = DegradedPolicy::FallBackToPrevious;
-        advisor.calibrate_faulty_par(&faulty, 5000.0).unwrap();
+        advisor.calibrate_par(&cloud, 5000.0).unwrap();
         let m = advisor.model().unwrap();
         assert_eq!(m.calibrated_at, 0.0, "old model must stay in force");
         for i in 0..8 {
@@ -832,7 +788,7 @@ mod tests {
 
         // Strict mode with the same starved solver errors instead.
         advisor.config_mut().degraded = DegradedPolicy::Fail;
-        assert!(advisor.calibrate_faulty_par(&faulty, 6000.0).is_err());
+        assert!(advisor.calibrate_par(&cloud, 6000.0).is_err());
     }
 
     #[test]
@@ -848,7 +804,7 @@ mod tests {
         };
         let faulty = FaultyCloud::new(cloud.clone(), plan);
         let mut advisor = Advisor::new(quick_cfg()); // time_step 5 ≥ quarantine_after 3
-        advisor.calibrate_faulty_par(&faulty, 0.0).unwrap();
+        advisor.calibrate_par(&faulty, 0.0).unwrap();
         assert_eq!(advisor.quarantined(), &[(0, 1)]);
         assert!(advisor.is_quarantined(0, 1));
         assert!(!advisor.is_quarantined(1, 0));
@@ -866,9 +822,9 @@ mod tests {
             MaintenanceDecision::Recalibrate
         );
 
-        // Once the link heals, the next campaign lifts the quarantine.
-        let healed = FaultyCloud::new(cloud, FaultPlan::none(4));
-        advisor.calibrate_faulty_par(&healed, 10_000.0).unwrap();
+        // Once the link heals, the next campaign lifts the quarantine: a
+        // clean calibration observes every link.
+        advisor.calibrate_par(&cloud, 10_000.0).unwrap();
         assert!(advisor.quarantined().is_empty());
     }
 
@@ -877,7 +833,7 @@ mod tests {
         let cloud = SyntheticCloud::new(CloudConfig::small_test(10, 13));
         let faulty = FaultyCloud::new(cloud, FaultPlan::uniform(3, 0.05));
         let mut internal = Advisor::new(quick_cfg());
-        internal.calibrate_faulty_par(&faulty, 0.0).unwrap();
+        internal.calibrate_par(&faulty, 0.0).unwrap();
 
         // Reproduce the identical run externally and adopt it: same model,
         // same health, same quarantine state.
@@ -917,7 +873,7 @@ mod tests {
 
     #[test]
     fn campaign_history_records_and_evicts() {
-        let mut cloud = SyntheticCloud::new(CloudConfig::calm(6, 2));
+        let cloud = SyntheticCloud::new(CloudConfig::calm(6, 2));
         let mut advisor = Advisor::new(AdvisorConfig {
             history_capacity: 3,
             ..quick_cfg()
@@ -926,7 +882,7 @@ mod tests {
         assert_eq!(advisor.campaign_history().capacity(), 3);
 
         for k in 0..5u32 {
-            advisor.calibrate(&mut cloud, f64::from(k) * 1000.0).unwrap();
+            advisor.calibrate_par(&cloud, f64::from(k) * 1000.0).unwrap();
         }
         let h = advisor.campaign_history();
         assert_eq!(h.len(), 3, "ring must evict past capacity");
@@ -1071,7 +1027,7 @@ mod tests {
             degraded: DegradedPolicy::AcceptNearTolerance(0.05),
             ..quick_cfg()
         });
-        advisor.calibrate_faulty_par(&faulty, 0.0).unwrap();
+        advisor.calibrate_par(&faulty, 0.0).unwrap();
         let s = advisor.campaign_history().summary();
         assert_eq!(s.campaigns, 1);
         assert!(s.worst_success_rate < 1.0);
@@ -1085,9 +1041,8 @@ mod tests {
 
     #[test]
     fn adaptive_degraded_falls_back_on_decaying_health_and_recovers() {
-        let cloud = SyntheticCloud::new(CloudConfig::small_test(10, 13));
-        let clean = FaultyCloud::new(cloud.clone(), FaultPlan::none(3));
-        let lossy = FaultyCloud::new(cloud, FaultPlan::uniform(3, 0.05));
+        let clean = SyntheticCloud::new(CloudConfig::small_test(10, 13));
+        let lossy = FaultyCloud::new(clean.clone(), FaultPlan::uniform(3, 0.05));
         let mut advisor = Advisor::new(AdvisorConfig {
             adaptive_degraded: true,
             ..quick_cfg()
@@ -1096,14 +1051,14 @@ mod tests {
 
         // Healthy epoch: the configured strict policy stays in force.
         for k in 0..2 {
-            advisor.calibrate_faulty_par(&clean, f64::from(k) * 1000.0).unwrap();
+            advisor.calibrate_par(&clean, f64::from(k) * 1000.0).unwrap();
         }
         assert_eq!(advisor.effective_degraded(), DegradedPolicy::Fail);
 
         // Decay epoch: lossy campaigns drag the recent half of the
         // history below the older half — the override engages.
         for k in 2..4 {
-            advisor.calibrate_faulty_par(&lossy, f64::from(k) * 1000.0).unwrap();
+            advisor.calibrate_par(&lossy, f64::from(k) * 1000.0).unwrap();
         }
         let (older, recent) = advisor.campaign_history().success_trend().unwrap();
         assert!(older > recent, "fixture: faults must dent the trend");
@@ -1115,7 +1070,7 @@ mod tests {
         // A starved solver during the decay keeps the previous model
         // instead of erroring — the whole point of the override.
         advisor.config_mut().rpca.max_iters = 10;
-        advisor.calibrate_faulty_par(&lossy, 4000.0).unwrap();
+        advisor.calibrate_par(&lossy, 4000.0).unwrap();
         let h = advisor.health(4000.0).unwrap();
         assert!(h.degraded, "fall-back install must be reported");
         assert_eq!(advisor.model().unwrap().calibrated_at, 3000.0);
@@ -1125,7 +1080,7 @@ mod tests {
         advisor.config_mut().rpca.max_iters = full_iters;
         let mut t = 5000.0;
         while advisor.effective_degraded() != DegradedPolicy::Fail {
-            advisor.calibrate_faulty_par(&clean, t).unwrap();
+            advisor.calibrate_par(&clean, t).unwrap();
             t += 1000.0;
             assert!(t < 20_000.0, "trend never healed");
         }
@@ -1140,7 +1095,7 @@ mod tests {
         cfg.migrate_frac = 0.9;
         let mut cloud = SyntheticCloud::new(cfg);
         let mut advisor = Advisor::new(quick_cfg());
-        advisor.calibrate(&mut cloud, 0.0).unwrap();
+        advisor.calibrate_par(&cloud, 0.0).unwrap();
 
         // Find a link whose constant changed a lot across the shift.
         let before = cloud.ground_truth(0).clone();
@@ -1163,7 +1118,7 @@ mod tests {
 
         let expected = advisor.expected_transfer(bi, bj, BETA_PROBE_BYTES).unwrap();
         let observed = cloud.probe(bi, bj, BETA_PROBE_BYTES, 20_000.0);
-        let d = advisor.observe(&mut cloud, 20_000.0, expected, observed).unwrap();
+        let d = advisor.observe(&cloud, 20_000.0, expected, observed).unwrap();
         assert_eq!(d, MaintenanceDecision::Recalibrate);
     }
 }

@@ -178,18 +178,11 @@ pub fn estimate_with_opts(
     let n_d = constant_matrix(&weight_row, tp.steps());
     let n_e = n_a.sub(&n_d).expect("same shape");
 
-    // Imputed cells were never measured: exclude them from the sparsity
-    // statistic so fill values cannot pollute `Norm(N_E)`. A fully
-    // observed matrix takes the identical unmasked path as before.
-    let (norm_ne, norm_ne_l1) = if tp.masked_fraction() > 0.0 {
-        let mask = tp.mask_matrix();
-        (
-            metrics::norm_ne_masked(&n_e, &n_a, mask),
-            metrics::norm_ne_l1_masked(&n_e, &n_a, mask),
-        )
-    } else {
-        (metrics::norm_ne(&n_e, &n_a), metrics::norm_ne_l1(&n_e, &n_a))
-    };
+    // Imputed cells were never measured: the mask excludes them from the
+    // sparsity statistic so fill values cannot pollute `Norm(N_E)`.
+    let mask = tp.mask_matrix();
+    let norm_ne = metrics::norm_ne(&n_e, &n_a, mask);
+    let norm_ne_l1 = metrics::norm_ne_l1(&n_e, &n_a, mask);
 
     Ok(ConstantEstimate {
         perf,

@@ -95,8 +95,12 @@ fn concurrent_estimate_is_bits_of_the_sequential_solves() {
         .collect();
     let n_a = tp.weight_matrix(BETA_PROBE_BYTES);
     let n_e = n_a.sub(&constant_matrix(&weight, tp.steps())).unwrap();
-    assert_eq!(est.norm_ne.to_bits(), norm_ne(&n_e, &n_a).to_bits());
-    assert_eq!(est.norm_ne_l1.to_bits(), norm_ne_l1(&n_e, &n_a).to_bits());
+    let mask = tp.mask_matrix();
+    assert_eq!(est.norm_ne.to_bits(), norm_ne(&n_e, &n_a, mask).to_bits());
+    assert_eq!(
+        est.norm_ne_l1.to_bits(),
+        norm_ne_l1(&n_e, &n_a, mask).to_bits()
+    );
 }
 
 #[test]

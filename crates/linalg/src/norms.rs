@@ -109,19 +109,6 @@ pub fn zero_norm_frac(e: &Mat, reference: &Mat, rel_tol: f64) -> f64 {
     count_above(e, thresh) as f64 / denom as f64
 }
 
-/// ℓ₁ analogue of [`zero_norm_frac`]: `‖E‖₁ / ‖A‖₁`.
-///
-/// Smoother than the thresholded count and used wherever the paper's
-/// qualitative `Norm(N_E)` trends are checked against continuous quantities.
-pub fn l1_norm_frac(e: &Mat, reference: &Mat) -> f64 {
-    let denom = l1_norm(reference);
-    if denom == 0.0 {
-        0.0
-    } else {
-        l1_norm(e) / denom
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -183,13 +170,5 @@ mod tests {
         let a = Mat::zeros(3, 3);
         let e = Mat::full(3, 3, 1.0);
         assert_eq!(zero_norm_frac(&e, &a, 1e-6), 0.0);
-    }
-
-    #[test]
-    fn l1_frac() {
-        let a = Mat::full(2, 2, 2.0);
-        let e = Mat::full(2, 2, 1.0);
-        assert!((l1_norm_frac(&e, &a) - 0.5).abs() < 1e-12);
-        assert_eq!(l1_norm_frac(&e, &Mat::zeros(2, 2)), 0.0);
     }
 }

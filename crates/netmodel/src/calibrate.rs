@@ -15,7 +15,12 @@
 //! from [`CalibrationConfig::schedule`], each round probes its α then its β
 //! phase with the clock advancing by the slowest pair of each, and
 //! [`fold_round`] turns the two phases into probe-log counters and fitted
-//! cells. The entry points differ only in how one phase is measured. The
+//! cells. The entry points differ only in how one phase is measured:
+//! [`Calibrator::calibrate`] through a `&mut` [`NetworkProbe`] (the
+//! simulator models contention between a round's transfers), everything
+//! else through a shared-reference [`FallibleNetworkProbe`] — which every
+//! [`PureNetworkProbe`] is, with attempts that never fail. Every TP-matrix
+//! path stacks its snapshots through [`FaultyTpRun::push`], and the
 //! sharded workers of `cloudconst-coord` call the same [`fold_round`].
 
 use crate::alpha_beta::LinkPerf;
@@ -151,12 +156,12 @@ pub struct CalibrationRun {
     pub overhead: f64,
     /// Number of probe rounds executed.
     pub rounds: usize,
-    /// Per-cell probe outcomes and aggregate attempt counters. The
-    /// infallible paths record every link as measured first try.
+    /// Per-cell probe outcomes and aggregate attempt counters. A probe
+    /// that cannot fail records every link as measured first try.
     pub outcomes: ProbeLog,
 }
 
-/// Drives a [`NetworkProbe`] through the calibration protocol.
+/// Drives a probe through the calibration protocol.
 #[derive(Debug, Clone, Default)]
 pub struct Calibrator {
     /// Protocol parameters.
@@ -181,41 +186,29 @@ impl Calibrator {
         })
     }
 
-    /// [`Calibrator::calibrate`] through a shared reference, for probes
-    /// with pure measurements. Bit-identical to `calibrate` on the same
-    /// probe.
-    pub fn calibrate_par<P: PureNetworkProbe>(&self, probe: &P, now: f64) -> CalibrationRun {
-        self.drive(probe.n(), now, |pairs, bytes, at| {
-            pairs
-                .iter()
-                .map(|&(i, j)| AttemptSeries::ok(probe.probe_pure(i, j, bytes, at)))
-                .collect()
-        })
-    }
-
-    /// Measure the all-link matrix through a fallible probe: every (pair,
-    /// phase) gets a per-attempt deadline and the bounded retry/backoff of
-    /// `retry`; cells whose attempts all fail are recorded as
-    /// [`ProbeOutcome::Failed`] instead of fabricating a value.
+    /// Measure the all-link matrix through a shared reference: every
+    /// (pair, phase) gets a per-attempt deadline and the bounded
+    /// retry/backoff of `retry`; cells whose attempts all fail are recorded
+    /// as [`ProbeOutcome::Failed`] instead of fabricating a value.
     ///
-    /// With a fault-free backend every attempt succeeds first try, backoff
-    /// never engages, and the result — matrix, overhead, round count and
-    /// log — is bit-identical to [`Calibrator::calibrate`] (pinned by
-    /// tests).
-    pub fn calibrate_faulty_par<P: FallibleNetworkProbe>(
+    /// A probe that never fails (every [`PureNetworkProbe`]) measures each
+    /// pair first try and backoff never engages, so the result — matrix,
+    /// overhead, round count and log — is bit-identical to
+    /// [`Calibrator::calibrate`] on the same probe (pinned by tests).
+    pub fn calibrate_par<P: FallibleNetworkProbe>(
         &self,
         probe: &P,
         now: f64,
         retry: &RetryPolicy,
     ) -> CalibrationRun {
-        self.calibrate_faulty_planned(probe, now, |_, _| retry.clone())
+        self.calibrate_planned(probe, now, |_, _| retry.clone())
     }
 
     /// One fallible snapshot in which directed link `(i, j)` runs the retry
     /// policy `policy_for(i, j)`. The policies are fixed before the
     /// snapshot starts, so every attempt series stays a pure function of
     /// `(pair, bytes, time)`.
-    fn calibrate_faulty_planned<P: FallibleNetworkProbe>(
+    fn calibrate_planned<P: FallibleNetworkProbe>(
         &self,
         probe: &P,
         now: f64,
@@ -233,34 +226,6 @@ impl Calibrator {
                     )
                 })
                 .collect()
-        })
-    }
-
-    /// The adaptive recovery loop over a whole campaign: each snapshot's
-    /// retry budget is planned by `adaptive` from the worst-wins merge of
-    /// every earlier snapshot's probe log, so extra attempts concentrate
-    /// on the links that have actually been failing while clean links run
-    /// the lean cold schedule. The first snapshot has no history and runs
-    /// all-cold.
-    pub fn calibrate_tp_faulty_adaptive_par<P: FallibleNetworkProbe>(
-        &self,
-        probe: &P,
-        start: f64,
-        interval: f64,
-        steps: usize,
-        adaptive: &AdaptiveRetryPolicy,
-        impute: ImputePolicy,
-    ) -> FaultyTpRun {
-        let n = probe.n();
-        let mut history: Option<ProbeLog> = None;
-        self.drive_tp_faulty(start, interval, steps, impute, |t| {
-            let plan = adaptive.plan(n, history.as_ref(), &[]);
-            let run = self.calibrate_faulty_planned(probe, t, |i, j| plan.policy_for(i, j));
-            match &mut history {
-                Some(h) => h.absorb(&run.outcomes),
-                None => history = Some(run.outcomes.clone()),
-            }
-            run
         })
     }
 
@@ -306,8 +271,9 @@ impl Calibrator {
     }
 
     /// Build a TP-matrix of `steps` snapshots, one every `interval` seconds
-    /// starting at `start`. Returns the TP-matrix and the total calibration
-    /// overhead (time the probes occupied the network).
+    /// starting at `start`, through [`Calibrator::calibrate`]. Returns the
+    /// TP-matrix and the total calibration overhead (time the probes
+    /// occupied the network).
     pub fn calibrate_tp<P: NetworkProbe>(
         &self,
         probe: &mut P,
@@ -315,22 +281,19 @@ impl Calibrator {
         interval: f64,
         steps: usize,
     ) -> (TpMatrix, f64) {
-        let n = probe.n();
-        stack_snapshots(
-            n,
-            (0..steps).map(|k| {
-                let t = snapshot_time(start, interval, k);
-                (t, self.calibrate(probe, t))
-            }),
-        )
+        let mut run = FaultyTpRun::new(probe.n());
+        for k in 0..steps {
+            let t = snapshot_time(start, interval, k);
+            let snapshot = self.calibrate(probe, t);
+            // Every cell is observed: nothing to impute.
+            run.push(t, snapshot, ImputePolicy::LastGood);
+        }
+        (run.tp, run.overhead)
     }
 
-    /// [`Calibrator::calibrate_tp`] through a shared reference; see
-    /// [`Calibrator::calibrate_par`]. A pure probe makes each snapshot a
-    /// function of its start time alone, so the snapshots run as one
-    /// ordered parallel map — each still through the serial round kernel —
-    /// and stack in time order: the TP-matrix and the overhead are the
-    /// bits of the serial loop.
+    /// [`Calibrator::calibrate_tp_faulty_par`] on a probe that never fails,
+    /// projected to the TP-matrix and the overhead: the bits of
+    /// [`Calibrator::calibrate_tp`] on the same probe.
     pub fn calibrate_tp_par<P: PureNetworkProbe + Sync>(
         &self,
         probe: &P,
@@ -338,21 +301,26 @@ impl Calibrator {
         interval: f64,
         steps: usize,
     ) -> (TpMatrix, f64) {
-        let runs: Vec<(f64, CalibrationRun)> = (0..steps)
-            .into_par_iter()
-            .map(|k| {
-                let t = snapshot_time(start, interval, k);
-                (t, self.calibrate_par(probe, t))
-            })
-            .collect();
-        stack_snapshots(probe.n(), runs)
+        let run = self.calibrate_tp_faulty_par(
+            probe,
+            start,
+            interval,
+            steps,
+            &RetryPolicy::default(),
+            ImputePolicy::LastGood,
+        );
+        (run.tp, run.overhead)
     }
 
-    /// Build a TP-matrix through the fallible path: each snapshot runs
-    /// [`Calibrator::calibrate_faulty_par`], unobserved cells are imputed
-    /// per `impute` and recorded in the TP-matrix's observation mask, and
-    /// the per-snapshot probe logs are returned for health reporting.
-    pub fn calibrate_tp_faulty_par<P: FallibleNetworkProbe>(
+    /// Build a TP-matrix of `steps` snapshots, each through
+    /// [`Calibrator::calibrate_par`]; unobserved cells are imputed per
+    /// `impute` and recorded in the TP-matrix's observation mask, and the
+    /// per-snapshot probe logs are returned for health reporting. Each
+    /// snapshot is a function of its start time alone, so the snapshots
+    /// run as one ordered parallel map — each still through the serial
+    /// round kernel — and stack in time order: the result is the bits of
+    /// the serial loop.
+    pub fn calibrate_tp_faulty_par<P: FallibleNetworkProbe + Sync>(
         &self,
         probe: &P,
         start: f64,
@@ -361,51 +329,51 @@ impl Calibrator {
         retry: &RetryPolicy,
         impute: ImputePolicy,
     ) -> FaultyTpRun {
-        self.drive_tp_faulty(start, interval, steps, impute, |t| {
-            self.calibrate_faulty_par(probe, t, retry)
-        })
+        let snapshots: Vec<(f64, CalibrationRun)> = (0..steps)
+            .into_par_iter()
+            .map(|k| {
+                let t = snapshot_time(start, interval, k);
+                (t, self.calibrate_par(probe, t, retry))
+            })
+            .collect();
+        let mut run = FaultyTpRun::new(probe.n());
+        for (t, snapshot) in snapshots {
+            run.push(t, snapshot, impute);
+        }
+        run
     }
 
-    fn drive_tp_faulty(
+    /// The adaptive recovery loop over a whole campaign: each snapshot's
+    /// retry budget is planned by `adaptive` from the worst-wins merge of
+    /// every earlier snapshot's probe log, so extra attempts concentrate
+    /// on the links that have actually been failing while clean links run
+    /// the lean cold schedule. The first snapshot has no history and runs
+    /// all-cold. Each plan reads the earlier logs, so the snapshots run
+    /// one after the other.
+    pub fn calibrate_tp_faulty_adaptive<P: FallibleNetworkProbe>(
         &self,
+        probe: &P,
         start: f64,
         interval: f64,
         steps: usize,
+        adaptive: &AdaptiveRetryPolicy,
         impute: ImputePolicy,
-        mut snapshot: impl FnMut(f64) -> CalibrationRun,
     ) -> FaultyTpRun {
-        let mut tp: Option<TpMatrix> = None;
-        let mut overhead = 0.0;
-        let mut logs = Vec::with_capacity(steps);
+        let n = probe.n();
+        let mut history: Option<ProbeLog> = None;
+        let mut run = FaultyTpRun::new(n);
         for k in 0..steps {
             let t = snapshot_time(start, interval, k);
-            let run = snapshot(t);
-            overhead += run.overhead;
-            let tp = tp.get_or_insert_with(|| TpMatrix::new(run.perf.n()));
-            tp.push_masked(t, &run.perf, &run.outcomes.observed_mask(), impute);
-            logs.push(run.outcomes);
+            let plan = adaptive.plan(n, history.as_ref(), &[]);
+            let snapshot = self.calibrate_planned(probe, t, |i, j| plan.policy_for(i, j));
+            match &mut history {
+                Some(h) => h.absorb(&snapshot.outcomes),
+                None => history = Some(snapshot.outcomes.clone()),
+            }
+            run.push(t, snapshot, impute);
         }
-        FaultyTpRun {
-            tp: tp.unwrap_or_else(|| TpMatrix::new(0)),
-            overhead,
-            logs,
-        }
+        run
     }
-}
-
-/// Stack the snapshots of an infallible TP path, in time order, fully
-/// observed; the overhead sums in the same order.
-fn stack_snapshots(
-    n: usize,
-    runs: impl IntoIterator<Item = (f64, CalibrationRun)>,
-) -> (TpMatrix, f64) {
-    let mut tp = TpMatrix::new(n);
-    let mut total = 0.0;
-    for (t, run) in runs {
-        total += run.overhead;
-        tp.push(t, &run.perf);
-    }
-    (tp, total)
 }
 
 /// Start time of snapshot `k` of a campaign.
@@ -413,7 +381,7 @@ fn snapshot_time(start: f64, interval: f64, k: usize) -> f64 {
     start + k as f64 * interval
 }
 
-/// Result of a fault-tolerant TP-matrix calibration campaign.
+/// Result of a TP-matrix calibration campaign.
 #[derive(Debug, Clone)]
 pub struct FaultyTpRun {
     /// The (masked, imputed) temporal performance matrix.
@@ -426,6 +394,27 @@ pub struct FaultyTpRun {
 }
 
 impl FaultyTpRun {
+    /// A campaign of no snapshots over an `n`-instance cluster.
+    pub fn new(n: usize) -> Self {
+        FaultyTpRun {
+            tp: TpMatrix::new(n),
+            overhead: 0.0,
+            logs: Vec::new(),
+        }
+    }
+
+    /// Append `snapshot`, taken at `time`, to the campaign: its cells join
+    /// the TP-matrix under its own observation mask (unobserved cells
+    /// filled per `impute`), its overhead adds to the total and its log is
+    /// kept. Every TP calibration path, sharded or not, stacks its
+    /// snapshots through here in time order.
+    pub fn push(&mut self, time: f64, snapshot: CalibrationRun, impute: ImputePolicy) {
+        let observed = snapshot.outcomes.observed_mask();
+        self.tp.push_masked(time, &snapshot.perf, &observed, impute);
+        self.overhead += snapshot.overhead;
+        self.logs.push(snapshot.outcomes);
+    }
+
     /// Aggregate counters across every snapshot of the campaign.
     pub fn aggregate_log(&self) -> ProbeLog {
         let n = self.tp.n();
@@ -563,7 +552,8 @@ mod tests {
             LinkPerf::new(1e-4 * (1 + (i * 7 + j) % 5) as f64, 1e8 * (1 + (i + j) % 3) as f64)
         });
         let serial = Calibrator::new().calibrate(&mut ModelProbe(truth.clone()), 10.0);
-        let par = Calibrator::new().calibrate_par(&ModelProbe(truth), 10.0);
+        let par =
+            Calibrator::new().calibrate_par(&ModelProbe(truth), 10.0, &RetryPolicy::default());
         assert_eq!(par.rounds, serial.rounds);
         assert_eq!(par.overhead.to_bits(), serial.overhead.to_bits());
         for i in 0..24 {
@@ -629,7 +619,7 @@ mod tests {
     #[test]
     fn fault_free_fallible_path_is_bit_identical() {
         let plain = Calibrator::new().calibrate(&mut ModelProbe(truth6()), 50.0);
-        let faulty = Calibrator::new().calibrate_faulty_par(
+        let faulty = Calibrator::new().calibrate_par(
             &FlakyProbe::reliable(truth6()),
             50.0,
             &RetryPolicy::default(),
@@ -655,7 +645,7 @@ mod tests {
             flaky_until: f64::NEG_INFINITY,
         };
         let retry = RetryPolicy::default();
-        let run = Calibrator::new().calibrate_faulty_par(&probe, 0.0, &retry);
+        let run = Calibrator::new().calibrate_par(&probe, 0.0, &retry);
         assert_eq!(
             run.outcomes.outcome(0, 1),
             ProbeOutcome::Failed(retry.max_attempts)
@@ -680,7 +670,7 @@ mod tests {
             dead: Vec::new(),
             flaky_until: 1.0,
         };
-        let run = Calibrator::new().calibrate_faulty_par(&probe, 0.0, &RetryPolicy::default());
+        let run = Calibrator::new().calibrate_par(&probe, 0.0, &RetryPolicy::default());
         assert_eq!(run.outcomes.failed_links().len(), 0, "retries should recover");
         assert!(run.outcomes.retries > 0);
         assert!(run.outcomes.losses > 0);
@@ -735,7 +725,7 @@ mod tests {
             flaky_until: f64::NEG_INFINITY,
         };
         let adaptive = AdaptiveRetryPolicy::default(); // cold 2, hot 4
-        let run = Calibrator::new().calibrate_tp_faulty_adaptive_par(
+        let run = Calibrator::new().calibrate_tp_faulty_adaptive(
             &probe,
             0.0,
             500.0,
@@ -781,9 +771,8 @@ mod tests {
             budget: 0,
         };
         let plan = adaptive.plan(6, None, &[]);
-        let a =
-            Calibrator::new().calibrate_faulty_planned(&probe, 7.0, |i, j| plan.policy_for(i, j));
-        let b = Calibrator::new().calibrate_faulty_par(&probe, 7.0, &fixed);
+        let a = Calibrator::new().calibrate_planned(&probe, 7.0, |i, j| plan.policy_for(i, j));
+        let b = Calibrator::new().calibrate_par(&probe, 7.0, &fixed);
         assert_eq!(a.outcomes, b.outcomes);
         assert_eq!(a.overhead.to_bits(), b.overhead.to_bits());
     }
@@ -835,11 +824,11 @@ mod tests {
                 ),
                 (
                     "calibrate_par",
-                    cal.calibrate_par(&ModelProbe(truth.clone()), 5.0),
+                    cal.calibrate_par(&ModelProbe(truth.clone()), 5.0, &retry),
                 ),
                 (
-                    "calibrate_faulty_par",
-                    cal.calibrate_faulty_par(&flaky, 5.0, &retry),
+                    "calibrate_par (fallible)",
+                    cal.calibrate_par(&flaky, 5.0, &retry),
                 ),
             ];
             for (name, run) in snapshots {
@@ -875,8 +864,8 @@ mod tests {
                     ),
                 ),
                 (
-                    "calibrate_tp_faulty_adaptive_par",
-                    cal.calibrate_tp_faulty_adaptive_par(
+                    "calibrate_tp_faulty_adaptive",
+                    cal.calibrate_tp_faulty_adaptive(
                         &flaky,
                         5.0,
                         60.0,

@@ -15,10 +15,13 @@
 //! * [`ProbeOutcome`] / [`ProbeLog`] — per-link bookkeeping of how each
 //!   cell of the measurement matrix was (or was not) observed, plus the
 //!   aggregate counters a health report needs.
-//! * [`FallibleNetworkProbe`] — the trait backends implement to
-//!   participate; the synthetic cloud's fault wrapper lives in
+//! * [`FallibleNetworkProbe`] — the one probe interface the shared-reference
+//!   calibration paths consume. Every [`PureNetworkProbe`] is one whose
+//!   attempts always succeed, so a clean probe and a faulty one run the
+//!   same calibration; the synthetic cloud's fault wrapper lives in
 //!   `cloudconst-cloud`.
 
+use crate::PureNetworkProbe;
 use serde::{Deserialize, Serialize};
 
 /// Result of a single probe attempt against a fallible backend.
@@ -109,7 +112,8 @@ pub struct AttemptSeries {
 }
 
 impl AttemptSeries {
-    /// A first-try measurement of `secs`: what an infallible probe reports.
+    /// A first-try measurement of `secs`: what a probe that cannot fail
+    /// reports.
     pub fn ok(secs: f64) -> Self {
         AttemptSeries {
             measured: Some(secs),
@@ -462,6 +466,19 @@ pub trait FallibleNetworkProbe {
     /// Attempt to move `bytes` from `i` to `j` starting at `now`, giving
     /// up at `now + deadline`. `i == j` must return `ProbeAttempt::Ok(0.0)`.
     fn try_probe(&self, i: usize, j: usize, bytes: u64, now: f64, deadline: f64) -> ProbeAttempt;
+}
+
+/// A pure probe never fails: every attempt completes with the probe's own
+/// measurement, whatever the deadline, so calibrating it through the
+/// fallible path yields a fully observed run.
+impl<P: PureNetworkProbe> FallibleNetworkProbe for P {
+    fn n(&self) -> usize {
+        crate::NetworkProbe::n(self)
+    }
+
+    fn try_probe(&self, i: usize, j: usize, bytes: u64, now: f64, _deadline: f64) -> ProbeAttempt {
+        ProbeAttempt::Ok(self.probe_pure(i, j, bytes, now))
+    }
 }
 
 #[cfg(test)]

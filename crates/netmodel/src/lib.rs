@@ -14,7 +14,14 @@
 //!   (de)serialization; the trace-replay methodology of paper §V-D3.
 //! * [`calibrate`] — the SKaMPI-style ping-pong calibration protocol with
 //!   the paper's `N/2`-concurrent-pairs round schedule (§IV-B), expressed
-//!   against the backend-agnostic [`NetworkProbe`] trait.
+//!   against two backend-agnostic probe traits: [`NetworkProbe`] through a
+//!   `&mut` reference, for backends whose probes change their own state,
+//!   and [`FallibleNetworkProbe`] through a shared one, for everything
+//!   else.
+//! * [`fallible`] — attempt outcomes, retry/backoff and probe logs. A
+//!   [`PureNetworkProbe`] is a fallible probe whose attempts never fail, so
+//!   a clean calibration is the fault-aware one with every cell observed:
+//!   one calibration path, not a clean twin and a faulty twin.
 //!
 //! Conventions: time is `f64` seconds, sizes are `u64` bytes, bandwidth is
 //! bytes/second. Internally the *inverse* bandwidth (seconds/byte) is
@@ -83,7 +90,8 @@ pub trait NetworkProbe {
 /// simulator does not (probes advance its event queue).
 ///
 /// Implementors must satisfy `probe_pure(i, j, b, t) ==`
-/// [`NetworkProbe::probe`]`(i, j, b, t)` for every input.
+/// [`NetworkProbe::probe`]`(i, j, b, t)` for every input. Every pure probe
+/// is also a [`FallibleNetworkProbe`] whose attempts always succeed.
 pub trait PureNetworkProbe: NetworkProbe {
     /// [`NetworkProbe::probe`] through a shared reference.
     fn probe_pure(&self, i: usize, j: usize, bytes: u64, now: f64) -> f64;

@@ -72,9 +72,8 @@ impl TpMatrix {
 
     /// Append one fully-observed calibration snapshot.
     pub fn push(&mut self, time: f64, pm: &PerfMatrix) {
-        assert_eq!(pm.n(), self.n, "snapshot size mismatch");
-        let cells = self.n * self.n;
-        self.push_rows(time, pm.flatten(), vec![1.0; cells]);
+        let observed = vec![true; self.n * self.n];
+        self.push_masked(time, pm, &observed, ImputePolicy::LastGood);
     }
 
     /// Append a partially-observed snapshot: `observed` is the row-major
@@ -83,19 +82,18 @@ impl TpMatrix {
     pub fn push_masked(&mut self, time: f64, pm: &PerfMatrix, observed: &[bool], impute: ImputePolicy) {
         assert_eq!(pm.n(), self.n, "snapshot size mismatch");
         assert_eq!(observed.len(), self.n * self.n, "mask size mismatch");
+        let n = self.n;
+        // Diagonal cells are structurally zero, never imputed.
+        let observed_cell = |k: usize| observed[k] || k / n == k % n;
         let (mut af, mut bf) = pm.flatten();
-        self.impute_row(&mut af, observed, impute, Which::Alpha);
-        self.impute_row(&mut bf, observed, impute, Which::InvBeta);
-        let mask: Vec<f64> = (0..self.n * self.n)
-            .map(|k| {
-                // Diagonal cells are structurally zero, never imputed.
-                let (i, j) = (k / self.n, k % self.n);
-                if i == j || observed[k] {
-                    1.0
-                } else {
-                    0.0
-                }
-            })
+        // A fully observed snapshot has nothing to fill: skip the per-plane
+        // median sorts.
+        if !(0..n * n).all(observed_cell) {
+            self.impute_row(&mut af, observed, impute, Which::Alpha);
+            self.impute_row(&mut bf, observed, impute, Which::InvBeta);
+        }
+        let mask = (0..n * n)
+            .map(|k| if observed_cell(k) { 1.0 } else { 0.0 })
             .collect();
         self.push_rows(time, (af, bf), mask);
     }
@@ -115,6 +113,7 @@ impl TpMatrix {
     }
 
     /// Fill the unobserved cells of one flattened snapshot row in place.
+    /// Called only when at least one off-diagonal cell is unobserved.
     fn impute_row(&self, row: &mut [f64], observed: &[bool], impute: ImputePolicy, which: Which) {
         let n = self.n;
         // Median of the observed off-diagonal cells of this snapshot — the
@@ -134,13 +133,10 @@ impl TpMatrix {
             Which::Alpha => &self.alpha,
             Which::InvBeta => &self.inv_beta,
         };
-        // The rank-one constant of the history plane, solved once per push
-        // and only when ModelPrediction actually has cells to fill.
+        // The rank-one constant of the history plane, solved once per push;
+        // the caller only imputes when some cell is unobserved.
         let model: Option<Vec<f64>> = match impute {
-            ImputePolicy::ModelPrediction
-                if self.steps() > 0
-                    && (0..n * n).any(|k| !observed[k] && k / n != k % n) =>
-            {
+            ImputePolicy::ModelPrediction if self.steps() > 0 => {
                 let opts = cloudconst_rpca::Rank1Options::default();
                 Some(cloudconst_rpca::rank1_rpca(hist, &opts).constant)
             }

@@ -30,7 +30,7 @@ pub mod rank1;
 pub use apg::{apg, ApgOptions};
 pub use constant::{constant_matrix, extract_constant, ConstantMethod};
 pub use ialm::{ialm, IalmOptions};
-pub use metrics::{norm_ne, norm_ne_l1, norm_ne_l1_masked, norm_ne_masked, relative_difference};
+pub use metrics::{norm_ne, norm_ne_l1, relative_difference};
 pub use rank1::{rank1_rpca, Rank1Options, Rank1Result};
 
 use cloudconst_linalg::{eigh, LinalgError, Mat};
@@ -95,7 +95,10 @@ impl std::fmt::Display for RpcaError {
             RpcaError::NoConvergence {
                 iters, residual, ..
             } => {
-                write!(f, "RPCA did not converge in {iters} iterations (residual {residual:.3e})")
+                write!(
+                    f,
+                    "RPCA did not converge in {iters} iterations (residual {residual:.3e})"
+                )
             }
             RpcaError::BadOption(msg) => write!(f, "invalid RPCA option: {msg}"),
         }

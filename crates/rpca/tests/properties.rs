@@ -2,8 +2,8 @@
 
 use cloudconst_linalg::{fro_norm, svd_thin, Mat};
 use cloudconst_rpca::{
-    apg, constant_matrix, extract_constant, ialm, norm_ne, norm_ne_l1, norm_ne_masked,
-    ApgOptions, ConstantMethod, IalmOptions,
+    apg, constant_matrix, extract_constant, ialm, norm_ne, norm_ne_l1, ApgOptions, ConstantMethod,
+    IalmOptions,
 };
 use proptest::prelude::*;
 
@@ -92,19 +92,21 @@ proptest! {
     fn norm_metrics_scale_invariant((a, _low, _sp) in low_rank_plus_sparse(), s in 0.5f64..20.0) {
         let r = apg(&a, &ApgOptions::default()).unwrap();
         let e = r.exact_error(&a).unwrap();
-        let n1 = norm_ne(&e, &a);
-        let n2 = norm_ne(&e.scale(s), &a.scale(s));
+        let ones = Mat::full(a.rows(), a.cols(), 1.0);
+        let n1 = norm_ne(&e, &a, &ones);
+        let n2 = norm_ne(&e.scale(s), &a.scale(s), &ones);
         prop_assert!((n1 - n2).abs() <= 1e-12, "count norm not scale invariant");
-        let l1 = norm_ne_l1(&e, &a);
-        let l2 = norm_ne_l1(&e.scale(s), &a.scale(s));
+        let l1 = norm_ne_l1(&e, &a, &ones);
+        let l2 = norm_ne_l1(&e.scale(s), &a.scale(s), &ones);
         prop_assert!((l1 - l2).abs() <= 1e-12, "l1 norm not scale invariant");
     }
 
     #[test]
     fn norm_ne_zero_iff_error_below_threshold((a, _low, _sp) in low_rank_plus_sparse()) {
         let zero = Mat::zeros(a.rows(), a.cols());
-        prop_assert_eq!(norm_ne(&zero, &a), 0.0);
-        prop_assert_eq!(norm_ne_l1(&zero, &a), 0.0);
+        let ones = Mat::full(a.rows(), a.cols(), 1.0);
+        prop_assert_eq!(norm_ne(&zero, &a, &ones), 0.0);
+        prop_assert_eq!(norm_ne_l1(&zero, &a, &ones), 0.0);
     }
 
     #[test]
@@ -146,7 +148,7 @@ proptest! {
         // refines: excluding imputed cells cannot *invent* significant
         // errors on observed cells.
         let e = r.exact_error(&masked).unwrap();
-        let frac = norm_ne_masked(&e, &masked, &mask);
+        let frac = norm_ne(&e, &masked, &mask);
         prop_assert!((0.0..=1.0).contains(&frac), "masked Norm(N_E) {frac}");
         // The imputed matrix is still low-rank + sparse, so the observed
         // error fraction stays small.

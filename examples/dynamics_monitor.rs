@@ -27,10 +27,10 @@ fn main() {
     cfg.spike_prob = 0.005;
     cfg.lull_prob = 0.005;
     cfg.volatility_sigma = 0.03;
-    let mut cloud = SyntheticCloud::new(cfg);
+    let cloud = SyntheticCloud::new(cfg);
 
     let mut advisor = Advisor::new(AdvisorConfig::default());
-    advisor.calibrate(&mut cloud, 0.0).expect("calibration");
+    advisor.calibrate_par(&cloud, 0.0).expect("calibration");
     println!(
         "t=0h: calibrated. Norm(N_E) = {:.3} -> {:?}\n",
         advisor.norm_ne().unwrap(),
@@ -46,7 +46,7 @@ fn main() {
         let observed = env.collective_time(Collective::Broadcast, hour % n, msg);
         let expect_env = CommEnv::guided(&guide, &guide);
         let expected = expect_env.collective_time(Collective::Broadcast, hour % n, msg);
-        let decision = advisor.observe(&mut cloud, t, expected, observed).unwrap();
+        let decision = advisor.observe(&cloud, t, expected, observed).unwrap();
         let marker = if decision == MaintenanceDecision::Recalibrate {
             "  << RE-CALIBRATED"
         } else {

@@ -20,9 +20,9 @@ fn main() {
     let steps: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(100);
     let n = 24;
 
-    let mut cloud = SyntheticCloud::new(CloudConfig::ec2_like(n, 99));
+    let cloud = SyntheticCloud::new(CloudConfig::ec2_like(n, 99));
     let mut advisor = Advisor::new(AdvisorConfig::default());
-    advisor.calibrate(&mut cloud, 0.0).expect("calibration");
+    advisor.calibrate_par(&cloud, 0.0).expect("calibration");
     let guide = advisor.constant().expect("model").clone();
 
     let t = 7200.0;

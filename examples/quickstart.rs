@@ -20,12 +20,12 @@ fn main() {
     //    infrastructure this would be your N instances; here the cloud is
     //    simulated, which also gives us ground truth to compare against.
     let n = 24;
-    let mut cloud = SyntheticCloud::new(CloudConfig::ec2_like(n, 2025));
+    let cloud = SyntheticCloud::new(CloudConfig::ec2_like(n, 2025));
 
     // 2. Algorithm 1: calibrate a temporal performance matrix and extract
     //    the constant component with RPCA.
     let mut advisor = Advisor::new(AdvisorConfig::default());
-    let state = advisor.calibrate(&mut cloud, 0.0).expect("calibration");
+    let state = advisor.calibrate_par(&cloud, 0.0).expect("calibration");
     println!(
         "calibrated {} snapshots, Norm(N_E) = {:.3} -> {:?}",
         state.tp.steps(),
@@ -55,7 +55,7 @@ fn main() {
     //    re-calibrates only when reality diverges from the model.
     let expected = guided.collective_time(Collective::Broadcast, 0, msg);
     let decision = advisor
-        .observe(&mut cloud, t, expected, t_rpca)
+        .observe(&cloud, t, expected, t_rpca)
         .expect("observe");
     println!("maintenance decision: {decision:?} (calibrations so far: {})", advisor.calibrations());
 }

@@ -20,9 +20,9 @@ fn main() {
     let depth: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(4);
     let n = width; // one machine per pipeline lane
 
-    let mut cloud = SyntheticCloud::new(CloudConfig::ec2_like(n, 2718));
+    let cloud = SyntheticCloud::new(CloudConfig::ec2_like(n, 2718));
     let mut advisor = Advisor::new(AdvisorConfig::default());
-    advisor.calibrate(&mut cloud, 0.0).expect("calibration");
+    advisor.calibrate_par(&cloud, 0.0).expect("calibration");
     let guide = advisor.constant().expect("model").clone();
     let actual = PerfMatrix::from_fn(n, |i, j| cloud.instantaneous(i, j, 30_000.0));
 

@@ -225,7 +225,7 @@ fn faulty_campaign_with_model_prediction() {
 #[test]
 fn adaptive_campaign() {
     let faulty = faulty_cloud(24, 33);
-    let run = Calibrator::new().calibrate_tp_faulty_adaptive_par(
+    let run = Calibrator::new().calibrate_tp_faulty_adaptive(
         &faulty,
         100.0,
         60.0,

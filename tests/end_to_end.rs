@@ -18,9 +18,9 @@ fn actual_at(cloud: &SyntheticCloud, t: f64) -> PerfMatrix {
 #[test]
 fn pipeline_recovers_ground_truth_on_calm_cloud() {
     let n = 12;
-    let mut cloud = SyntheticCloud::new(CloudConfig::calm(n, 1));
+    let cloud = SyntheticCloud::new(CloudConfig::calm(n, 1));
     let mut advisor = Advisor::new(AdvisorConfig::default());
-    advisor.calibrate(&mut cloud, 0.0).unwrap();
+    advisor.calibrate_par(&cloud, 0.0).unwrap();
     let truth = cloud.ground_truth(0);
     let est = advisor.constant().unwrap();
     for i in 0..n {
@@ -40,9 +40,9 @@ fn pipeline_recovers_ground_truth_on_calm_cloud() {
 #[test]
 fn guided_broadcast_beats_baseline_on_average() {
     let n = 20;
-    let mut cloud = SyntheticCloud::new(CloudConfig::ec2_like(n, 5));
+    let cloud = SyntheticCloud::new(CloudConfig::ec2_like(n, 5));
     let mut advisor = Advisor::new(AdvisorConfig::default());
-    advisor.calibrate(&mut cloud, 0.0).unwrap();
+    advisor.calibrate_par(&cloud, 0.0).unwrap();
     let guide = advisor.constant().unwrap().clone();
 
     let mut base_sum = 0.0;
@@ -64,9 +64,9 @@ fn guided_broadcast_beats_baseline_on_average() {
 #[test]
 fn guided_mapping_beats_ring_on_average() {
     let n = 20;
-    let mut cloud = SyntheticCloud::new(CloudConfig::ec2_like(n, 9));
+    let cloud = SyntheticCloud::new(CloudConfig::ec2_like(n, 9));
     let mut advisor = Advisor::new(AdvisorConfig::default());
-    advisor.calibrate(&mut cloud, 0.0).unwrap();
+    advisor.calibrate_par(&cloud, 0.0).unwrap();
     let guide = advisor.constant().unwrap().clone();
     let machines = machine_graph_from_perf(&guide);
 
@@ -91,10 +91,10 @@ fn maintenance_loop_survives_regime_shift() {
     let mut cfg = CloudConfig::ec2_like(n, 23);
     cfg.shift_times = vec![30_000.0];
     cfg.migrate_frac = 0.8;
-    let mut cloud = SyntheticCloud::new(cfg);
+    let cloud = SyntheticCloud::new(cfg);
 
     let mut advisor = Advisor::new(AdvisorConfig::default());
-    advisor.calibrate(&mut cloud, 0.0).unwrap();
+    advisor.calibrate_par(&cloud, 0.0).unwrap();
 
     let mut recalibrated = false;
     for k in 0..20 {
@@ -106,7 +106,7 @@ fn maintenance_loop_survives_regime_shift() {
             CommEnv::guided(&actual, &guide).collective_time(Collective::Broadcast, root, 8 * MB);
         let expected =
             CommEnv::guided(&guide, &guide).collective_time(Collective::Broadcast, root, 8 * MB);
-        if advisor.observe(&mut cloud, t, expected, observed).unwrap()
+        if advisor.observe(&cloud, t, expected, observed).unwrap()
             == MaintenanceDecision::Recalibrate
             && t > 30_000.0
         {

@@ -2,14 +2,17 @@
 //! FNF tree build → maintenance, swept over fault rates 0 → 20%.
 //!
 //! The sweep pins the two promises of the fault-aware path: at 0% faults
-//! the pipeline is **bit-identical** to the historic infallible one, and
+//! the pipeline is **bit-identical** to the infallible `&mut` calibrator
+//! and reports the bare cloud's probe counters, and
 //! as fault rates climb to 20% the recovered constant component stays
 //! within a bounded relative error of ground truth while the
 //! [`HealthReport`] tells the truth about how the model was obtained.
 
 use cloudconst::cloud::{CloudConfig, FaultPlan, FaultyCloud, FlakyLink, SyntheticCloud};
 use cloudconst::collectives::fnf_tree;
-use cloudconst::core::{Advisor, AdvisorConfig, DegradedPolicy, MaintenanceDecision};
+use cloudconst::core::{
+    estimate_with_opts, Advisor, AdvisorConfig, DegradedPolicy, MaintenanceDecision,
+};
 use cloudconst::netmodel::{
     AdaptiveRetryPolicy, Calibrator, FaultyTpRun, ImputePolicy, RetryPolicy, BETA_PROBE_BYTES,
 };
@@ -58,25 +61,35 @@ fn zero_fault_pipeline_is_bit_identical_to_infallible_path() {
     let cloud = SyntheticCloud::new(CloudConfig::ec2_like(n, 77));
     let faulty = FaultyCloud::new(cloud.clone(), FaultPlan::none(77));
 
-    let mut plain = Advisor::new(AdvisorConfig::default());
-    plain.calibrate_par(&cloud, 0.0).unwrap();
+    // The infallible reference: the `&mut` calibrator, then the estimator.
+    let cfg = AdvisorConfig::default();
+    let (tp, overhead) = Calibrator {
+        config: cfg.calibration.clone(),
+    }
+    .calibrate_tp(
+        &mut cloud.clone(),
+        0.0,
+        cfg.snapshot_interval,
+        cfg.time_step,
+    );
+    let est = estimate_with_opts(&tp, cfg.estimator, cfg.degraded, &cfg.rpca).unwrap();
     let mut robust = faulty_advisor(generous_retry());
-    robust.calibrate_faulty_par(&faulty, 0.0).unwrap();
+    robust.calibrate_par(&faulty, 0.0).unwrap();
 
-    let (mp, mr) = (plain.model().unwrap(), robust.model().unwrap());
+    let mr = robust.model().unwrap();
     assert_eq!(
-        mp.calibration_overhead.to_bits(),
+        overhead.to_bits(),
         mr.calibration_overhead.to_bits(),
         "calibration overhead diverged"
     );
     assert_eq!(
-        mp.estimate.norm_ne.to_bits(),
+        est.norm_ne.to_bits(),
         mr.estimate.norm_ne.to_bits(),
         "Norm(N_E) diverged"
     );
     for i in 0..n {
         for j in 0..n {
-            let a = mp.estimate.perf.link(i, j);
+            let a = est.perf.link(i, j);
             let b = mr.estimate.perf.link(i, j);
             assert_eq!(a.alpha.to_bits(), b.alpha.to_bits(), "alpha ({i},{j})");
             assert_eq!(a.beta.to_bits(), b.beta.to_bits(), "beta ({i},{j})");
@@ -85,7 +98,7 @@ fn zero_fault_pipeline_is_bit_identical_to_infallible_path() {
 
     // Downstream guidance is therefore identical too: the FNF broadcast
     // trees built from either constant are the same tree.
-    let wp = mp.estimate.perf.weights(BETA_PROBE_BYTES);
+    let wp = est.perf.weights(BETA_PROBE_BYTES);
     let wr = mr.estimate.perf.weights(BETA_PROBE_BYTES);
     for root in [0, 5, n - 1] {
         let tp = fnf_tree(root, &wp);
@@ -95,8 +108,13 @@ fn zero_fault_pipeline_is_bit_identical_to_infallible_path() {
         }
     }
 
-    // And the health report records a perfectly clean campaign.
+    // And the health report records a perfectly clean campaign: the same
+    // counters the bare cloud reports, two first-try probes per link.
     let h = robust.health(0.0).unwrap();
+    let mut plain = Advisor::new(cfg.clone());
+    plain.calibrate_par(&cloud, 0.0).unwrap();
+    assert_eq!(h.attempts, plain.health(0.0).unwrap().attempts);
+    assert_eq!(h.attempts, 2 * (n * (n - 1) * cfg.time_step) as u64);
     assert_eq!(h.probe_success_rate, 1.0);
     assert_eq!(h.retries + h.timeouts + h.losses, 0);
     assert_eq!(h.masked_fraction, 0.0);
@@ -115,7 +133,7 @@ fn fault_sweep_keeps_constant_error_bounded_and_health_truthful() {
         // clipped into timeouts and retried instead of polluting the model.
         let mut advisor = faulty_advisor(RetryPolicy::default());
         advisor
-            .calibrate_faulty_par(&faulty, 0.0)
+            .calibrate_par(&faulty, 0.0)
             .unwrap_or_else(|e| panic!("calibration at rate {rate} failed: {e}"));
 
         // Masked RPCA still finds the constant within a bounded error.
@@ -183,7 +201,7 @@ fn rack_blackout_campaign_recovers_constant_with_truthful_health() {
         impute: ImputePolicy::ModelPrediction,
         ..AdvisorConfig::default()
     });
-    advisor.calibrate_faulty_par(&faulty, 0.0).unwrap();
+    advisor.calibrate_par(&faulty, 0.0).unwrap();
 
     let err = mean_rel_error(&advisor, &cloud);
     assert!(
@@ -226,7 +244,7 @@ fn starved_solver_with_model_imputation_survives_heavy_masking() {
         ..AdvisorConfig::default()
     });
     advisor.config_mut().rpca.max_iters = 40;
-    advisor.calibrate_faulty_par(&faulty, 0.0).unwrap();
+    advisor.calibrate_par(&faulty, 0.0).unwrap();
 
     let h = advisor.health(0.0).unwrap();
     assert!(
@@ -279,7 +297,7 @@ fn adaptive_retry_spends_fewer_attempts_at_equal_or_better_success_rate() {
         &RetryPolicy::default(),
         ImputePolicy::LastGood,
     );
-    let adaptive = Calibrator::new().calibrate_tp_faulty_adaptive_par(
+    let adaptive = Calibrator::new().calibrate_tp_faulty_adaptive(
         &faulty,
         0.0,
         1800.0,
@@ -312,7 +330,7 @@ fn starved_solver_is_rescued_by_accept_near_tolerance() {
     let mut strict = faulty_advisor(RetryPolicy::default());
     strict.config_mut().rpca.max_iters = 40;
     assert!(
-        strict.calibrate_faulty_par(&faulty, 0.0).is_err(),
+        strict.calibrate_par(&faulty, 0.0).is_err(),
         "budget chosen for this fixture must actually starve the solver"
     );
 
@@ -321,7 +339,7 @@ fn starved_solver_is_rescued_by_accept_near_tolerance() {
     let mut lenient = faulty_advisor(RetryPolicy::default());
     lenient.config_mut().rpca.max_iters = 40;
     lenient.config_mut().degraded = DegradedPolicy::AcceptNearTolerance(0.05);
-    lenient.calibrate_faulty_par(&faulty, 0.0).unwrap();
+    lenient.calibrate_par(&faulty, 0.0).unwrap();
     let h = lenient.health(0.0).unwrap();
     assert!(h.degraded, "partial acceptance must be reported");
     let err = mean_rel_error(&lenient, &cloud);

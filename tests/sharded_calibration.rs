@@ -12,19 +12,10 @@ use cloudconst::coord::{
 };
 use cloudconst::core::{Advisor, AdvisorConfig};
 use cloudconst::netmodel::{
-    Calibrator, FaultyTpRun, ImputePolicy, NetTrace, RetryPolicy, TpMatrix,
+    AdaptiveRetryPolicy, Calibrator, FaultyTpRun, ImputePolicy, NetTrace, RetryPolicy, TpMatrix,
 };
 
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
-
-/// A deadline honest probes never hit: with a fault-free plan the fallible
-/// path then measures exactly what the infallible one would.
-fn generous_retry() -> RetryPolicy {
-    RetryPolicy {
-        deadline: 1e9,
-        ..RetryPolicy::default()
-    }
-}
 
 fn assert_tp_bits_equal(a: &TpMatrix, b: &TpMatrix, what: &str) {
     assert_eq!(a.n(), b.n(), "{what}: n");
@@ -53,8 +44,9 @@ fn assert_runs_bit_identical(sharded: &FaultyTpRun, unsharded: &FaultyTpRun, wha
     assert_eq!(sharded.logs, unsharded.logs, "{what}: logs");
 }
 
-/// Fault-free: for every shard count the merged sharded matrix carries the
-/// exact bits of the historic *infallible* parallel calibrator.
+/// Fault-free: the bare cloud is a probe whose attempts never fail, so
+/// it goes to the workers as it is, and for every shard count the merged
+/// sharded matrix carries the exact bits of the parallel calibrator.
 #[test]
 fn sharded_matches_infallible_calibrator_for_all_k() {
     let n = 16;
@@ -63,11 +55,8 @@ fn sharded_matches_infallible_calibrator_for_all_k() {
     let (tp, overhead) = Calibrator::new().calibrate_tp_par(&cloud, 0.0, 60.0, steps);
 
     for k in SHARD_COUNTS {
-        let faulty = FaultyCloud::new(cloud.clone(), FaultPlan::none(1));
-        let mut config = CoordinatorConfig::new(k);
-        config.retry = generous_retry();
-        let mut transport = LoopbackTransport::new(faulty, k);
-        let sharded = Coordinator::new(config)
+        let mut transport = LoopbackTransport::new(cloud.clone(), k);
+        let sharded = Coordinator::new(CoordinatorConfig::new(k))
             .calibrate_tp(&mut transport, 0.0, 60.0, steps)
             .expect("loopback campaign cannot abort");
 
@@ -76,6 +65,50 @@ fn sharded_matches_infallible_calibrator_for_all_k() {
         assert_eq!(sharded.report.success_rate, 1.0, "K={k}");
         assert_eq!(sharded.report.redispatches, 0, "K={k}");
         assert_eq!(sharded.report.shards, k as u64);
+    }
+}
+
+/// A campaign of zero snapshots still describes the probed cluster: every
+/// TP driver — `&mut`, shared-reference, fault-aware, adaptive and sharded
+/// — returns an empty TP-matrix over `n` instances.
+#[test]
+fn zero_step_campaigns_keep_the_cluster_size() {
+    let n = 6;
+    let cloud = SyntheticCloud::new(CloudConfig::small_test(n, 2));
+    let cal = Calibrator::new();
+    let retry = RetryPolicy::default();
+    let impute = ImputePolicy::LastGood;
+    let sharded = Coordinator::new(CoordinatorConfig::new(2))
+        .calibrate_tp(&mut LoopbackTransport::new(cloud.clone(), 2), 0.0, 60.0, 0)
+        .expect("an empty campaign cannot abort");
+    let runs = [
+        (
+            "calibrate_tp",
+            cal.calibrate_tp(&mut cloud.clone(), 0.0, 60.0, 0),
+        ),
+        (
+            "calibrate_tp_par",
+            cal.calibrate_tp_par(&cloud, 0.0, 60.0, 0),
+        ),
+        ("calibrate_tp_faulty_par", {
+            let run = cal.calibrate_tp_faulty_par(&cloud, 0.0, 60.0, 0, &retry, impute);
+            (run.tp, run.overhead)
+        }),
+        ("calibrate_tp_faulty_adaptive", {
+            let adaptive = AdaptiveRetryPolicy::default();
+            let run = cal.calibrate_tp_faulty_adaptive(&cloud, 0.0, 60.0, 0, &adaptive, impute);
+            (run.tp, run.overhead)
+        }),
+        (
+            "Coordinator::calibrate_tp",
+            (sharded.run.tp, sharded.run.overhead),
+        ),
+    ];
+    for (what, (tp, overhead)) in runs {
+        assert_eq!(tp.n(), n, "{what}");
+        assert_eq!(tp.steps(), 0, "{what}");
+        assert_eq!(tp.alpha_matrix().shape(), (0, n * n), "{what}");
+        assert_eq!(overhead, 0.0, "{what}");
     }
 }
 
@@ -178,7 +211,7 @@ fn advisor_adopts_sharded_run() {
     };
 
     let mut internal = Advisor::new(quick.clone());
-    internal.calibrate_faulty_par(&cloud, 0.0).unwrap();
+    internal.calibrate_par(&cloud, 0.0).unwrap();
 
     let mut external = Advisor::new(quick.clone());
     let mut config = CoordinatorConfig::new(4);
@@ -227,7 +260,7 @@ fn advisor_adopts_tcp_campaign_end_to_end() {
     };
 
     let mut internal = Advisor::new(quick.clone());
-    internal.calibrate_faulty_par(&cloud, 0.0).unwrap();
+    internal.calibrate_par(&cloud, 0.0).unwrap();
 
     let key = AuthKey::from_seed(2024);
     let server = TcpWorkerServer::spawn(cloud.clone(), k, key).expect("bind localhost");
@@ -292,7 +325,7 @@ fn quarantine_survives_sharded_merge() {
     };
 
     let mut internal = Advisor::new(quick.clone());
-    internal.calibrate_faulty_par(&cloud, 0.0).unwrap();
+    internal.calibrate_par(&cloud, 0.0).unwrap();
     assert_eq!(internal.quarantined(), &[(0, 1)]);
 
     for k in [2usize, 4] {
