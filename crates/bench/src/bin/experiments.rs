@@ -3,7 +3,7 @@
 //! ```text
 //! experiments <id> [--full]
 //!     id ∈ { fig1 fig2 fig4 fig5 fig6 fig7 fig8 fig9a fig9b fig9c
-//!            fig10 fig11 fig12 fig13 headline
+//!            fig10 fig11 fig12 fig13 headline (alias of fig7)
 //!            ablation-rank1 ablation-heuristics ablation-pairing all }
 //! ```
 //!
@@ -15,7 +15,9 @@ use cloudconst_apps::{
     balanced_eft_schedule, cg, execute_workflow, nbody, round_robin_schedule, CgConfig, CommEnv,
     NBodyConfig, Workflow,
 };
-use cloudconst_bench::campaign::{instantaneous_perf, run_campaign, run_pooled, Campaign};
+use cloudconst_bench::campaign::{
+    instantaneous_perf, run_campaign, run_pooled, Campaign, CampaignResult,
+};
 use cloudconst_bench::replay::{replay_campaign, ReplaySetup};
 use cloudconst_bench::sim_experiments::{sim_calibrate, sim_comparison, SimSetup};
 use cloudconst_bench::table::fmt;
@@ -83,9 +85,9 @@ fn main() {
 
     let all = [
         "fig1", "fig2", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9a", "fig9b", "fig9c",
-        "fig10", "fig11", "fig12", "fig13", "headline", "ablation-rank1",
-        "ablation-heuristics", "ablation-pairing", "ablation-coords", "ablation-solvers",
-        "ext-workflow", "ablation-anneal",
+        "fig10", "fig11", "fig12", "fig13", "ablation-rank1", "ablation-heuristics",
+        "ablation-pairing", "ablation-coords", "ablation-solvers", "ext-workflow",
+        "ablation-anneal",
     ];
     let to_run: Vec<&str> = if id == "all" { all.to_vec() } else { vec![id] };
     for id in to_run {
@@ -96,7 +98,8 @@ fn main() {
             "fig4" => fig4(&ctx),
             "fig5" => fig5(&ctx),
             "fig6" => fig6(&ctx),
-            "fig7" => fig7(&ctx),
+            // `headline` is the Fig. 7 campaign's summary: one run writes both.
+            "fig7" | "headline" => fig7(&ctx),
             "fig8" => fig8(&ctx),
             "fig9a" => fig9a(&ctx),
             "fig9b" => fig9b(&ctx),
@@ -105,7 +108,6 @@ fn main() {
             "fig11" => fig11(&ctx),
             "fig12" => fig12(&ctx),
             "fig13" => fig13(&ctx),
-            "headline" => headline(&ctx),
             "ablation-rank1" => ablation_rank1(&ctx),
             "ablation-heuristics" => ablation_heuristics(&ctx),
             "ablation-pairing" => ablation_pairing(&ctx),
@@ -363,6 +365,7 @@ fn fig7(ctx: &Ctx) {
     ctx.save(&t, "fig7a");
     let t = cdf_table("Fig 7(b): CDF of broadcast elapsed time", &r.bcast, &approaches);
     ctx.save(&t, "fig7b");
+    ctx.save(&headline_table(&r), "headline");
 }
 
 /// Fig. 8 — improvement vs cluster size (and message size).
@@ -722,11 +725,9 @@ fn fig13(ctx: &Ctx) {
     ctx.save(&t, "fig13b");
 }
 
-/// The headline numbers of the abstract (§I): improvement percentages.
-fn headline(ctx: &Ctx) {
-    let mut c = Campaign::paper_like(ctx.n_default(), 13);
-    c.runs = ctx.runs_default();
-    let r = run_pooled(&c, 4);
+/// The headline numbers of the abstract (§I): improvement percentages of
+/// the Fig. 7 campaign, so `fig7` writes `headline.csv` from its own run.
+fn headline_table(r: &CampaignResult) -> Table {
     let imp = |s: &cloudconst_bench::OpSeries, a: Approach, over: Approach| {
         1.0 - s.mean_of(a) / s.mean_of(over)
     };
@@ -741,7 +742,7 @@ fn headline(ctx: &Ctx) {
             format!("{:.1}%", imp(s, Approach::Rpca, Approach::Heuristics) * 100.0),
         ]);
     }
-    ctx.save(&t, "headline");
+    t
 }
 
 /// Ablation: rank-1 extraction method.

@@ -6,8 +6,18 @@ use cloudconst_netmodel::{
     CalibrationConfig, Calibrator, FallibleNetworkProbe, FaultyTpRun, ImputePolicy, PerfMatrix,
     ProbeLog, ProbeOutcome, RetryPolicy, TpMatrix,
 };
-use cloudconst_rpca::{ApgOptions, RpcaError};
+use cloudconst_rpca::ApgOptions;
 use serde::{Deserialize, Serialize};
+
+/// Quarantine a link after this many *consecutive snapshots* in which every
+/// probe of the link failed. Quarantined links no longer trigger
+/// maintenance re-calibration (see [`Advisor::check_link`]); a single
+/// successful probe lifts the quarantine.
+const QUARANTINE_AFTER: u32 = 3;
+
+/// How many per-campaign [`HealthReport`]s a [`CampaignHistory`] retains
+/// (oldest evicted first).
+const HISTORY_CAPACITY: usize = 32;
 
 /// Configuration of the advisor loop.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -30,31 +40,10 @@ pub struct AdvisorConfig {
     /// How [`Advisor::calibrate_par`] fills TP-matrix cells no probe
     /// attempt observed.
     pub impute: ImputePolicy,
-    /// What to do when the RPCA solver exhausts its budget (applies to
-    /// every calibration path; the default `Fail` reproduces the historic
-    /// strict behaviour exactly).
+    /// What to do when the RPCA solver exhausts its budget. Under the
+    /// default `Fail` a non-converged re-calibration returns the error and
+    /// leaves the previous model (and its health counters) in force.
     pub degraded: DegradedPolicy,
-    /// Adapt the degraded policy from campaign history: when the recent
-    /// half of the retained health reports shows a mean probe success
-    /// rate more than [`AdvisorConfig::degraded_trend_drop`] below the
-    /// older half's, the advisor overrides `degraded` with
-    /// [`DegradedPolicy::FallBackToPrevious`] for the next install —
-    /// a decaying network is exactly when a non-converged solve should
-    /// not evict a known-good model. The override lifts by itself once
-    /// the trend heals. Off by default (the configured policy always
-    /// applies).
-    pub adaptive_degraded: bool,
-    /// Success-rate drop (older-half mean minus recent-half mean of the
-    /// campaign history) beyond which the adaptive override engages.
-    pub degraded_trend_drop: f64,
-    /// Quarantine a link after this many *consecutive snapshots* in which
-    /// every probe of the link failed. Quarantined links no longer trigger
-    /// maintenance re-calibration (see [`Advisor::check_link`]); a single
-    /// successful probe lifts the quarantine.
-    pub quarantine_after: u32,
-    /// How many per-campaign [`HealthReport`]s the advisor retains in its
-    /// [`CampaignHistory`] ring (oldest evicted first; min 1).
-    pub history_capacity: usize,
     /// APG solver options (relevant to [`EstimatorKind::Rpca`] only).
     pub rpca: ApgOptions,
 }
@@ -73,10 +62,6 @@ impl Default for AdvisorConfig {
             retry: RetryPolicy::default(),
             impute: ImputePolicy::LastGood,
             degraded: DegradedPolicy::Fail,
-            adaptive_degraded: false,
-            degraded_trend_drop: 0.02,
-            quarantine_after: 3,
-            history_capacity: 32,
             rpca: ApgOptions::default(),
         }
     }
@@ -104,11 +89,8 @@ pub struct HealthReport {
     pub masked_fraction: f64,
     /// Seconds since the model in force was calibrated.
     pub model_age: f64,
-    /// True when the model is running in degraded mode: either it came
-    /// from a non-converged partial decomposition accepted under
-    /// [`DegradedPolicy::AcceptNearTolerance`], or the last calibration
-    /// fell back to this (older) model under
-    /// [`DegradedPolicy::FallBackToPrevious`].
+    /// True when the model in force came from a non-converged partial
+    /// decomposition accepted under [`DegradedPolicy::AcceptNearTolerance`].
     pub degraded: bool,
     /// Directed links currently quarantined for persistent probe failure.
     pub quarantined: Vec<(usize, usize)>,
@@ -116,28 +98,17 @@ pub struct HealthReport {
 
 /// A bounded ring of per-campaign [`HealthReport`]s, oldest first.
 ///
-/// The advisor records one report per *successful model install* — every
-/// calibration path, including fall-back installs that keep the previous
-/// model under [`DegradedPolicy::FallBackToPrevious`] (those still
-/// conclude a campaign, and their report says so via `degraded`). When
-/// the ring is full the oldest report is evicted.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// The advisor records one report per *successful model install* on every
+/// calibration path; a failed install records nothing. When the ring holds
+/// 32 reports the oldest is evicted.
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct CampaignHistory {
-    capacity: usize,
     reports: Vec<HealthReport>,
 }
 
 impl CampaignHistory {
-    /// An empty history retaining at most `capacity` reports (min 1).
-    pub fn new(capacity: usize) -> Self {
-        CampaignHistory {
-            capacity: capacity.max(1),
-            reports: Vec::new(),
-        }
-    }
-
     fn push(&mut self, report: HealthReport) {
-        if self.reports.len() == self.capacity {
+        if self.reports.len() == HISTORY_CAPACITY {
             self.reports.remove(0);
         }
         self.reports.push(report);
@@ -153,93 +124,10 @@ impl CampaignHistory {
         self.reports.is_empty()
     }
 
-    /// Maximum reports retained before eviction starts.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// The retained reports, oldest first.
     pub fn reports(&self) -> &[HealthReport] {
         &self.reports
     }
-
-    /// The most recent campaign's report.
-    pub fn latest(&self) -> Option<&HealthReport> {
-        self.reports.last()
-    }
-
-    /// Mean probe success rate of the older and recent halves of the
-    /// window `(older, recent)` — the trend signal behind the advisor's
-    /// adaptive degraded policy. `None` below four reports: two points
-    /// per half is the minimum for a trend that is not a single noisy
-    /// campaign.
-    pub fn success_trend(&self) -> Option<(f64, f64)> {
-        if self.reports.len() < 4 {
-            return None;
-        }
-        let mid = self.reports.len() / 2;
-        let mean = |rs: &[HealthReport]| {
-            rs.iter().map(|r| r.probe_success_rate).sum::<f64>() / rs.len() as f64
-        };
-        Some((mean(&self.reports[..mid]), mean(&self.reports[mid..])))
-    }
-
-    /// Aggregate view of the retained window — what an operator dashboard
-    /// would chart instead of scrolling individual reports.
-    pub fn summary(&self) -> CampaignSummary {
-        let campaigns = self.reports.len();
-        let mut s = CampaignSummary {
-            campaigns,
-            degraded_campaigns: 0,
-            attempts: 0,
-            retries: 0,
-            timeouts: 0,
-            losses: 0,
-            mean_success_rate: 1.0,
-            worst_success_rate: 1.0,
-            worst_masked_fraction: 0.0,
-        };
-        if campaigns == 0 {
-            return s;
-        }
-        let mut rate_sum = 0.0;
-        for r in &self.reports {
-            s.degraded_campaigns += usize::from(r.degraded);
-            s.attempts += r.attempts;
-            s.retries += r.retries;
-            s.timeouts += r.timeouts;
-            s.losses += r.losses;
-            rate_sum += r.probe_success_rate;
-            s.worst_success_rate = s.worst_success_rate.min(r.probe_success_rate);
-            s.worst_masked_fraction = s.worst_masked_fraction.max(r.masked_fraction);
-        }
-        s.mean_success_rate = rate_sum / campaigns as f64;
-        s
-    }
-}
-
-/// Aggregates of a [`CampaignHistory`] window (see
-/// [`CampaignHistory::summary`]).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct CampaignSummary {
-    /// Reports in the window.
-    pub campaigns: usize,
-    /// How many of them ran degraded (partial solve or fall-back).
-    pub degraded_campaigns: usize,
-    /// Probe attempts summed over the window.
-    pub attempts: u64,
-    /// Retries summed over the window.
-    pub retries: u64,
-    /// Timeouts summed over the window.
-    pub timeouts: u64,
-    /// Losses summed over the window.
-    pub losses: u64,
-    /// Mean per-campaign probe success rate (1.0 when the window is empty).
-    pub mean_success_rate: f64,
-    /// Minimum per-campaign probe success rate.
-    pub worst_success_rate: f64,
-    /// Maximum per-campaign imputed-cell fraction.
-    pub worst_masked_fraction: f64,
 }
 
 /// The advisor's current model of the network.
@@ -280,25 +168,21 @@ pub struct Advisor {
     cfg: AdvisorConfig,
     model: Option<ModelState>,
     calibrations: usize,
-    /// Aggregate probe counters of the last adopted campaign.
+    /// Aggregate probe counters of the campaign that built the model in
+    /// force.
     probe_stats: ProbeLog,
     /// Consecutive fully-failed snapshots per directed link (`N²`,
     /// row-major), feeding the quarantine list.
     fail_streaks: Vec<u32>,
     /// Directed links currently quarantined, sorted.
     quarantined: Vec<(usize, usize)>,
-    /// True when the last calibration kept the previous model under
-    /// [`DegradedPolicy::FallBackToPrevious`].
-    fell_back: bool,
-    /// Health reports of past campaigns, bounded by
-    /// [`AdvisorConfig::history_capacity`].
+    /// Health reports of past campaigns.
     history: CampaignHistory,
 }
 
 impl Advisor {
     /// New advisor with the given configuration; no model yet.
     pub fn new(cfg: AdvisorConfig) -> Self {
-        let history = CampaignHistory::new(cfg.history_capacity);
         Advisor {
             cfg,
             model: None,
@@ -306,15 +190,8 @@ impl Advisor {
             probe_stats: ProbeLog::new(0),
             fail_streaks: Vec::new(),
             quarantined: Vec::new(),
-            fell_back: false,
-            history,
+            history: CampaignHistory::default(),
         }
-    }
-
-    /// Advisor with the paper's default tuning (time step 10, threshold
-    /// 100%, RPCA estimator).
-    pub fn with_defaults() -> Self {
-        Self::new(AdvisorConfig::default())
     }
 
     /// The active configuration.
@@ -361,12 +238,14 @@ impl Advisor {
     /// (`cloudconst-coord`), which is bit-identical to the internal run on
     /// the same probe. Updates link-failure streaks and the quarantine
     /// list from the run's per-snapshot logs, then rebuilds the model
-    /// under the configured [`DegradedPolicy`].
+    /// under the configured [`DegradedPolicy`]. When the rebuild fails the
+    /// previous model stays in force together with the probe counters of
+    /// the campaign that built it.
     pub fn adopt_faulty_run(&mut self, run: FaultyTpRun, now: f64) -> Result<&ModelState> {
         self.update_link_health(&run.logs);
-        self.probe_stats = run.aggregate_log();
+        let stats = run.aggregate_log();
         let FaultyTpRun { tp, overhead, .. } = run;
-        self.install_model(tp, overhead, now)
+        self.install_model(tp, overhead, stats, now)
     }
 
     /// Walk the campaign's snapshots in time order, extending or resetting
@@ -389,7 +268,7 @@ impl Advisor {
                     match log.outcome(i, j) {
                         ProbeOutcome::Failed(_) => {
                             self.fail_streaks[k] += 1;
-                            if self.fail_streaks[k] >= self.cfg.quarantine_after
+                            if self.fail_streaks[k] >= QUARANTINE_AFTER
                                 && !self.quarantined.contains(&(i, j))
                             {
                                 self.quarantined.push((i, j));
@@ -407,50 +286,24 @@ impl Advisor {
         self.quarantined.sort_unstable();
     }
 
-    /// The degraded policy in force for the *next* model install: the
-    /// configured [`AdvisorConfig::degraded`], unless
-    /// [`AdvisorConfig::adaptive_degraded`] is set and the campaign
-    /// history's probe success rate is decaying, in which case the
-    /// advisor protects the current model with
-    /// [`DegradedPolicy::FallBackToPrevious`] until the trend heals.
-    pub fn effective_degraded(&self) -> DegradedPolicy {
-        if self.cfg.adaptive_degraded {
-            if let Some((older, recent)) = self.history.success_trend() {
-                if older - recent > self.cfg.degraded_trend_drop {
-                    return DegradedPolicy::FallBackToPrevious;
-                }
-            }
-        }
-        self.cfg.degraded
-    }
-
-    fn install_model(&mut self, tp: TpMatrix, overhead: f64, now: f64) -> Result<&ModelState> {
-        self.fell_back = false;
-        let degraded = self.effective_degraded();
-        match estimate_with_opts(&tp, self.cfg.estimator, degraded, &self.cfg.rpca) {
-            Ok(est) => {
-                self.calibrations += 1;
-                self.model = Some(ModelState {
-                    estimate: est,
-                    calibrated_at: now,
-                    calibration_overhead: overhead,
-                    tp,
-                });
-            }
-            Err(CoreError::Rpca(RpcaError::NoConvergence { .. }))
-                if degraded == DegradedPolicy::FallBackToPrevious
-                    && self.model.is_some() =>
-            {
-                // Keep the previous model rather than installing a
-                // non-converged solve; the health report flags the
-                // staleness via `degraded` and `model_age`.
-                self.calibrations += 1;
-                self.fell_back = true;
-            }
-            Err(e) => return Err(e),
-        }
-        // Every successful install — fall-back included — concludes a
-        // campaign; its health report joins the bounded history.
+    fn install_model(
+        &mut self,
+        tp: TpMatrix,
+        overhead: f64,
+        stats: ProbeLog,
+        now: f64,
+    ) -> Result<&ModelState> {
+        let est = estimate_with_opts(&tp, self.cfg.estimator, self.cfg.degraded, &self.cfg.rpca)?;
+        self.calibrations += 1;
+        self.probe_stats = stats;
+        self.model = Some(ModelState {
+            estimate: est,
+            calibrated_at: now,
+            calibration_overhead: overhead,
+            tp,
+        });
+        // Every successful install concludes a campaign; its health report
+        // joins the bounded history.
         let report = self
             .health(now)
             .expect("a model is in force after a successful install");
@@ -472,7 +325,7 @@ impl Advisor {
             losses: s.losses,
             masked_fraction: model.tp.masked_fraction(),
             model_age: now - model.calibrated_at,
-            degraded: model.estimate.degraded || self.fell_back,
+            degraded: model.estimate.degraded,
             quarantined: self.quarantined.clone(),
         })
     }
@@ -576,6 +429,7 @@ mod tests {
     use super::*;
     use cloudconst_cloud::{CloudConfig, FaultPlan, FaultyCloud, FlakyLink, SyntheticCloud};
     use cloudconst_netmodel::{NetworkProbe, BETA_PROBE_BYTES};
+    use cloudconst_rpca::RpcaError;
 
     fn quick_cfg() -> AdvisorConfig {
         AdvisorConfig {
@@ -665,7 +519,7 @@ mod tests {
 
     #[test]
     fn maintenance_decision_thresholding() {
-        let advisor = Advisor::with_defaults(); // threshold 100%
+        let advisor = Advisor::new(AdvisorConfig::default()); // threshold 100%
         assert_eq!(advisor.check(1.0, 1.5), MaintenanceDecision::Keep);
         assert_eq!(advisor.check(1.0, 2.0), MaintenanceDecision::Recalibrate);
         assert_eq!(advisor.check(1.0, 0.05), MaintenanceDecision::Keep); // 95% < 100%
@@ -674,7 +528,7 @@ mod tests {
 
     #[test]
     fn non_finite_comparison_recalibrates() {
-        let advisor = Advisor::with_defaults();
+        let advisor = Advisor::new(AdvisorConfig::default());
         for (expected, observed) in [
             (1.0, f64::NAN),
             (f64::NAN, 1.0),
@@ -761,34 +615,48 @@ mod tests {
     }
 
     #[test]
-    fn fall_back_to_previous_keeps_old_model() {
-        let cloud = SyntheticCloud::new(CloudConfig::ec2_like(8, 15));
+    fn failed_recalibration_keeps_the_previous_model_and_its_health() {
+        let cloud = SyntheticCloud::new(CloudConfig::small_test(12, 5));
         let mut advisor = Advisor::new(quick_cfg());
         advisor.calibrate_par(&cloud, 0.0).unwrap();
         let before = advisor.model().unwrap().estimate.perf.clone();
+        let h0 = advisor.health(1000.0).unwrap();
 
-        // Starve the solver and ask for fall-back: the re-calibration must
-        // keep the old model and flag degraded mode.
-        advisor.config_mut().rpca.max_iters = 10;
-        advisor.config_mut().degraded = DegradedPolicy::FallBackToPrevious;
-        advisor.calibrate_par(&cloud, 5000.0).unwrap();
+        // A starved solver on a lossy campaign cannot converge: under the
+        // default `Fail` the call errors and nothing about the model in
+        // force changes — its bits, its age, its probe counters.
+        advisor.config_mut().rpca.max_iters = 2;
+        let lossy = FaultyCloud::new(cloud, FaultPlan::uniform(7, 0.2));
+        let r = advisor.calibrate_par(&lossy, 1000.0);
+        assert!(
+            matches!(r, Err(CoreError::Rpca(RpcaError::NoConvergence { .. }))),
+            "expected NoConvergence, got {r:?}"
+        );
         let m = advisor.model().unwrap();
         assert_eq!(m.calibrated_at, 0.0, "old model must stay in force");
-        for i in 0..8 {
-            for j in 0..8 {
-                assert_eq!(
-                    m.estimate.perf.link(i, j).alpha.to_bits(),
-                    before.link(i, j).alpha.to_bits()
-                );
+        for i in 0..12 {
+            for j in 0..12 {
+                let (a, b) = (m.estimate.perf.link(i, j), before.link(i, j));
+                assert_eq!(a.alpha.to_bits(), b.alpha.to_bits(), "alpha ({i},{j})");
+                assert_eq!(a.beta.to_bits(), b.beta.to_bits(), "beta ({i},{j})");
             }
         }
-        let h = advisor.health(5000.0).unwrap();
-        assert!(h.degraded, "fall-back must be reported");
-        assert_eq!(h.model_age, 5000.0);
-
-        // Strict mode with the same starved solver errors instead.
-        advisor.config_mut().degraded = DegradedPolicy::Fail;
-        assert!(advisor.calibrate_par(&cloud, 6000.0).is_err());
+        let h = advisor.health(1000.0).unwrap();
+        assert_eq!(
+            h.probe_success_rate, 1.0,
+            "the failed campaign's rate leaked"
+        );
+        assert_eq!(h.attempts, h0.attempts);
+        assert_eq!(h.retries + h.timeouts + h.losses, 0);
+        assert_eq!(h.masked_fraction, 0.0);
+        assert_eq!(h.model_age, 1000.0);
+        assert!(!h.degraded);
+        assert_eq!(advisor.calibrations(), 1);
+        assert_eq!(
+            advisor.campaign_history().len(),
+            1,
+            "a failed install records nothing"
+        );
     }
 
     #[test]
@@ -803,7 +671,7 @@ mod tests {
             ..FaultPlan::none(4)
         };
         let faulty = FaultyCloud::new(cloud.clone(), plan);
-        let mut advisor = Advisor::new(quick_cfg()); // time_step 5 ≥ quarantine_after 3
+        let mut advisor = Advisor::new(quick_cfg()); // time_step 5 ≥ QUARANTINE_AFTER 3
         advisor.calibrate_par(&faulty, 0.0).unwrap();
         assert_eq!(advisor.quarantined(), &[(0, 1)]);
         assert!(advisor.is_quarantined(0, 1));
@@ -872,36 +740,25 @@ mod tests {
     }
 
     #[test]
-    fn campaign_history_records_and_evicts() {
+    fn campaign_history_records_every_install() {
         let cloud = SyntheticCloud::new(CloudConfig::calm(6, 2));
-        let mut advisor = Advisor::new(AdvisorConfig {
-            history_capacity: 3,
-            ..quick_cfg()
-        });
+        let mut advisor = Advisor::new(quick_cfg());
         assert!(advisor.campaign_history().is_empty());
-        assert_eq!(advisor.campaign_history().capacity(), 3);
 
-        for k in 0..5u32 {
+        for k in 0..3u32 {
             advisor.calibrate_par(&cloud, f64::from(k) * 1000.0).unwrap();
         }
         let h = advisor.campaign_history();
-        assert_eq!(h.len(), 3, "ring must evict past capacity");
-        assert_eq!(advisor.calibrations(), 5);
-        // Freshly-installed models report age 0 at install time; the ring
-        // keeps the *last* three campaigns, all healthy on this path.
+        assert_eq!(h.len(), 3);
+        assert_eq!(advisor.calibrations(), 3);
+        // Freshly-installed models report age 0 at install time; every
+        // campaign on this path is healthy.
         for r in h.reports() {
             assert_eq!(r.model_age, 0.0);
             assert_eq!(r.probe_success_rate, 1.0);
+            assert_eq!(r.masked_fraction, 0.0);
             assert!(!r.degraded);
         }
-        assert!(h.latest().is_some());
-
-        let s = h.summary();
-        assert_eq!(s.campaigns, 3);
-        assert_eq!(s.degraded_campaigns, 0);
-        assert_eq!(s.mean_success_rate, 1.0);
-        assert_eq!(s.worst_success_rate, 1.0);
-        assert_eq!(s.worst_masked_fraction, 0.0);
     }
 
     /// A synthetic healthy-shape report with a chosen success rate, for
@@ -921,106 +778,27 @@ mod tests {
     }
 
     #[test]
-    fn history_evicts_exactly_at_capacity_and_clamps_zero() {
-        // `new(0)` clamps to 1: the ring always retains the latest report.
-        let mut h = CampaignHistory::new(0);
-        assert_eq!(h.capacity(), 1);
-        h.push(rate_report(1.0));
-        h.push(rate_report(0.5));
-        assert_eq!(h.len(), 1);
-        assert_eq!(h.latest().unwrap().probe_success_rate, 0.5);
-
-        // Filling to exactly `capacity` evicts nothing; the next push
+    fn history_evicts_exactly_at_capacity() {
+        // Filling to exactly the capacity evicts nothing; the next push
         // evicts exactly the oldest.
-        let mut h = CampaignHistory::new(3);
-        for k in 0..3 {
-            h.push(rate_report(k as f64 * 0.1));
+        let mut h = CampaignHistory::default();
+        for k in 0..HISTORY_CAPACITY {
+            h.push(rate_report(k as f64));
         }
-        assert_eq!(h.len(), 3, "at capacity, nothing evicted yet");
+        assert_eq!(h.len(), HISTORY_CAPACITY, "at capacity, nothing evicted yet");
         assert_eq!(h.reports()[0].probe_success_rate, 0.0);
-        h.push(rate_report(0.9));
-        assert_eq!(h.len(), 3, "one in, one out");
+        h.push(rate_report(-1.0));
+        assert_eq!(h.len(), HISTORY_CAPACITY, "one in, one out");
         assert_eq!(
             h.reports()[0].probe_success_rate,
-            0.1,
+            1.0,
             "the oldest report must be the one evicted"
         );
-        assert_eq!(h.latest().unwrap().probe_success_rate, 0.9);
+        assert_eq!(h.reports().last().unwrap().probe_success_rate, -1.0);
     }
 
     #[test]
-    fn success_trend_needs_four_reports() {
-        let mut h = CampaignHistory::new(8);
-        assert_eq!(h.success_trend(), None, "empty ring has no trend");
-        h.push(rate_report(1.0));
-        assert_eq!(h.success_trend(), None, "a single campaign is not a trend");
-        h.push(rate_report(0.9));
-        h.push(rate_report(0.8));
-        assert_eq!(h.success_trend(), None, "three leaves a one-report half");
-        h.push(rate_report(0.7));
-        let (older, recent) = h.success_trend().unwrap();
-        assert_eq!(older, (1.0 + 0.9) / 2.0);
-        assert_eq!(recent, (0.8 + 0.7) / 2.0);
-
-        // Odd lengths: `mid = len / 2` puts the extra report in the
-        // recent half, so the older half stays the stable baseline.
-        h.push(rate_report(0.6));
-        let (older, recent) = h.success_trend().unwrap();
-        assert_eq!(older, (1.0 + 0.9) / 2.0);
-        assert_eq!(recent, (0.8 + 0.7 + 0.6) / 3.0);
-    }
-
-    #[test]
-    fn effective_degraded_flips_strictly_past_the_trend_drop() {
-        // 0.25 and the chosen rates are exactly representable, so the
-        // boundary comparison is exact, not a float accident.
-        let mut advisor = Advisor::new(AdvisorConfig {
-            adaptive_degraded: true,
-            degraded_trend_drop: 0.25,
-            ..quick_cfg()
-        });
-
-        // Drop exactly equal to the threshold: strictly-greater means the
-        // configured policy stays in force.
-        for r in [1.0, 1.0, 0.75, 0.75] {
-            advisor.history.push(rate_report(r));
-        }
-        let (older, recent) = advisor.campaign_history().success_trend().unwrap();
-        assert_eq!(older - recent, 0.25, "fixture must sit exactly on the boundary");
-        assert_eq!(advisor.effective_degraded(), DegradedPolicy::Fail);
-
-        // One representable notch past the threshold: the override engages.
-        advisor.history = CampaignHistory::new(8);
-        for r in [1.0, 1.0, 0.5, 0.5] {
-            advisor.history.push(rate_report(r));
-        }
-        assert_eq!(
-            advisor.effective_degraded(),
-            DegradedPolicy::FallBackToPrevious
-        );
-
-        // Healing reverts it: four healthy campaigns flip the halves.
-        for _ in 0..4 {
-            advisor.history.push(rate_report(1.0));
-        }
-        let (older, recent) = advisor.campaign_history().success_trend().unwrap();
-        assert!(older < recent, "healed trend must rise");
-        assert_eq!(advisor.effective_degraded(), DegradedPolicy::Fail);
-
-        // Without the adaptive flag the trend is ignored entirely.
-        let mut plain = Advisor::new(AdvisorConfig {
-            adaptive_degraded: false,
-            degraded_trend_drop: 0.25,
-            ..quick_cfg()
-        });
-        for r in [1.0, 1.0, 0.5, 0.5] {
-            plain.history.push(rate_report(r));
-        }
-        assert_eq!(plain.effective_degraded(), DegradedPolicy::Fail);
-    }
-
-    #[test]
-    fn campaign_history_flags_degraded_and_lossy_campaigns() {
+    fn campaign_history_records_a_lossy_campaign() {
         let cloud = SyntheticCloud::new(CloudConfig::small_test(10, 21));
         let faulty = FaultyCloud::new(cloud, FaultPlan::uniform(7, 0.10));
         let mut advisor = Advisor::new(AdvisorConfig {
@@ -1028,63 +806,16 @@ mod tests {
             ..quick_cfg()
         });
         advisor.calibrate_par(&faulty, 0.0).unwrap();
-        let s = advisor.campaign_history().summary();
-        assert_eq!(s.campaigns, 1);
-        assert!(s.worst_success_rate < 1.0);
-        assert!(s.retries > 0);
-        assert!(s.timeouts + s.losses > 0);
+        let reports = advisor.campaign_history().reports();
+        assert_eq!(reports.len(), 1);
+        let r = &reports[0];
+        assert!(r.probe_success_rate < 1.0);
+        assert!(r.retries > 0);
+        assert!(r.timeouts + r.losses > 0);
         assert_eq!(
-            s.mean_success_rate,
-            advisor.campaign_history().latest().unwrap().probe_success_rate
+            r.probe_success_rate,
+            advisor.health(0.0).unwrap().probe_success_rate
         );
-    }
-
-    #[test]
-    fn adaptive_degraded_falls_back_on_decaying_health_and_recovers() {
-        let clean = SyntheticCloud::new(CloudConfig::small_test(10, 13));
-        let lossy = FaultyCloud::new(clean.clone(), FaultPlan::uniform(3, 0.05));
-        let mut advisor = Advisor::new(AdvisorConfig {
-            adaptive_degraded: true,
-            ..quick_cfg()
-        });
-        let full_iters = advisor.config().rpca.max_iters;
-
-        // Healthy epoch: the configured strict policy stays in force.
-        for k in 0..2 {
-            advisor.calibrate_par(&clean, f64::from(k) * 1000.0).unwrap();
-        }
-        assert_eq!(advisor.effective_degraded(), DegradedPolicy::Fail);
-
-        // Decay epoch: lossy campaigns drag the recent half of the
-        // history below the older half — the override engages.
-        for k in 2..4 {
-            advisor.calibrate_par(&lossy, f64::from(k) * 1000.0).unwrap();
-        }
-        let (older, recent) = advisor.campaign_history().success_trend().unwrap();
-        assert!(older > recent, "fixture: faults must dent the trend");
-        assert_eq!(
-            advisor.effective_degraded(),
-            DegradedPolicy::FallBackToPrevious
-        );
-
-        // A starved solver during the decay keeps the previous model
-        // instead of erroring — the whole point of the override.
-        advisor.config_mut().rpca.max_iters = 10;
-        advisor.calibrate_par(&lossy, 4000.0).unwrap();
-        let h = advisor.health(4000.0).unwrap();
-        assert!(h.degraded, "fall-back install must be reported");
-        assert_eq!(advisor.model().unwrap().calibrated_at, 3000.0);
-
-        // Heal epoch: clean campaigns restore the trend and the override
-        // lifts by itself.
-        advisor.config_mut().rpca.max_iters = full_iters;
-        let mut t = 5000.0;
-        while advisor.effective_degraded() != DegradedPolicy::Fail {
-            advisor.calibrate_par(&clean, t).unwrap();
-            t += 1000.0;
-            assert!(t < 20_000.0, "trend never healed");
-        }
-        assert!(!advisor.health(t).unwrap().degraded);
     }
 
     #[test]

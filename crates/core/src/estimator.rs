@@ -26,11 +26,6 @@ pub enum DegradedPolicy {
     /// `‖A − D − E‖_F / ‖A‖_F` is at most the payload ε; the resulting
     /// estimate is flagged [`ConstantEstimate::degraded`].
     AcceptNearTolerance(f64),
-    /// Advisor-level policy: keep the previously installed model instead
-    /// of replacing it with a non-converged solve. At the bare
-    /// [`estimate_with`] level (where there is no previous model) this
-    /// behaves like [`DegradedPolicy::Fail`].
-    FallBackToPrevious,
 }
 
 /// How to reduce a TP-matrix to one constant performance matrix.
@@ -82,20 +77,10 @@ pub struct ConstantEstimate {
 /// All estimators report `Norm(N_E)` against the same reference: the
 /// TP-matrix in the transfer-time domain at the paper's 8 MB probe size,
 /// with the estimate expanded to the rank-one `N_D` and `N_E = N_A − N_D`.
-/// Strict about solver convergence; see [`estimate_with`] for the
-/// degraded-mode variant.
+/// Strict about solver convergence and on default solver options; see
+/// [`estimate_with_opts`] for the degraded-mode variant.
 pub fn estimate(tp: &TpMatrix, kind: EstimatorKind) -> Result<ConstantEstimate> {
-    estimate_with(tp, kind, DegradedPolicy::Fail)
-}
-
-/// [`estimate`] with an explicit [`DegradedPolicy`] and default solver
-/// options.
-pub fn estimate_with(
-    tp: &TpMatrix,
-    kind: EstimatorKind,
-    policy: DegradedPolicy,
-) -> Result<ConstantEstimate> {
-    estimate_with_opts(tp, kind, policy, &ApgOptions::default())
+    estimate_with_opts(tp, kind, DegradedPolicy::Fail, &ApgOptions::default())
 }
 
 /// Full-control variant of [`estimate`]: choose the degraded-mode policy
@@ -387,14 +372,6 @@ mod tests {
             ),
             "expected NoConvergence, got {strict:?}"
         );
-        // …FallBackToPrevious has nothing to fall back to at this level…
-        assert!(estimate_with_opts(
-            &tp,
-            EstimatorKind::Rpca,
-            DegradedPolicy::FallBackToPrevious,
-            &opts
-        )
-        .is_err());
         // …but AcceptNearTolerance consumes the rescaled partial and flags
         // the estimate.
         let degraded = estimate_with_opts(
@@ -442,8 +419,13 @@ mod tests {
     #[test]
     fn converged_estimate_is_not_flagged_degraded() {
         let (tp, _) = tp_with_spike(6, 10);
-        let est = estimate_with(&tp, EstimatorKind::Rpca, DegradedPolicy::AcceptNearTolerance(0.5))
-            .unwrap();
+        let est = estimate_with_opts(
+            &tp,
+            EstimatorKind::Rpca,
+            DegradedPolicy::AcceptNearTolerance(0.5),
+            &ApgOptions::default(),
+        )
+        .unwrap();
         assert!(!est.degraded);
     }
 

@@ -10,7 +10,11 @@
 //! * [`advisor`] — **Algorithm 1**: calibrate a TP-matrix on the cloud, run
 //!   the estimator, guide optimizations with the constant component, watch
 //!   the real performance of the guided operation, and re-calibrate when
-//!   the observed/expected mismatch crosses the maintenance threshold.
+//!   the observed/expected mismatch crosses the maintenance threshold. A
+//!   re-calibration whose solve fails is a typed error that leaves the
+//!   previous model, and the health report of the campaign that built it,
+//!   in force; [`DegradedPolicy::AcceptNearTolerance`] is the one way to
+//!   install a non-converged solve, and it flags the model degraded.
 //! * [`noise`] — the §V-D3 noise-injection protocol used to sweep
 //!   `Norm(N_E)` in Figures 10 and 11.
 //! * [`effectiveness`] — the paper's read of `Norm(N_E)`: when network
@@ -22,13 +26,10 @@ pub mod estimator;
 pub mod noise;
 
 pub use advisor::{
-    Advisor, AdvisorConfig, CampaignHistory, CampaignSummary, HealthReport, MaintenanceDecision,
-    ModelState,
+    Advisor, AdvisorConfig, CampaignHistory, HealthReport, MaintenanceDecision, ModelState,
 };
 pub use effectiveness::{classify, EffectivenessBand};
-pub use estimator::{
-    estimate, estimate_with, estimate_with_opts, ConstantEstimate, DegradedPolicy, EstimatorKind,
-};
+pub use estimator::{estimate, estimate_with_opts, ConstantEstimate, DegradedPolicy, EstimatorKind};
 pub use noise::{inject_noise, inject_noise_until, NoiseConfig};
 
 /// Errors surfaced by the advisor pipeline.

@@ -23,13 +23,6 @@ pub struct NoiseConfig {
     pub cell_fraction: f64,
     /// RNG seed.
     pub seed: u64,
-    /// `false` (paper's replay protocol): every snapshot of a selected
-    /// link is perturbed independently — i.i.d. measurement noise whose
-    /// accumulation makes estimates garbage-in and run-time matrices
-    /// unpredictable, eroding any guided advantage.
-    /// `true`: the perturbation is a ±1 random walk *along the snapshot
-    /// axis* — modelling genuine drift of the underlying constants.
-    pub temporal_walk: bool,
 }
 
 impl Default for NoiseConfig {
@@ -38,7 +31,6 @@ impl Default for NoiseConfig {
             step: 0.1,
             cell_fraction: 0.1,
             seed: 0xC10D,
-            temporal_walk: false,
         }
     }
 }
@@ -46,14 +38,11 @@ impl Default for NoiseConfig {
 /// Apply `rounds` rounds of ±`step` multiplicative noise to a copy of
 /// `tp`.
 ///
-/// Each round picks a random subset of links (per `cell_fraction`). In
-/// the default (i.i.d.) mode each snapshot of a selected link is scaled
-/// by an independent `(1 ± step)` — repeated rounds compound into
-/// heavier-tailed measurement noise, the paper's "change the network
-/// performance by 1%… repeat" loop. With
-/// [`NoiseConfig::temporal_walk`], the exponent instead follows a ±1
-/// random walk along the snapshot axis, modelling drift of the
-/// underlying constants.
+/// Each round visits every off-diagonal `(link, snapshot)` cell and, with
+/// probability `cell_fraction`, scales its α and β by independent
+/// `(1 ± step)` factors — sparse corruption of single measurements.
+/// Repeated rounds compound into heavier-tailed measurement noise, the
+/// paper's "change the network performance by 1%… repeat" loop.
 pub fn inject_noise(tp: &TpMatrix, cfg: &NoiseConfig, rounds: usize) -> TpMatrix {
     let n = tp.n();
     let mut rng = StdRng::seed_from_u64(cfg.seed);
@@ -66,29 +55,13 @@ pub fn inject_noise(tp: &TpMatrix, cfg: &NoiseConfig, rounds: usize) -> TpMatrix
                 if i == j {
                     continue;
                 }
-                if cfg.temporal_walk {
-                    // Drift mode: the whole link wanders across snapshots.
+                for (_, snap) in snaps.iter_mut() {
                     if rng.random::<f64>() >= cfg.cell_fraction {
                         continue;
                     }
-                    let mut walk_a = 0i32;
-                    let mut walk_b = 0i32;
-                    for (_, snap) in snaps.iter_mut() {
-                        walk_a += if rng.random::<bool>() { 1 } else { -1 };
-                        walk_b += if rng.random::<bool>() { 1 } else { -1 };
-                        scale_cell(snap, i, j, cfg.step, walk_a, walk_b);
-                    }
-                } else {
-                    // Paper mode: individual (link, snapshot) cells are
-                    // perturbed — sparse corruption of single measurements.
-                    for (_, snap) in snaps.iter_mut() {
-                        if rng.random::<f64>() >= cfg.cell_fraction {
-                            continue;
-                        }
-                        let ea = if rng.random::<bool>() { 1 } else { -1 };
-                        let eb = if rng.random::<bool>() { 1 } else { -1 };
-                        scale_cell(snap, i, j, cfg.step, ea, eb);
-                    }
+                    let ea = if rng.random::<bool>() { 1 } else { -1 };
+                    let eb = if rng.random::<bool>() { 1 } else { -1 };
+                    scale_cell(snap, i, j, cfg.step, ea, eb);
                 }
             }
         }

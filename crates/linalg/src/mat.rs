@@ -374,23 +374,12 @@ impl Mat {
         m
     }
 
-    /// Stack matrices vertically (all must share a column count).
-    pub fn vstack(parts: &[&Mat]) -> Result<Mat> {
-        let cols = parts.first().ok_or(LinalgError::Empty)?.cols;
-        let mut data = Vec::new();
-        let mut rows = 0;
-        for p in parts {
-            if p.cols != cols {
-                return Err(LinalgError::ShapeMismatch {
-                    op: "vstack",
-                    lhs: (rows, cols),
-                    rhs: p.shape(),
-                });
-            }
-            data.extend_from_slice(&p.data);
-            rows += p.rows;
-        }
-        Ok(Mat { rows, cols, data })
+    /// Append one row in place. Panics if `row.len()` is not the column
+    /// count.
+    pub fn push_row(&mut self, row: &[f64]) {
+        assert_eq!(row.len(), self.cols, "Mat::push_row: row length");
+        self.data.extend_from_slice(row);
+        self.rows += 1;
     }
 
     /// Maximum absolute element, 0.0 for empty matrices.
@@ -572,12 +561,17 @@ mod tests {
     }
 
     #[test]
-    fn vstack_rows() {
-        let a = Mat::from_rows(&[&[1.0, 2.0]]);
-        let b = Mat::from_rows(&[&[3.0, 4.0], &[5.0, 6.0]]);
-        let s = Mat::vstack(&[&a, &b]).unwrap();
-        assert_eq!(s.shape(), (3, 2));
-        assert_eq!(s.row(2), &[5.0, 6.0]);
+    fn push_row_appends_in_place() {
+        let mut m = Mat::zeros(0, 2);
+        m.push_row(&[1.0, 2.0]);
+        m.push_row(&[3.0, 4.0]);
+        assert_eq!(m, Mat::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]));
+    }
+
+    #[test]
+    #[should_panic(expected = "row length")]
+    fn push_row_rejects_a_ragged_row() {
+        Mat::zeros(1, 2).push_row(&[1.0]);
     }
 
     #[test]

@@ -92,23 +92,20 @@ impl TpMatrix {
             self.impute_row(&mut af, observed, impute, Which::Alpha);
             self.impute_row(&mut bf, observed, impute, Which::InvBeta);
         }
-        let mask = (0..n * n)
+        let mask: Vec<f64> = (0..n * n)
             .map(|k| if observed_cell(k) { 1.0 } else { 0.0 })
             .collect();
-        self.push_rows(time, (af, bf), mask);
+        self.push_rows(time, &af, &bf, &mask);
     }
 
-    fn push_rows(&mut self, time: f64, (af, bf): (Vec<f64>, Vec<f64>), mask: Vec<f64>) {
+    /// Append one snapshot's flattened planes in place.
+    fn push_rows(&mut self, time: f64, af: &[f64], bf: &[f64], mask: &[f64]) {
         if let Some(&last) = self.times.last() {
             assert!(time >= last, "snapshots must be time-ordered");
         }
-        let cells = self.n * self.n;
-        let arow = Mat::from_vec(1, cells, af);
-        let brow = Mat::from_vec(1, cells, bf);
-        let mrow = Mat::from_vec(1, cells, mask);
-        self.alpha = Mat::vstack(&[&self.alpha, &arow]).expect("column count fixed");
-        self.inv_beta = Mat::vstack(&[&self.inv_beta, &brow]).expect("column count fixed");
-        self.mask = Mat::vstack(&[&self.mask, &mrow]).expect("column count fixed");
+        self.alpha.push_row(af);
+        self.inv_beta.push_row(bf);
+        self.mask.push_row(mask);
         self.times.push(time);
     }
 
@@ -238,12 +235,8 @@ impl TpMatrix {
         let k = k.min(self.steps());
         let mut tp = TpMatrix::new(self.n);
         for i in 0..k {
-            let cells = self.n * self.n;
-            let af = self.alpha.row(i).to_vec();
-            let bf = self.inv_beta.row(i).to_vec();
-            let mask = self.mask.row(i).to_vec();
-            debug_assert_eq!(mask.len(), cells);
-            tp.push_rows(self.times[i], (af, bf), mask);
+            let (a, b, m) = (self.alpha.row(i), self.inv_beta.row(i), self.mask.row(i));
+            tp.push_rows(self.times[i], a, b, m);
         }
         tp
     }

@@ -317,7 +317,7 @@ fn quarantine_survives_sharded_merge() {
         SyntheticCloud::new(CloudConfig::small_test(n, 9)),
         plan,
     );
-    // time_step 5 ≥ the default quarantine_after of 3 consecutive failures.
+    // time_step 5 ≥ the advisor's quarantine threshold of 3 consecutive failures.
     let quick = AdvisorConfig {
         time_step: 5,
         snapshot_interval: 30.0,
