@@ -8,10 +8,12 @@
 //! [`Calibrator::calibrate_tp_faulty_par`](cloudconst_netmodel::Calibrator::calibrate_tp_faulty_par)
 //! on the same probe. The argument, piece by piece:
 //!
-//! * **Clock** — each `(round, phase)` is a barrier; the coordinator
-//!   advances its clock by the `max` of the shard maxima, and `f64::max`
-//!   is exact, associative and commutative, so the advance equals the
-//!   unsharded fold over all pairs, in the same round order.
+//! * **Clock** — each `(round, phase)` is one barrier for every snapshot
+//!   of the campaign (snapshots do not chain, so they run as one wave),
+//!   and each snapshot keeps its own clock. The coordinator advances a
+//!   snapshot's clock by the `max` of that snapshot's shard maxima, and
+//!   `f64::max` is exact, associative and commutative, so the advance
+//!   equals the unsharded fold over all pairs, in the same round order.
 //! * **Values** — every pair's retry series is a pure function of
 //!   `(pair, bytes, at, retry)` and each cell is written by exactly one
 //!   shard, so the merged matrix cannot depend on who probed what when.
@@ -32,6 +34,7 @@ use cloudconst_netmodel::{
 };
 use serde::Serialize;
 use std::collections::BTreeMap;
+use std::ops::Range;
 
 /// Knobs of a sharded calibration campaign.
 #[derive(Debug, Clone)]
@@ -49,11 +52,11 @@ pub struct CoordinatorConfig {
     pub dispatch_attempts: u32,
     /// Shard-death failovers allowed per campaign. When a barrier exhausts
     /// its dispatch budget, the shards still owing responses are declared
-    /// dead: the current snapshot is reset on the survivors and restarted
-    /// with its pairs re-partitioned across them — every completed
-    /// snapshot is kept as-is. `0` (the default) disables failover and
-    /// reproduces the historic abort-with-[`CoordError::ShardLost`]
-    /// behaviour exactly.
+    /// dead. The campaign's snapshots run as one wave, so every snapshot
+    /// not yet merged is reset on the survivors and restarted with its
+    /// pairs re-partitioned across them; every merged snapshot is kept
+    /// as-is. `0` (the default) disables failover and reproduces the
+    /// historic abort-with-[`CoordError::ShardLost`] behaviour exactly.
     pub failover_attempts: u32,
 }
 
@@ -156,22 +159,19 @@ impl Coordinator {
             failovers: 0,
         };
 
-        let mut run = FaultyTpRun::new(n);
-        for k in 0..steps {
-            let t = start + k as f64 * interval;
-            // A shard death resets the survivors and restarts the snapshot
-            // with a re-partitioned plan. Completed snapshots are never
-            // revisited.
-            let snapshot = loop {
-                match self.snapshot(transport, &mut d, k as u32, t) {
-                    Ok(done) => break done,
-                    Err(Barrier::Dead { shards, missing }) => {
-                        self.failover(transport, &mut d, shards, missing, k as u32)?
-                    }
-                    Err(Barrier::Failed(e)) => return Err(e),
+        let mut run = FaultyTpRun::new(n, steps);
+        // A shard death resets the survivors' unmerged snapshots and
+        // restarts them with a re-partitioned plan. Merged snapshots are
+        // never revisited.
+        while run.tp.steps() < steps {
+            match self.wave(transport, &mut d, &mut run, start, interval, steps) {
+                Ok(()) => {}
+                Err(Barrier::Dead { shards, missing }) => {
+                    let unmerged = run.tp.steps() as u32..steps as u32;
+                    self.failover(transport, &mut d, shards, missing, unmerged)?
                 }
-            };
-            run.push(t, snapshot, self.config.impute);
+                Err(Barrier::Failed(e)) => return Err(e),
+            }
         }
 
         let total = run.aggregate_log();
@@ -195,38 +195,55 @@ impl Coordinator {
         Ok(ShardedRun { run, report })
     }
 
-    /// One attempt at snapshot `k` starting at time `t`: every round's two
-    /// phase barriers, then the flush barrier and the merge.
-    fn snapshot<T: Transport>(
+    /// One attempt at every snapshot not yet in `run`, as one wave: each
+    /// `(round, phase)` barrier carries the tasks of all of them, each
+    /// snapshot on its own clock, then one flush barrier per snapshot, in
+    /// time order, merges it into `run` as soon as it lands.
+    fn wave<T: Transport>(
         &self,
         transport: &mut T,
         d: &mut Dispatch,
-        k: u32,
-        t: f64,
-    ) -> Result<CalibrationRun, Barrier> {
-        let mut clock = t;
+        run: &mut FaultyTpRun,
+        start: f64,
+        interval: f64,
+        steps: usize,
+    ) -> Result<(), Barrier> {
+        let first = run.tp.steps();
+        let times: Vec<f64> = (first..steps)
+            .map(|k| start + k as f64 * interval)
+            .collect();
+        let mut clocks = times.clone();
         for r in 0..d.plan.rounds() {
+            let chunks: Vec<(usize, Vec<(u32, u32)>)> = d
+                .plan
+                .chunks(r)
+                .into_iter()
+                .map(|(slot, pairs)| {
+                    let pairs = pairs.iter().map(|&(i, j)| (i as u32, j as u32)).collect();
+                    (d.alive[slot], pairs)
+                })
+                .collect();
             for (phase, bytes) in [
                 (Phase::Small, self.config.calibration.small_bytes),
                 (Phase::Large, self.config.calibration.large_bytes),
             ] {
-                let tasks: Vec<(usize, Body)> = d
-                    .plan
-                    .chunks(r)
-                    .into_iter()
-                    .map(|(slot, pairs)| {
+                // Snapshot-major: request `s · chunks + c` is chunk `c` of
+                // snapshot `first + s`.
+                let mut tasks = Vec::with_capacity(clocks.len() * chunks.len());
+                for (k, &at) in (first..).zip(&clocks) {
+                    for (shard, pairs) in &chunks {
                         let task = ShardTask {
-                            snapshot: k,
+                            snapshot: k as u32,
                             round: r as u32,
                             phase,
                             bytes,
-                            at: clock,
+                            at,
                             retry: self.config.retry.clone(),
-                            pairs: pairs.iter().map(|&(i, j)| (i as u32, j as u32)).collect(),
+                            pairs: pairs.clone(),
                         };
-                        (d.alive[slot], Body::Task(task))
-                    })
-                    .collect();
+                        tasks.push((*shard, Body::Task(task)));
+                    }
+                }
                 let maxima = self.run_barrier(transport, d, tasks, |body| match body {
                     Body::Ack { max_consumed }
                         if max_consumed.is_finite() && max_consumed >= 0.0 =>
@@ -236,34 +253,48 @@ impl Coordinator {
                     Body::Ack { .. } => Err(CoordError::Protocol("phase ack with an invalid time")),
                     _ => Err(CoordError::Protocol("expected a phase ack")),
                 })?;
-                clock += maxima.into_iter().fold(0.0, f64::max);
+                let per = chunks.len();
+                for (s, clock) in clocks.iter_mut().enumerate() {
+                    *clock += maxima[s * per..(s + 1) * per]
+                        .iter()
+                        .copied()
+                        .fold(0.0, f64::max);
+                }
             }
         }
 
-        // Snapshot barrier: collect every live shard's fragment.
-        let flushes: Vec<(usize, Body)> =
-            d.alive.iter().map(|&s| (s, Body::Flush { snapshot: k })).collect();
-        let partials = self.run_barrier(transport, d, flushes, |body| match body {
-            Body::Partial(p) => Ok(p),
-            _ => Err(CoordError::Protocol("expected a partial TP-matrix")),
-        })?;
-        let (perf, outcomes) = merge_partials(d.plan.n(), k, &partials)?;
-        Ok(CalibrationRun {
-            perf,
-            overhead: clock - t,
-            rounds: d.plan.rounds(),
-            outcomes,
-        })
+        // Snapshot barriers: collect every live shard's fragment.
+        for ((k, t), clock) in (first..).zip(times).zip(clocks) {
+            let flushes: Vec<(usize, Body)> = d
+                .alive
+                .iter()
+                .map(|&s| (s, Body::Flush { snapshot: k as u32 }))
+                .collect();
+            let partials = self.run_barrier(transport, d, flushes, |body| match body {
+                Body::Partial(p) => Ok(p),
+                _ => Err(CoordError::Protocol("expected a partial TP-matrix")),
+            })?;
+            let (perf, outcomes) = merge_partials(d.plan.n(), k as u32, &partials)?;
+            let snapshot = CalibrationRun {
+                perf,
+                overhead: clock - t,
+                rounds: d.plan.rounds(),
+                outcomes,
+            };
+            run.push(t, snapshot, self.config.impute);
+        }
+        Ok(())
     }
 
     /// Number `requests` with fresh seqs, send them, and pump the wire
     /// until every one is answered, re-sending unanswered frames each time
     /// the wire stalls (drained in-process, receive-timeout on a socket),
     /// up to the dispatch budget. Returns the accepted response bodies in
-    /// delivery order (callers must only fold them order-independently),
-    /// or the shards owing responses once they are declared dead — either
-    /// observed dead by the transport's [`Transport::shard_dead`] probe, or
-    /// silent past the whole budget.
+    /// request order — each response is matched to its request by seq,
+    /// whatever order the wire delivered them in — or the shards owing
+    /// responses once they are declared dead: either observed dead by the
+    /// transport's [`Transport::shard_dead`] probe, or silent past the
+    /// whole budget.
     ///
     /// The barrier may return with stragglers still in flight (a socket
     /// cannot be "drained"); every campaign seq is globally unique, so a
@@ -276,8 +307,9 @@ impl Coordinator {
         requests: Vec<(usize, Body)>,
         mut accept: impl FnMut(Body) -> Result<R, CoordError>,
     ) -> Result<Vec<R>, Barrier> {
-        let mut pending: BTreeMap<u64, (usize, Vec<u8>)> = BTreeMap::new();
-        for (shard, body) in requests {
+        // seq → (shard, request index, frame)
+        let mut pending: BTreeMap<u64, (usize, usize, Vec<u8>)> = BTreeMap::new();
+        for (index, (shard, body)) in requests.into_iter().enumerate() {
             d.seq += 1;
             let frame = Message {
                 seq: d.seq,
@@ -286,9 +318,9 @@ impl Coordinator {
             }
             .encode();
             transport.send(shard, frame.clone())?;
-            pending.insert(d.seq, (shard, frame));
+            pending.insert(d.seq, (shard, index, frame));
         }
-        let mut out = Vec::with_capacity(pending.len());
+        let mut out: Vec<Option<R>> = (0..pending.len()).map(|_| None).collect();
         let mut sends = 1u32;
         loop {
             while !pending.is_empty() {
@@ -304,17 +336,17 @@ impl Coordinator {
                 // A response to an already-satisfied (or foreign) seq is a
                 // duplicate from an earlier re-dispatch race, or a
                 // straggler from an aborted barrier; drop it unseen.
-                if pending.remove(&msg.seq).is_none() {
+                let Some((_, index, _)) = pending.remove(&msg.seq) else {
                     continue;
-                }
-                out.push(accept(msg.body)?);
+                };
+                out[index] = Some(accept(msg.body)?);
             }
             if pending.is_empty() {
-                return Ok(out);
+                return Ok(out.into_iter().flatten().collect());
             }
             // Deadness probe first: an observed death (swallowed frame,
             // failed write, closed connection) needs no budget burn.
-            let owing = || pending.values().map(|&(s, _)| s);
+            let owing = || pending.values().map(|&(s, _, _)| s);
             let mut shards: Vec<usize> = owing().filter(|&s| transport.shard_dead(s)).collect();
             if shards.is_empty() && sends >= self.config.dispatch_attempts {
                 shards = owing().collect();
@@ -329,24 +361,25 @@ impl Coordinator {
             }
             sends += 1;
             d.redispatches += pending.len() as u64;
-            for (shard, frame) in pending.values() {
+            for (shard, _, frame) in pending.values() {
                 transport.send(*shard, frame.clone())?;
             }
         }
     }
 
     /// Handle a barrier's dead shards: spend one failover, drop them from
-    /// the alive set, reset the survivors' snapshot state and re-plan, so
-    /// the caller can restart the snapshot. Loops if survivors die during
-    /// the reset barrier itself; errors with [`CoordError::ShardLost`] once
-    /// the failover budget (or the cluster) is exhausted.
+    /// the alive set, reset the survivors' state for every `unmerged`
+    /// snapshot (one barrier for all of them) and re-plan, so the caller
+    /// can restart those snapshots. Loops if survivors die during the
+    /// reset barrier itself; errors with [`CoordError::ShardLost`] once the
+    /// failover budget (or the cluster) is exhausted.
     fn failover<T: Transport>(
         &self,
         transport: &mut T,
         d: &mut Dispatch,
         mut dead: Vec<usize>,
         mut missing: usize,
-        snapshot: u32,
+        unmerged: Range<u32>,
     ) -> Result<(), CoordError> {
         loop {
             if d.failovers >= u64::from(self.config.failover_attempts) {
@@ -357,8 +390,15 @@ impl Coordinator {
             if d.alive.is_empty() {
                 return Err(CoordError::ShardLost { missing });
             }
-            let resets: Vec<(usize, Body)> =
-                d.alive.iter().map(|&s| (s, Body::Reset { snapshot })).collect();
+            let resets: Vec<(usize, Body)> = d
+                .alive
+                .iter()
+                .flat_map(|&s| {
+                    unmerged
+                        .clone()
+                        .map(move |snapshot| (s, Body::Reset { snapshot }))
+                })
+                .collect();
             match self.run_barrier(transport, d, resets, |body| match body {
                 Body::Ack { .. } => Ok(()),
                 _ => Err(CoordError::Protocol("expected a reset ack")),

@@ -11,15 +11,19 @@
 //! — where the payload past the length prefix is exactly what
 //! [`AuthKey::seal`] produces over an ordinary CCF1 frame. The codec layer
 //! is untouched: every byte that crosses the socket decodes with the same
-//! [`Message`](crate::wire::Message) machinery the in-process transports
-//! use, which is what lets the conformance suite run one contract over
-//! loopback, sim and TCP.
+//! [`Message`] machinery the in-process transports use, which is what lets
+//! the conformance suite run one contract over loopback, sim and TCP.
 //!
-//! Each record is sealed straight into a per-connection buffer behind its
-//! length prefix and leaves in one `write`: under `TCP_NODELAY` a split
-//! write is two segments and can wake the peer twice. Both ends read
-//! through a `BufReader`, so a record usually costs one `read` syscall.
-//! Neither changes a byte on the wire.
+//! Records leave in batches, one `write` per batch: under `TCP_NODELAY`
+//! every `write` is a segment and can wake the peer. The coordinator seals
+//! each frame [`send`](Transport::send) hands it straight into its shard's
+//! buffer, behind its length prefix, and writes every non-empty buffer
+//! before [`deliver_next`](Transport::deliver_next) blocks, so a barrier's
+//! frames to one shard cross in one segment. A worker connection appends
+//! its responses and writes them once its `BufReader` holds no further
+//! request. Both ends read through a `BufReader`, so a batch usually costs
+//! one `read` syscall. Only the segmentation changes, never a byte on the
+//! wire.
 //!
 //! Topology: [`TcpWorkerServer`] hosts `K` [`ShardWorker`]s behind one
 //! listener; [`TcpTransport::connect`] opens one stream per shard (the
@@ -67,22 +71,15 @@ fn txerr(what: &str, e: io::Error) -> CoordError {
     CoordError::Transport(format!("{what}: {e}"))
 }
 
-/// Write one `[len][tag ‖ frame]` record with a single `write`: the
-/// record is built in `buf` (cleared first, reused across frames) with
-/// `frame` sealed under `key` straight behind the length prefix.
-fn write_frame(
-    w: &mut impl Write,
-    key: &AuthKey,
-    frame: &[u8],
-    buf: &mut Vec<u8>,
-) -> io::Result<()> {
+/// Append one `[len][tag ‖ frame]` record to `buf`, with `frame` sealed
+/// under `key` straight behind the length prefix. A frame too large for the
+/// prefix appends nothing.
+fn append_record(key: &AuthKey, frame: &[u8], buf: &mut Vec<u8>) -> io::Result<()> {
     let len = u32::try_from(TAG_LEN + frame.len())
         .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "frame too large for u32 len"))?;
-    buf.clear();
     buf.extend_from_slice(&len.to_le_bytes());
     key.seal_into(frame, buf);
-    w.write_all(buf)?;
-    w.flush()
+    Ok(())
 }
 
 /// Read one `[len][sealed]` record, enforcing the [`MAX_FRAME`] cap.
@@ -135,6 +132,10 @@ struct Conn {
     stream: TcpStream,
     dead: Arc<AtomicBool>,
     reader: Option<JoinHandle<()>>,
+    /// Records sealed by `send`, written by the next `deliver_next`.
+    out: Vec<u8>,
+    /// Frames in `out`.
+    queued: u64,
 }
 
 /// Coordinator-side TCP transport: one sealed stream per shard.
@@ -145,8 +146,6 @@ pub struct TcpTransport {
     /// Kept so `rx` never reports `Disconnected` while the transport
     /// lives, even after every reader thread has exited.
     _tx: Sender<Vec<u8>>,
-    /// Record buffer [`write_frame`] reuses for every outgoing frame.
-    wbuf: Vec<u8>,
     n: usize,
     stats: WireStats,
 }
@@ -199,6 +198,8 @@ impl TcpTransport {
                 stream,
                 dead,
                 reader: Some(reader),
+                out: Vec::new(),
+                queued: 0,
             });
         }
         Ok(TcpTransport {
@@ -206,7 +207,6 @@ impl TcpTransport {
             conns,
             rx,
             _tx: tx,
-            wbuf: Vec::new(),
             n,
             stats: WireStats::default(),
         })
@@ -228,7 +228,10 @@ impl TcpTransport {
             body: Body::Hello,
         }
         .encode();
-        write_frame(stream, &cfg.key, &hello, &mut Vec::new()).map_err(|e| txerr("hello", e))?;
+        let mut record = Vec::new();
+        append_record(&cfg.key, &hello, &mut record)
+            .and_then(|()| stream.write_all(&record))
+            .map_err(|e| txerr("hello", e))?;
         stream
             .set_read_timeout(Some(cfg.connect_timeout))
             .map_err(|e| txerr("handshake timeout", e))?;
@@ -243,6 +246,19 @@ impl TcpTransport {
             Body::HelloAck { .. } => Err(CoordError::Protocol("hello ack for the wrong shard")),
             Body::AuthReject => Err(CoordError::AuthFailure("worker rejected the campaign key")),
             _ => Err(CoordError::Protocol("unexpected frame during handshake")),
+        }
+    }
+
+    /// Write every connection's queued records, one `write_all` each. A
+    /// failed write marks the shard dead, and its queued frames are lost.
+    fn flush(&mut self) {
+        for conn in self.conns.iter_mut().filter(|c| c.queued > 0) {
+            if conn.dead.load(Ordering::SeqCst) || conn.stream.write_all(&conn.out).is_err() {
+                conn.dead.store(true, Ordering::SeqCst);
+                self.stats.frames_lost += conn.queued;
+            }
+            conn.out.clear();
+            conn.queued = 0;
         }
     }
 }
@@ -268,14 +284,17 @@ impl Transport for TcpTransport {
             self.stats.frames_lost += 1;
             return Ok(());
         }
-        if write_frame(&mut conn.stream, &self.cfg.key, &frame, &mut self.wbuf).is_err() {
+        if append_record(&self.cfg.key, &frame, &mut conn.out).is_err() {
             conn.dead.store(true, Ordering::SeqCst);
             self.stats.frames_lost += 1;
+            return Ok(());
         }
+        conn.queued += 1;
         Ok(())
     }
 
     fn deliver_next(&mut self) -> Result<Option<Vec<u8>>, CoordError> {
+        self.flush();
         match self.rx.recv_timeout(self.cfg.recv_timeout) {
             Ok(mut sealed) => {
                 let len = self.cfg.key.open(&sealed)?.len();
@@ -507,13 +526,15 @@ fn wake_addr(mut addr: SocketAddr) -> SocketAddr {
 }
 
 /// Serve one connection until its peer leaves or `shutdown` closes it.
+/// Responses queue in one buffer, written whenever no further request is
+/// buffered — before the next `read` could block.
 fn serve_conn<P: FallibleNetworkProbe>(mut stream: TcpStream, shared: &ServerShared<P>) {
     let _ = stream.set_nodelay(true);
     let Ok(read_half) = stream.try_clone() else {
         return;
     };
     let mut reader = BufReader::new(read_half);
-    let mut wbuf = Vec::new();
+    let mut out = Vec::new();
     while let Ok(sealed) = read_frame(&mut reader) {
         let reply = match shared.key.open(&sealed) {
             Err(_) => {
@@ -566,11 +587,19 @@ fn serve_conn<P: FallibleNetworkProbe>(mut stream: TcpStream, shared: &ServerSha
             },
         };
         if let Some(response) = reply {
-            if write_frame(&mut stream, &shared.key, &response, &mut wbuf).is_err() {
+            if append_record(&shared.key, &response, &mut out).is_err() {
                 break;
             }
         }
+        if reader.buffer().is_empty() && !out.is_empty() {
+            if stream.write_all(&out).is_err() {
+                return;
+            }
+            out.clear();
+        }
     }
+    // Answer what was handled before the connection failed.
+    let _ = stream.write_all(&out);
 }
 
 #[cfg(test)]
@@ -587,23 +616,6 @@ mod tests {
         }
         fn try_probe(&self, i: usize, j: usize, _b: u64, _t: f64, _d: f64) -> ProbeAttempt {
             ProbeAttempt::Ok(if i == j { 0.0 } else { 0.25 })
-        }
-    }
-
-    /// A sink that counts `write` calls.
-    #[derive(Default)]
-    struct CountingWriter {
-        writes: usize,
-        bytes: Vec<u8>,
-    }
-    impl Write for CountingWriter {
-        fn write(&mut self, b: &[u8]) -> io::Result<usize> {
-            self.writes += 1;
-            self.bytes.extend_from_slice(b);
-            Ok(b.len())
-        }
-        fn flush(&mut self) -> io::Result<()> {
-            Ok(())
         }
     }
 
@@ -632,16 +644,43 @@ mod tests {
     }
 
     #[test]
-    fn write_frame_issues_one_write_per_frame() {
+    fn a_batch_carries_the_unchanged_records_back_to_back() {
         let key = AuthKey::from_seed(3);
-        let (mut w, mut buf) = (CountingWriter::default(), Vec::new());
-        write_frame(&mut w, &key, b"first frame", &mut buf).unwrap();
-        assert_eq!(w.writes, 1);
-        write_frame(&mut w, &key, b"second", &mut buf).unwrap();
-        assert_eq!(w.writes, 2);
+        let mut batch = Vec::new();
+        append_record(&key, b"first frame", &mut batch).unwrap();
+        append_record(&key, b"second", &mut batch).unwrap();
         let mut expect = record(&key, b"first frame");
         expect.extend_from_slice(&record(&key, b"second"));
-        assert_eq!(w.bytes, expect, "the bytes on the wire are unchanged");
+        assert_eq!(batch, expect, "the bytes on the wire are unchanged");
+    }
+
+    #[test]
+    fn sends_wait_for_deliver_next_and_are_answered_in_order() {
+        let key = AuthKey::from_seed(9);
+        let server = TcpWorkerServer::spawn(Fixed, 1, key).unwrap();
+        let mut t = TcpTransport::connect(&server.shard_addrs(1), key_cfg(key)).unwrap();
+        let flush = |seq| {
+            Message {
+                seq,
+                shard: 0,
+                body: Body::Flush {
+                    snapshot: seq as u32,
+                },
+            }
+            .encode()
+        };
+        t.send(0, flush(1)).unwrap();
+        t.send(0, flush(2)).unwrap();
+        thread::sleep(Duration::from_millis(20));
+        let received = || server.received[0].load(Ordering::SeqCst);
+        assert_eq!(received(), 0, "sends are queued");
+        for seq in [1, 2] {
+            let frame = t.deliver_next().unwrap().expect("a response");
+            assert_eq!(Message::decode(&frame).unwrap().seq, seq);
+        }
+        assert_eq!(received(), 2);
+        assert_eq!(t.stats().frames_sent, 2);
+        assert_eq!(t.stats().frames_delivered, 2);
     }
 
     #[test]
@@ -655,9 +694,9 @@ mod tests {
     #[test]
     fn back_to_back_frames_decode_in_order_through_one_buffered_reader() {
         let key = AuthKey::from_seed(5);
-        let (mut bytes, mut buf) = (Vec::new(), Vec::new());
-        write_frame(&mut bytes, &key, b"one", &mut buf).unwrap();
-        write_frame(&mut bytes, &key, b"two", &mut buf).unwrap();
+        let mut bytes = Vec::new();
+        append_record(&key, b"one", &mut bytes).unwrap();
+        append_record(&key, b"two", &mut bytes).unwrap();
         let mut r = BufReader::new(&bytes[..]);
         assert_eq!(read_frame(&mut r).unwrap(), key.seal(b"one"));
         assert_eq!(read_frame(&mut r).unwrap(), key.seal(b"two"));

@@ -57,7 +57,9 @@ pub trait Transport {
     fn shards(&self) -> usize;
 
     /// Ship one frame to a shard. A lossy transport may silently drop it —
-    /// that is not an error; the coordinator re-dispatches.
+    /// that is not an error; the coordinator re-dispatches. A frame may be
+    /// buffered until the next [`deliver_next`](Transport::deliver_next),
+    /// so a batch of sends can leave together.
     fn send(&mut self, shard: ShardId, frame: Vec<u8>) -> Result<(), CoordError>;
 
     /// Next worker frame ready for the coordinator, or `None` when no

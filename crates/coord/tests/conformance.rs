@@ -19,11 +19,12 @@
 use cloudconst_cloud::{CloudConfig, FaultPlan, FaultyCloud, SyntheticCloud};
 use cloudconst_coord::{
     AuthKey, Body, CoordError, Coordinator, CoordinatorConfig, LoopbackTransport, Message, Phase,
-    ShardTask, SimConfig, SimTransport, TcpConfig, TcpTransport, TcpWorkerServer, Transport,
-    WireStats,
+    ShardPlan, ShardTask, SimConfig, SimTransport, TcpConfig, TcpTransport, TcpWorkerServer,
+    Transport, WireStats,
 };
 use cloudconst_netmodel::{
-    Calibrator, FaultyTpRun, ImputePolicy, ProbeOutcome, RetryPolicy, TpMatrix,
+    CalibrationConfig, Calibrator, FallibleNetworkProbe, FaultyTpRun, ImputePolicy, ProbeOutcome,
+    RetryPolicy, TpMatrix,
 };
 use std::time::Duration;
 
@@ -326,6 +327,78 @@ fn failover_after_tcp_silent_kill_by_dispatch_budget() {
         k,
         "tcp silent kill",
     );
+}
+
+// ---------------------------------------------------------------------------
+// Contract 3b: a campaign runs its snapshots as one wave, so a shard can die
+// between two task barriers of every snapshot at once, or after some
+// snapshots are merged. Merged snapshots are kept, the rest restart on the
+// survivors, and the run is still bit-identical.
+// ---------------------------------------------------------------------------
+
+/// Snapshots of the mid-wave campaigns, enough that the flushes span several
+/// barriers.
+const WAVE_STEPS: usize = 4;
+/// Shard killed mid-wave; at K = 4 on the 12-VM fixture it carries pairs.
+const VICTIM: usize = 1;
+
+/// Frames the victim receives before it dies: halfway through its task
+/// frames (mid-barrier), or right after the flush of the first snapshot.
+fn kill_points(k: usize) -> [(u64, &'static str); 2] {
+    let plan = ShardPlan::new(cloud().n(), k, &CalibrationConfig::default());
+    let rounds = (0..plan.rounds())
+        .filter(|&r| plan.chunks(r).iter().any(|&(s, _)| s == VICTIM))
+        .count() as u64;
+    let tasks = rounds * 2 * WAVE_STEPS as u64;
+    [(tasks / 2 + 1, "mid-task"), (tasks + 1, "after the first flush")]
+}
+
+fn contract_mid_wave_kill(mut transport: Harness, k: usize, what: &str) {
+    let reference = Calibrator::new().calibrate_tp_faulty_par(
+        &cloud(),
+        0.0,
+        60.0,
+        WAVE_STEPS,
+        &RetryPolicy::default(),
+        ImputePolicy::LastGood,
+    );
+    let mut config = CoordinatorConfig::new(k);
+    config.dispatch_attempts = 3;
+    config.failover_attempts = 1;
+    let sharded = Coordinator::new(config)
+        .calibrate_tp(&mut transport, 0.0, 60.0, WAVE_STEPS)
+        .unwrap_or_else(|e| panic!("{what}: survivors must finish: {e}"));
+    assert_runs_bit_identical(&sharded.run, &reference, what);
+    assert_eq!(sharded.report.failovers, 1, "{what}: the kill must fire once");
+    assert_eq!(sharded.report.shards_alive as usize, k - 1, "{what}");
+}
+
+#[test]
+fn mid_wave_kill_over_sim() {
+    let k = 4;
+    for (frames, when) in kill_points(k) {
+        let mut harness = Harness::sim(k);
+        if let Harness::Sim(t) = &mut harness {
+            t.kill_after(VICTIM, frames);
+        }
+        contract_mid_wave_kill(harness, k, &format!("sim kill {when}"));
+    }
+}
+
+#[test]
+fn mid_wave_silent_kill_over_tcp() {
+    let (key, k) = (campaign_key(), 4);
+    for (frames, when) in kill_points(k) {
+        let server = TcpWorkerServer::spawn(cloud(), k, key).expect("bind localhost");
+        server.kill_shard_after(VICTIM, frames);
+        let cfg = TcpConfig::new(key).with_recv_timeout(Duration::from_millis(100));
+        let transport = TcpTransport::connect(&server.shard_addrs(k), cfg).expect("connect");
+        contract_mid_wave_kill(
+            Harness::Tcp { transport, server },
+            k,
+            &format!("tcp silent kill {when}"),
+        );
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -374,6 +374,11 @@ impl Mat {
         m
     }
 
+    /// Reserve room for `rows` more [`push_row`](Mat::push_row) calls.
+    pub fn reserve_rows(&mut self, rows: usize) {
+        self.data.reserve(rows * self.cols);
+    }
+
     /// Append one row in place. Panics if `row.len()` is not the column
     /// count.
     pub fn push_row(&mut self, row: &[f64]) {
@@ -416,20 +421,44 @@ impl Mat {
         mins
     }
 
-    /// Median of each column (the lower median for even row counts).
+    /// Median of each column (the lower median for even row counts): the
+    /// element a stable sort of the column puts there, found by
+    /// [`select_stable`].
     pub fn col_medians(&self) -> Vec<f64> {
+        if self.rows == 0 {
+            return vec![0.0; self.cols];
+        }
+        let mut col = Vec::with_capacity(self.rows);
         (0..self.cols)
             .map(|j| {
-                let mut c = self.col(j);
-                c.sort_by(|a, b| a.partial_cmp(b).unwrap());
-                if c.is_empty() {
-                    0.0
-                } else {
-                    c[(c.len() - 1) / 2]
-                }
+                col.clear();
+                col.extend((0..self.rows).map(|i| self[(i, j)]));
+                select_stable(&mut col, (self.rows - 1) / 2)
             })
             .collect()
     }
+}
+
+/// The element a stable ascending sort of `values` (by `partial_cmp`) puts
+/// at index `k`, bit for bit, found by selection in linear time. `values`
+/// is left in an unspecified order. Panics if `k` is out of range or a
+/// comparison meets a NaN.
+///
+/// Values that compare equal have equal bits, except `0.0` and `-0.0`: a
+/// stable sort leaves the zeros, which follow the negatives, in input
+/// order, while selection may return any of them. So a `k` that lands
+/// among the zeros is answered from the input order.
+pub fn select_stable(values: &mut [f64], k: usize) -> f64 {
+    let below = values.iter().filter(|&&v| v < 0.0).count();
+    if let Some(&zero) = k
+        .checked_sub(below)
+        .and_then(|z| values.iter().filter(|&&v| v == 0.0).nth(z))
+    {
+        return zero;
+    }
+    *values
+        .select_nth_unstable_by(k, |a, b| a.partial_cmp(b).expect("no NaN in a median"))
+        .1
 }
 
 impl Index<(usize, usize)> for Mat {

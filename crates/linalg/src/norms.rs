@@ -18,7 +18,7 @@ const SUM_BLOCK: usize = 1024;
 const PAR_NORM_ELEMS: usize = 1 << 15;
 
 /// Blocked sum of `f(x)` over `data`: deterministic regardless of
-/// parallelism (see [`SUM_BLOCK`]).
+/// parallelism (see `SUM_BLOCK`).
 fn blocked_sum(data: &[f64], f: impl Fn(f64) -> f64 + Sync) -> f64 {
     let [total] = blocked_sums(data.len(), |i| [f(data[i])]);
     total
@@ -28,7 +28,7 @@ fn blocked_sum(data: &[f64], f: impl Fn(f64) -> f64 + Sync) -> f64 {
 /// of `term(i)[k]` over every `i`.
 ///
 /// Each sum is taken in the crate's fixed reduction order — sequential
-/// within each [`SUM_BLOCK`]-element block, then block partials in block
+/// within each `SUM_BLOCK`-element block, then block partials in block
 /// order — so `sums[k]` is bit-identical to [`fro_norm`]'s inner sum over
 /// the same terms, for any thread count. Fans out over blocks from
 /// `PAR_NORM_ELEMS` elements on, like the norms here.

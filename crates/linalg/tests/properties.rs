@@ -1,7 +1,7 @@
 //! Property-based tests of the linear-algebra kernels.
 
 use cloudconst_linalg::{
-    eigh, fro_norm, soft_threshold, svd_jacobi, svd_thin, svt, Mat,
+    eigh, fro_norm, select_stable, soft_threshold, svd_jacobi, svd_thin, svt, Mat,
 };
 use proptest::prelude::*;
 
@@ -147,6 +147,48 @@ proptest! {
             let max = col.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
             prop_assert!(mins[j] <= means[j] + 1e-12 && means[j] <= max + 1e-12);
             prop_assert!(mins[j] <= medians[j] && medians[j] <= max);
+        }
+    }
+}
+
+/// Values with many duplicates, and `0.0`/`-0.0` ties among them.
+const PALETTE: [f64; 8] = [-2.5, -1.0, -0.0, 0.0, 0.0, 1.0, 1.0, 3.0];
+
+/// Strategy: 1..=40 values drawn from [`PALETTE`], odd and even lengths.
+fn tied_values() -> impl Strategy<Value = Vec<f64>> {
+    proptest::collection::vec(0usize..PALETTE.len(), 1..41)
+        .prop_map(|ix| ix.into_iter().map(|i| PALETTE[i]).collect())
+}
+
+/// What a stable sort puts at index `k`.
+fn stable_sorted_at(values: &[f64], k: usize) -> f64 {
+    let mut sorted = values.to_vec();
+    sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    sorted[k]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn select_stable_matches_the_stable_sort_bit_for_bit(values in tied_values()) {
+        for k in 0..values.len() {
+            let got = select_stable(&mut values.clone(), k);
+            prop_assert_eq!(got.to_bits(), stable_sorted_at(&values, k).to_bits(), "k = {}", k);
+        }
+    }
+
+    #[test]
+    fn col_medians_match_the_stable_sort_bit_for_bit(
+        (rows, values) in (1usize..41).prop_flat_map(|r| {
+            (Just(r), proptest::collection::vec(0usize..PALETTE.len(), r * 3))
+        })
+    ) {
+        let data: Vec<f64> = values.into_iter().map(|i| PALETTE[i]).collect();
+        let m = Mat::from_vec(rows, 3, data);
+        for (j, got) in m.col_medians().into_iter().enumerate() {
+            let want = stable_sorted_at(&m.col(j), (rows - 1) / 2);
+            prop_assert_eq!(got.to_bits(), want.to_bits(), "column {}", j);
         }
     }
 }

@@ -281,7 +281,7 @@ impl Calibrator {
         interval: f64,
         steps: usize,
     ) -> (TpMatrix, f64) {
-        let mut run = FaultyTpRun::new(probe.n());
+        let mut run = FaultyTpRun::new(probe.n(), steps);
         for k in 0..steps {
             let t = snapshot_time(start, interval, k);
             let snapshot = self.calibrate(probe, t);
@@ -336,7 +336,7 @@ impl Calibrator {
                 (t, self.calibrate_par(probe, t, retry))
             })
             .collect();
-        let mut run = FaultyTpRun::new(probe.n());
+        let mut run = FaultyTpRun::new(probe.n(), steps);
         for (t, snapshot) in snapshots {
             run.push(t, snapshot, impute);
         }
@@ -361,7 +361,7 @@ impl Calibrator {
     ) -> FaultyTpRun {
         let n = probe.n();
         let mut history: Option<ProbeLog> = None;
-        let mut run = FaultyTpRun::new(n);
+        let mut run = FaultyTpRun::new(n, steps);
         for k in 0..steps {
             let t = snapshot_time(start, interval, k);
             let plan = adaptive.plan(n, history.as_ref(), &[]);
@@ -394,12 +394,15 @@ pub struct FaultyTpRun {
 }
 
 impl FaultyTpRun {
-    /// A campaign of no snapshots over an `n`-instance cluster.
-    pub fn new(n: usize) -> Self {
+    /// A campaign of no snapshots over an `n`-instance cluster, with room
+    /// for the `steps` snapshots it will push reserved up front.
+    pub fn new(n: usize, steps: usize) -> Self {
+        let mut tp = TpMatrix::new(n);
+        tp.reserve(steps);
         FaultyTpRun {
-            tp: TpMatrix::new(n),
+            tp,
             overhead: 0.0,
-            logs: Vec::new(),
+            logs: Vec::with_capacity(steps),
         }
     }
 

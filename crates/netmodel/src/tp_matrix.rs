@@ -1,7 +1,7 @@
 //! Temporal performance matrices (paper §III).
 
 use crate::perf_matrix::PerfMatrix;
-use cloudconst_linalg::Mat;
+use cloudconst_linalg::{select_stable, Mat};
 use serde::{Deserialize, Serialize};
 
 /// How to fill a TP-matrix cell that calibration failed to observe.
@@ -60,6 +60,14 @@ impl TpMatrix {
         }
     }
 
+    /// Reserve room for `steps` more snapshots in each plane.
+    pub fn reserve(&mut self, steps: usize) {
+        self.times.reserve(steps);
+        self.alpha.reserve_rows(steps);
+        self.inv_beta.reserve_rows(steps);
+        self.mask.reserve_rows(steps);
+    }
+
     /// Build from timestamped snapshots. Panics if any snapshot's size
     /// disagrees or timestamps decrease.
     pub fn from_snapshots(n: usize, snaps: &[(f64, PerfMatrix)]) -> Self {
@@ -87,7 +95,7 @@ impl TpMatrix {
         let observed_cell = |k: usize| observed[k] || k / n == k % n;
         let (mut af, mut bf) = pm.flatten();
         // A fully observed snapshot has nothing to fill: skip the per-plane
-        // median sorts.
+        // medians.
         if !(0..n * n).all(observed_cell) {
             self.impute_row(&mut af, observed, impute, Which::Alpha);
             self.impute_row(&mut bf, observed, impute, Which::InvBeta);
@@ -119,11 +127,11 @@ impl TpMatrix {
             .filter(|&k| observed[k] && k / n != k % n)
             .map(|k| row[k])
             .collect();
-        seen.sort_by(|a, b| a.partial_cmp(b).expect("finite measurements"));
         let median = if seen.is_empty() {
             0.0
         } else {
-            seen[seen.len() / 2]
+            let k = seen.len() / 2;
+            select_stable(&mut seen, k)
         };
 
         let hist = match which {
@@ -253,6 +261,8 @@ enum Which {
 mod tests {
     use super::*;
     use crate::alpha_beta::LinkPerf;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn pm(n: usize, scale: f64) -> PerfMatrix {
         PerfMatrix::from_fn(n, |i, j| {
@@ -377,5 +387,39 @@ mod tests {
         let snaps = vec![(0.0, pm(2, 1.0)), (10.0, pm(2, 2.0))];
         let tp = TpMatrix::from_snapshots(2, &snaps);
         assert_eq!(tp.steps(), 2);
+    }
+
+    #[test]
+    fn snapshot_median_is_the_stable_sorts_bit_for_bit() {
+        // Observed cells over a palette with duplicates and ±0.0 ties, odd
+        // and even observed counts: the fill must be the very zero a
+        // stable sort leaves at `len / 2`, not merely an equal value.
+        let palette = [-2.5, -1.0, -0.0, 0.0, 0.0, 1.0, 1.0, 3.0];
+        let mut rng = StdRng::seed_from_u64(29);
+        for _ in 0..500 {
+            let n = rng.random_range(2..7usize);
+            let mut pm = PerfMatrix::ideal(n);
+            let mut observed = vec![true; n * n];
+            for i in 0..n {
+                for j in (0..n).filter(|&j| j != i) {
+                    let alpha = palette[rng.random_range(0..palette.len())];
+                    pm.set(i, j, LinkPerf { alpha, beta: 1.0 });
+                    observed[i * n + j] = rng.random_bool(0.7);
+                }
+            }
+            // At least one gap, so the row is imputed.
+            observed[1] = false;
+            let (af, _) = pm.flatten();
+            let mut seen: Vec<f64> = (0..n * n)
+                .filter(|&k| observed[k] && k / n != k % n)
+                .map(|k| af[k])
+                .collect();
+            seen.sort_by(|a, b| a.partial_cmp(b).unwrap());
+            let want = seen.get(seen.len() / 2).copied().unwrap_or(0.0);
+
+            let mut tp = TpMatrix::new(n);
+            tp.push_masked(0.0, &pm, &observed, ImputePolicy::SnapshotMedian);
+            assert_eq!(tp.alpha_matrix()[(0, 1)].to_bits(), want.to_bits(), "{seen:?}");
+        }
     }
 }

@@ -1,7 +1,7 @@
 //! Accelerated proximal gradient RPCA with continuation.
 //!
-//! This is the algorithm the paper adopts (Ji & Ye [20], distributed as the
-//! "RPCA Accelerated Proximal Gradient (APG)" sample code [35]). The
+//! This is the algorithm the paper adopts (Ji & Ye \[20\], distributed as the
+//! "RPCA Accelerated Proximal Gradient (APG)" sample code \[35\]). The
 //! equality-constrained problem is relaxed to
 //!
 //! ```text

@@ -1,7 +1,7 @@
 //! Inexact augmented Lagrange multiplier (IALM) RPCA.
 //!
 //! An independent solver (Lin, Chen & Ma, 2010) for the same convex program
-//! as [`crate::apg`]. It keeps the constraint `A = D + E` explicit through a
+//! as [`crate::apg`](fn@crate::apg). It keeps the constraint `A = D + E` explicit through a
 //! Lagrange multiplier matrix `Y` and alternates exact minimization over `D`
 //! (singular-value thresholding) and `E` (soft thresholding) while the
 //! penalty `μ` grows geometrically. Usually converges in a few dozen

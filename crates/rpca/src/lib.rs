@@ -10,10 +10,10 @@
 //! relaxed, as usual, to the convex surrogate `‖D‖* + λ‖E‖₁`. Two solvers
 //! are provided:
 //!
-//! * [`apg`] — the **accelerated proximal gradient** method with
+//! * [`apg`](mod@apg) — the **accelerated proximal gradient** method with
 //!   continuation, the algorithm of Ji & Ye that the paper uses
-//!   (paper §II-B, reference [20]/[35]).
-//! * [`ialm`] — the **inexact augmented Lagrange multiplier** method, an
+//!   (paper §II-B, reference \[20\]/\[35\]).
+//! * [`ialm`](mod@ialm) — the **inexact augmented Lagrange multiplier** method, an
 //!   independent solver used for cross-checks and ablation.
 //!
 //! On top of the raw decomposition, [`constant`] extracts the paper's

@@ -2,9 +2,9 @@
 //!
 //! The paper's problem (§III) is stricter than generic RPCA: `N_D` must
 //! have rank one *with all rows identical* (one constant row repeated per
-//! snapshot). Relaxing to the nuclear norm (as [`crate::apg`]/[`crate::ialm`]
-//! do) and collapsing afterwards works well, but the constraint can also
-//! be enforced directly:
+//! snapshot). Relaxing to the nuclear norm (as [`crate::apg`](mod@crate::apg)
+//! and [`crate::ialm`](mod@crate::ialm) do) and collapsing afterwards works
+//! well, but the constraint can also be enforced directly:
 //!
 //! ```text
 //! minimize ‖E‖₀  subject to  A = 1·cᵀ + E
@@ -16,7 +16,7 @@
 //! threshold. Converges in a handful of sweeps and is `O(iters·m·n)` with
 //! no SVDs at all — used as an ablation point against the convex solvers.
 
-use cloudconst_linalg::Mat;
+use cloudconst_linalg::{select_stable, Mat};
 
 /// Options for [`rank1_rpca`].
 #[derive(Debug, Clone)]
@@ -54,12 +54,14 @@ pub struct Rank1Result {
     pub iters: usize,
 }
 
+/// The lower median: what a stable sort puts at `(len − 1) / 2`. Reorders
+/// `values`.
 fn median(values: &mut [f64]) -> f64 {
     if values.is_empty() {
         return 0.0;
     }
-    values.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    values[(values.len() - 1) / 2]
+    let k = (values.len() - 1) / 2;
+    select_stable(values, k)
 }
 
 /// Decompose `a` into an identical-rows rank-one part plus sparse error.
@@ -72,29 +74,37 @@ pub fn rank1_rpca(a: &Mat, opts: &Rank1Options) -> Rank1Result {
     let mut mask: Vec<bool> = vec![false; m * n]; // true = outlier
     let mut iters = 0;
 
+    // Sweep buffers, allocated once per solve.
+    let mut abs_res = vec![0.0f64; m * n];
+    let mut scratch = vec![0.0f64; m * n];
+    let mut new_mask = vec![false; m * n];
+    let mut flagged: Vec<(f64, usize)> = Vec::new();
+    let mut sums = vec![0.0f64; n];
+    let mut counts = vec![0usize; n];
+
     for sweep in 0..opts.max_iters {
         iters = sweep + 1;
 
         // Residuals and a robust scale estimate (MAD over all entries).
-        let mut abs_res: Vec<f64> = Vec::with_capacity(m * n);
-        for i in 0..m {
-            let row = a.row(i);
-            for (j, &v) in row.iter().enumerate() {
-                abs_res.push((v - c[j]).abs());
+        for (res, row) in abs_res.chunks_exact_mut(n).zip((0..m).map(|i| a.row(i))) {
+            for ((r, &v), &cj) in res.iter_mut().zip(row).zip(&c) {
+                *r = (v - cj).abs();
             }
         }
-        let mut sorted = abs_res.clone();
-        let mad = median(&mut sorted).max(f64::MIN_POSITIVE);
+        scratch.copy_from_slice(&abs_res);
+        let mad = median(&mut scratch).max(f64::MIN_POSITIVE);
         let threshold = opts.mad_factor * 1.4826 * mad; // MAD → σ scaling
 
         // New mask, capped in size.
-        let mut new_mask = vec![false; m * n];
-        let mut flagged: Vec<(f64, usize)> = abs_res
-            .iter()
-            .enumerate()
-            .filter(|(_, &r)| r > threshold)
-            .map(|(k, &r)| (r, k))
-            .collect();
+        new_mask.fill(false);
+        flagged.clear();
+        flagged.extend(
+            abs_res
+                .iter()
+                .enumerate()
+                .filter(|(_, &r)| r > threshold)
+                .map(|(k, &r)| (r, k)),
+        );
         let cap = ((m * n) as f64 * opts.max_outlier_frac) as usize;
         if flagged.len() > cap {
             flagged.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap());
@@ -106,8 +116,8 @@ pub fn rank1_rpca(a: &Mat, opts: &Rank1Options) -> Rank1Result {
 
         // Refit c from unmasked entries per column (mean of the clean
         // entries; median init already removed leverage).
-        let mut sums = vec![0.0f64; n];
-        let mut counts = vec![0usize; n];
+        sums.fill(0.0);
+        counts.fill(0);
         for i in 0..m {
             let row = a.row(i);
             for (j, &v) in row.iter().enumerate() {
@@ -124,11 +134,11 @@ pub fn rank1_rpca(a: &Mat, opts: &Rank1Options) -> Rank1Result {
             // A fully-masked column keeps its previous (median) estimate.
         }
 
-        if new_mask == mask {
-            mask = new_mask;
+        let settled = new_mask == mask;
+        std::mem::swap(&mut mask, &mut new_mask);
+        if settled {
             break;
         }
-        mask = new_mask;
     }
 
     let mut e = Mat::zeros(m, n);
@@ -149,6 +159,8 @@ pub fn rank1_rpca(a: &Mat, opts: &Rank1Options) -> Rank1Result {
 mod tests {
     use super::*;
     use crate::constant_matrix;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn fixture(m: usize, n: usize, spikes: &[(usize, usize, f64)]) -> (Mat, Vec<f64>) {
         let row: Vec<f64> = (0..n).map(|j| 5.0 + (j % 4) as f64).collect();
@@ -227,5 +239,25 @@ mod tests {
         let r = rank1_rpca(&a, &Rank1Options::default());
         assert!(r.outliers <= 15); // ≤ 50% of 30
         assert!((r.constant[1] - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn median_is_the_stable_sorts_lower_median_bit_for_bit() {
+        // Odd and even lengths over values with duplicates and ±0.0 ties:
+        // which zero a stable sort leaves in the middle depends on input
+        // order, and the selection must pick the same one.
+        let palette = [-2.5, -1.0, -0.0, 0.0, 0.0, 1.0, 1.0, 3.0];
+        let mut rng = StdRng::seed_from_u64(17);
+        for _ in 0..2000 {
+            let len = rng.random_range(1..41usize);
+            let values: Vec<f64> = (0..len)
+                .map(|_| palette[rng.random_range(0..palette.len())])
+                .collect();
+            let mut sorted = values.clone();
+            sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
+            let want = sorted[(len - 1) / 2];
+            let got = median(&mut values.clone());
+            assert_eq!(got.to_bits(), want.to_bits(), "{values:?}");
+        }
     }
 }

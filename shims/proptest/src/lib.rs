@@ -160,7 +160,7 @@ pub mod collection {
 
     use super::{Strategy, TestRng};
 
-    /// Element-count specification for [`vec`].
+    /// Element-count specification for [`vec()`].
     #[derive(Debug, Clone)]
     pub struct SizeRange {
         min: usize,
@@ -201,7 +201,7 @@ pub mod collection {
         }
     }
 
-    /// Output of [`vec`].
+    /// Output of [`vec()`].
     pub struct VecStrategy<S> {
         element: S,
         size: SizeRange,

@@ -1,4 +1,4 @@
-//! Parallel-iterator façade over the pool in [`crate::pool`].
+//! Parallel-iterator façade over the crate's private thread pool.
 //!
 //! Only the combinators cloudconst actually uses are provided: ranges and
 //! slices with `map`/`for_each`/ordered `collect`, plus `par_chunks_mut`.
