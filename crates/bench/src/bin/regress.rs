@@ -80,9 +80,8 @@ fn main() {
     }
 
     let path = out_dir.join(report.file_name());
-    let json = serde_json::to_string_pretty(&report).expect("serialize report");
     if let Err(e) = std::fs::create_dir_all(&out_dir)
-        .and_then(|()| std::fs::write(&path, json + "\n"))
+        .and_then(|()| std::fs::write(&path, report.to_json() + "\n"))
     {
         eprintln!("error: cannot write {}: {e}", path.display());
         std::process::exit(1);
