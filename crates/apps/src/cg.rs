@@ -13,13 +13,12 @@ use crate::Breakdown;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 
 /// The paper's convergence constant: `‖r‖ ≤ 1e-5 · g₀`.
 pub const CONVERGENCE_FACTOR: f64 = 1e-5;
 
 /// Which SPD operator CG solves.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CgOperator {
     /// Diagonally dominant (`diag = 4`): condition number O(1),
     /// convergence in a few dozen iterations regardless of size. Used by
@@ -33,7 +32,7 @@ pub enum CgOperator {
 }
 
 /// Configuration of a CG run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CgConfig {
     /// Vector size (the paper sweeps 1000–1 024 000).
     pub size: usize,
@@ -77,7 +76,7 @@ impl CgConfig {
 }
 
 /// Result of a CG run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CgReport {
     /// Iterations to convergence.
     pub iterations: usize,

@@ -13,7 +13,6 @@ use crate::Breakdown;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 
 /// Gravitational constant (natural units: the dynamics, not the constants,
 /// are what the workload exercises).
@@ -24,7 +23,7 @@ const SOFTENING: f64 = 1e-3;
 const FLOPS_PER_PAIR: f64 = 20.0;
 
 /// Configuration of an N-body run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct NBodyConfig {
     /// Number of bodies.
     pub bodies: usize,
@@ -59,7 +58,7 @@ impl NBodyConfig {
 }
 
 /// Result of an N-body run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct NBodyReport {
     /// Time breakdown (compute/comm/other; `other` filled by the caller).
     pub breakdown: Breakdown,

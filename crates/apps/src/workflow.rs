@@ -11,10 +11,9 @@
 use cloudconst_netmodel::PerfMatrix;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// One task of a workflow.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct WorkflowTask {
     /// Computational work in FLOPs.
     pub flops: f64,
@@ -24,7 +23,7 @@ pub struct WorkflowTask {
 
 /// A workflow DAG; tasks are stored in a valid topological order (every
 /// input id is smaller than the consumer's id).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Workflow {
     tasks: Vec<WorkflowTask>,
 }
@@ -123,7 +122,7 @@ impl Workflow {
 
 /// A task → machine assignment for a workflow (not necessarily a
 /// bijection: machines host many tasks).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Schedule {
     machine_of: Vec<usize>,
 }
@@ -258,7 +257,7 @@ pub fn balanced_eft_schedule(
 }
 
 /// Outcome of executing a workflow schedule against the actual network.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WorkflowReport {
     /// End-to-end makespan (seconds).
     pub makespan: f64,

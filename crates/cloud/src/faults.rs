@@ -3,7 +3,7 @@
 //! A real calibration campaign loses probes: packets vanish, stragglers
 //! outlive their deadline, a VM goes dark for a maintenance window, one
 //! link is persistently flaky. [`FaultPlan`] describes such an environment
-//! as plain serde-able data, and [`FaultyCloud`] applies it on top of
+//! as plain data, and [`FaultyCloud`] applies it on top of
 //! [`SyntheticCloud`]'s ground-truth link model, exposing the
 //! [`FallibleNetworkProbe`] interface the fault-aware calibrator consumes.
 //!
@@ -23,7 +23,6 @@ use crate::hash;
 use crate::placement::Placement;
 use crate::synthetic::SyntheticCloud;
 use cloudconst_netmodel::{FallibleNetworkProbe, ProbeAttempt, PureNetworkProbe};
-use serde::{Deserialize, Serialize};
 
 /// Fault-stream tags (disjoint from the cloud's 0xA1–0xE8 noise streams).
 const STREAM_LOSS: u64 = 0xF1;
@@ -39,7 +38,7 @@ const STREAM_DOMAIN_CONGEST_FAC: u64 = 0xF8;
 /// they share hidden infrastructure (a rack's ToR switch, a PDU). Derived
 /// from the cloud's placement via [`FaultPlan::with_rack_domains`], but any
 /// grouping works — the plan only sees the membership list.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FaultDomain {
     /// Stable identifier, used in the event hash streams (rack index when
     /// derived from a placement).
@@ -57,7 +56,7 @@ impl FaultDomain {
 
 /// A maintenance/outage window during which one VM answers no probes:
 /// every attempt touching `vm` in `[start, end)` is lost.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Blackout {
     /// The affected VM index.
     pub vm: usize,
@@ -76,7 +75,7 @@ impl Blackout {
 
 /// A directed link with extra, persistent probe loss on top of the global
 /// rate — the "that one link is cursed" phenomenon.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FlakyLink {
     /// Source VM.
     pub i: usize,
@@ -89,10 +88,10 @@ pub struct FlakyLink {
 
 /// A complete, seeded description of the faults injected into a run.
 ///
-/// Serialize it next to the experiment config and the run is replayable.
+/// The same plan over the same cloud replays the same faults.
 /// Probabilities are per *attempt*, so retries re-roll — which is what
 /// makes bounded retry worth its overhead.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
     /// Seed for the fault hash streams (independent of the cloud seed).
     pub seed: u64,
@@ -589,35 +588,6 @@ mod tests {
                 b.try_probe(i, j, BETA_PROBE_BYTES, t, 2.0)
             );
         }
-    }
-
-    #[test]
-    fn plan_serde_roundtrip() {
-        let plan = FaultPlan {
-            blackouts: vec![Blackout {
-                vm: 1,
-                start: 5.0,
-                end: 9.0,
-            }],
-            flaky_links: vec![FlakyLink {
-                i: 0,
-                j: 2,
-                loss_prob: 0.4,
-            }],
-            domains: vec![FaultDomain {
-                id: 0,
-                vms: vec![0, 1, 2],
-            }],
-            domain_blackout_prob: 0.2,
-            domain_congestion_prob: 0.1,
-            domain_congestion_factor: (2.0, 4.0),
-            domain_window: 300.0,
-            max_concurrent_domain_events: 1,
-            ..FaultPlan::uniform(99, 0.1)
-        };
-        let json = serde_json::to_string(&plan).unwrap();
-        let back: FaultPlan = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, plan);
     }
 
     #[test]

@@ -1,11 +1,10 @@
 //! VM-to-host placement in the hidden datacenter.
 
 use crate::hash;
-use serde::{Deserialize, Serialize};
 
 /// Network distance class between two VMs — the hidden topological fact
 /// that determines a link's constant performance.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlacementDistance {
     /// Both VMs on the same physical host (memory-speed virtual switch).
     SameHost,
@@ -17,7 +16,7 @@ pub enum PlacementDistance {
 
 /// An assignment of `n` VMs to hosts in a `racks × hosts_per_rack`
 /// datacenter.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Placement {
     racks: usize,
     hosts_per_rack: usize,

@@ -16,10 +16,9 @@
 use crate::tree::CommTree;
 use crate::Collective;
 use cloudconst_netmodel::PerfMatrix;
-use serde::{Deserialize, Serialize};
 
 /// One point-to-point transfer inside a collective.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Transfer {
     /// Sending machine.
     pub src: usize,
@@ -36,7 +35,7 @@ pub struct Transfer {
 ///
 /// Transfers are stored in a valid topological order (every dependency
 /// index is smaller than the dependent's index).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TransferDag {
     /// Cluster size the DAG refers to.
     pub n: usize,

@@ -32,7 +32,6 @@ use cloudconst_netmodel::{
     CalibrationConfig, CalibrationRun, FaultyTpRun, ImputePolicy, LinkPerf, PerfMatrix, ProbeLog,
     ProbeOutcome, RetryPolicy,
 };
-use serde::Serialize;
 use std::collections::BTreeMap;
 use std::ops::Range;
 
@@ -76,7 +75,7 @@ impl CoordinatorConfig {
 }
 
 /// Operator-facing summary of one sharded campaign.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CampaignReport {
     /// Cluster size.
     pub n: u64,

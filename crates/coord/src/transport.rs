@@ -21,7 +21,6 @@ use crate::worker::ShardWorker;
 use crate::CoordError;
 use cloudconst_cloud::hash;
 use cloudconst_netmodel::FallibleNetworkProbe;
-use serde::Serialize;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
@@ -34,7 +33,7 @@ const STREAM_WIRE_LOSS: u64 = 0xFA;
 const STREAM_WIRE_LAT: u64 = 0xFB;
 
 /// Frame-level accounting a transport exposes for the campaign report.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct WireStats {
     /// Frames handed to `send` (re-dispatches included).
     pub frames_sent: u64,
@@ -144,7 +143,7 @@ impl<P: FallibleNetworkProbe> Transport for LoopbackTransport<P> {
 }
 
 /// Adversity knobs for [`SimTransport`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimConfig {
     /// Seed of the wire's hash streams.
     pub seed: u64,

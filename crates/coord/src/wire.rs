@@ -294,7 +294,7 @@ fn read_partial(r: &mut Reader<'_>) -> Result<Body, CodecError> {
 type BodyReader = fn(&mut Reader<'_>) -> Result<Body, CodecError>;
 
 impl Message {
-    /// Serialize into one checksummed frame.
+    /// Encode into one checksummed frame.
     pub fn encode(&self) -> Vec<u8> {
         let mut p = Vec::new();
         put_u64(&mut p, self.seq);

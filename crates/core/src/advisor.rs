@@ -7,7 +7,6 @@ use cloudconst_netmodel::{
     ProbeLog, ProbeOutcome, RetryPolicy, TpMatrix,
 };
 use cloudconst_rpca::ApgOptions;
-use serde::{Deserialize, Serialize};
 
 /// Quarantine a link after this many *consecutive snapshots* in which every
 /// probe of the link failed. Quarantined links no longer trigger
@@ -20,7 +19,7 @@ const QUARANTINE_AFTER: u32 = 3;
 const HISTORY_CAPACITY: usize = 32;
 
 /// Configuration of the advisor loop.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AdvisorConfig {
     /// Number of calibration snapshots per TP-matrix — the paper's *time
     /// step* parameter (default 10, chosen in Fig. 5).
@@ -70,7 +69,7 @@ impl Default for AdvisorConfig {
 /// A truthful account of how the advisor's current model was obtained —
 /// what an operator (or an optimization layer deciding how much to trust
 /// the guidance) needs to know about probe health and model freshness.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct HealthReport {
     /// Fraction of probe attempts in the model's calibration campaign that
     /// returned a measurement (1.0 for a campaign on a probe that never
@@ -101,7 +100,7 @@ pub struct HealthReport {
 /// The advisor records one report per *successful model install* on every
 /// calibration path; a failed install records nothing. When the ring holds
 /// 32 reports the oldest is evicted.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct CampaignHistory {
     reports: Vec<HealthReport>,
 }

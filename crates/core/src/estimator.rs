@@ -6,7 +6,6 @@ use cloudconst_netmodel::{PerfMatrix, TpMatrix, BETA_PROBE_BYTES};
 use cloudconst_rpca::{
     apg, constant_matrix, extract_constant, metrics, ApgOptions, ConstantMethod, RpcaError,
 };
-use serde::{Deserialize, Serialize};
 
 /// What to do when the RPCA solver exhausts its iteration budget
 /// ([`RpcaError::NoConvergence`]) instead of converging.
@@ -17,7 +16,7 @@ use serde::{Deserialize, Serialize};
 /// exactly when the solver is most likely to need more iterations than the
 /// budget allows. The policy makes the trade-off explicit instead of
 /// hard-failing the calibration.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum DegradedPolicy {
     /// Strict mode (the default): any non-convergence is an error.
     #[default]
@@ -29,7 +28,7 @@ pub enum DegradedPolicy {
 }
 
 /// How to reduce a TP-matrix to one constant performance matrix.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum EstimatorKind {
     /// The paper's proposal: RPCA (APG) on the latency and inverse-
     /// bandwidth temporal matrices, then rank-one extraction.

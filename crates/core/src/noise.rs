@@ -13,10 +13,9 @@ use crate::Result;
 use cloudconst_netmodel::{LinkPerf, PerfMatrix, TpMatrix};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Parameters of one perturbation round.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct NoiseConfig {
     /// Relative size of a single perturbation. The paper uses 1%; the
     /// default is 10%, the value fig10 and fig11 run with. The achieved

@@ -2,7 +2,6 @@
 
 use crate::{LinalgError, Result};
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 use std::ops::{Index, IndexMut};
 
 /// Element count above which matrix multiplication parallelizes over rows.
@@ -13,7 +12,7 @@ pub(crate) const PAR_MATMUL_FLOPS: usize = 1 << 20;
 /// The layout is a single contiguous `Vec<f64>` of length `rows * cols`;
 /// element `(i, j)` lives at index `i * cols + j`. All arithmetic routines
 /// check shapes and return [`LinalgError::ShapeMismatch`] on disagreement.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Mat {
     rows: usize,
     cols: usize,

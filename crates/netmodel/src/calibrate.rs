@@ -32,7 +32,6 @@ use crate::perf_matrix::PerfMatrix;
 use crate::tp_matrix::{ImputePolicy, TpMatrix};
 use crate::{NetworkProbe, PureNetworkProbe, ALPHA_PROBE_BYTES, BETA_PROBE_BYTES};
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 
 /// Round-robin (circle method) schedule of directed probe rounds.
 ///
@@ -67,7 +66,7 @@ pub fn pairing_rounds(n: usize) -> Vec<Vec<(usize, usize)>> {
 }
 
 /// Configuration of the calibration protocol.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CalibrationConfig {
     /// Probe size for latency (paper: 1 byte).
     pub small_bytes: u64,

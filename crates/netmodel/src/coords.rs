@@ -10,13 +10,12 @@
 //! which shows the embedding error dwarfing direct calibration.
 
 use crate::NetworkProbe;
-use serde::{Deserialize, Serialize};
 
 /// Embedding dimensionality (Vivaldi's classic choice, 2-3 + height).
 const DIMS: usize = 3;
 
 /// Configuration of a Vivaldi run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct VivaldiConfig {
     /// Adaptation gain `cc` (fraction of the error corrected per sample).
     pub gain: f64,

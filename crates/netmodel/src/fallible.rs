@@ -22,7 +22,6 @@
 //!   `cloudconst-cloud`.
 
 use crate::PureNetworkProbe;
-use serde::{Deserialize, Serialize};
 
 /// Result of a single probe attempt against a fallible backend.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -45,7 +44,7 @@ pub enum ProbeAttempt {
 /// `backoff(k) = backoff_base · backoff_mult^(k−2)` for `k ≥ 2`. All
 /// delays are simulated seconds charged to the calibration overhead —
 /// never wall-clock sleeps.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RetryPolicy {
     /// Seconds a single attempt may run before it is declared dead. Must
     /// comfortably exceed an honest worst-case probe (an 8 MB transfer
@@ -170,9 +169,8 @@ pub fn run_attempt_series(
 }
 
 /// How one cell of the measurement matrix ended up after retries. The
-/// payload is the number of attempts consumed (tuple variants because the
-/// workspace serde shim has no struct-variant support).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+/// payload is the number of attempts consumed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ProbeOutcome {
     /// Never scheduled (self-links).
     Unprobed,
@@ -188,7 +186,7 @@ pub enum ProbeOutcome {
 /// Per-calibration record of probe outcomes: an `N × N` grid of
 /// [`ProbeOutcome`] (the *worse* of the latency and bandwidth phases per
 /// link) plus aggregate attempt counters.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProbeLog {
     n: usize,
     outcomes: Vec<ProbeOutcome>,
@@ -338,7 +336,7 @@ fn merge_outcome(a: ProbeOutcome, b: ProbeOutcome) -> ProbeOutcome {
 /// [`AdaptiveRetryPolicy::plan`]), so every (pair, phase) still runs a
 /// fixed per-link policy and attempt series stay pure functions of
 /// `(pair, bytes, time)`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AdaptiveRetryPolicy {
     /// Deadline and backoff shape every attempt runs under.
     pub base: RetryPolicy,
@@ -647,14 +645,5 @@ mod tests {
         let plan = AdaptiveRetryPolicy::default().plan(5, None, &[]);
         assert_eq!(plan.hot_links(), 0);
         assert_eq!(plan.policy_for(0, 4).max_attempts, 2);
-    }
-
-    #[test]
-    fn probe_log_serde_roundtrip() {
-        let mut log = clean_log(3);
-        log.set_outcome(1, 0, ProbeOutcome::Failed(2));
-        let json = serde_json::to_string(&log).unwrap();
-        let back: ProbeLog = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, log);
     }
 }

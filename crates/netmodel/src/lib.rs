@@ -10,8 +10,8 @@
 //! * [`tp_matrix`] — [`TpMatrix`], the temporal performance matrix: `n`
 //!   calibration snapshots flattened row-wise into an `n × N²` matrix, the
 //!   direct input to RPCA.
-//! * [`trace`] — recorded network performance traces with serde
-//!   (de)serialization; the trace-replay methodology of paper §V-D3.
+//! * [`trace`] — recorded network performance traces, saved and loaded
+//!   as JSON; the trace-replay methodology of paper §V-D3.
 //! * [`calibrate`] — the SKaMPI-style ping-pong calibration protocol with
 //!   the paper's `N/2`-concurrent-pairs round schedule (§IV-B), expressed
 //!   against two backend-agnostic probe traits: [`NetworkProbe`] through a

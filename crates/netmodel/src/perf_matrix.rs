@@ -2,7 +2,6 @@
 
 use crate::alpha_beta::LinkPerf;
 use cloudconst_linalg::Mat;
-use serde::{Deserialize, Serialize};
 
 /// A snapshot of pair-wise network performance for an `N`-instance virtual
 /// cluster: the paper's performance matrices `L(t) = (α_ij)` and
@@ -10,7 +9,7 @@ use serde::{Deserialize, Serialize};
 /// matrices live in the "seconds" domain that RPCA and averaging operate in.
 ///
 /// Self-links `(i, i)` are fixed at zero cost.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PerfMatrix {
     n: usize,
     /// `N × N` latencies in seconds; diagonal is 0.
@@ -61,13 +60,17 @@ impl PerfMatrix {
         self.n
     }
 
-    /// Does this snapshot hold two `n × n` planes? Always true of a matrix
-    /// built through the API; a deserialized one can disagree.
-    pub(crate) fn has_shape(&self, n: usize) -> bool {
-        self.n == n
-            && [&self.alpha, &self.inv_beta]
-                .iter()
-                .all(|m| m.rows() == n && m.cols() == n && m.as_slice().len() == n * n)
+    /// The latency and inverse-bandwidth planes, as the trace file stores
+    /// them.
+    pub(crate) fn planes(&self) -> [&Mat; 2] {
+        [&self.alpha, &self.inv_beta]
+    }
+
+    /// Rebuild from the two planes [`PerfMatrix::planes`] returns; panics
+    /// unless both are `n × n`.
+    pub(crate) fn from_planes(n: usize, alpha: Mat, inv_beta: Mat) -> Self {
+        assert!(alpha.shape() == (n, n) && inv_beta.shape() == (n, n));
+        PerfMatrix { n, alpha, inv_beta }
     }
 
     /// Link performance from `i` to `j` ([`LinkPerf::SELF`] when `i == j`).

@@ -2,14 +2,13 @@
 
 use crate::perf_matrix::PerfMatrix;
 use cloudconst_linalg::{select_stable, Mat};
-use serde::{Deserialize, Serialize};
 
 /// How to fill a TP-matrix cell that calibration failed to observe.
 ///
 /// Imputed cells are *marked* in the observation mask so downstream error
 /// accounting (`Norm(N_E)`) can exclude them; the fill value only has to be
 /// plausible enough that RPCA treats any residual as a sparse error.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ImputePolicy {
     /// The most recent *observed* value of the same cell from an earlier
     /// snapshot; falls back to the snapshot median when the cell has never
@@ -36,7 +35,7 @@ pub enum ImputePolicy {
 /// vectors and stacked by measurement time, yielding two `steps × N²`
 /// matrices. RPCA is run on each independently; the paper's figures use the
 /// combined transfer-time view, which is a linear combination of the two.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TpMatrix {
     n: usize,
     times: Vec<f64>,

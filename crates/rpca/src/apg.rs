@@ -33,10 +33,9 @@ use crate::{default_lambda, spectral_norm, Result, RpcaError, RpcaResult};
 use cloudconst_linalg::{
     blocked_sums, for_each_chunk_pair, fro_norm, shrink_scalar, svt_in_place, Mat,
 };
-use serde::{Deserialize, Serialize};
 
 /// Options for [`apg`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ApgOptions {
     /// Sparsity weight λ. `None` selects `1/√max(m,n)`.
     pub lambda: Option<f64>,

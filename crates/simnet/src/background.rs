@@ -3,13 +3,12 @@
 use crate::engine::Simulator;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Specification of the paper's background traffic: a set of host pairs
 /// that "keep on sending messages", each an independent Poisson process
 /// parameterized by message size and expected waiting time λ between
 /// sends (paper §V-A).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BackgroundSpec {
     /// Number of sender→receiver pairs to draw.
     pub pairs: usize,

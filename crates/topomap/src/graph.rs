@@ -2,14 +2,13 @@
 
 use cloudconst_linalg::Mat;
 use cloudconst_netmodel::PerfMatrix;
-use serde::{Deserialize, Serialize};
 
 /// A weighted directed graph over `n` vertices, stored densely.
 ///
 /// Used both as the task graph (weights = bytes to transfer) and the
 /// machine graph (weights = bandwidth in bytes/second). A zero weight means
 /// "no edge".
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TaskGraph {
     w: Mat,
 }

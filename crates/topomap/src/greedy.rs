@@ -1,10 +1,9 @@
 //! Mapping algorithms: the greedy heuristic and the ring baseline.
 
 use crate::graph::TaskGraph;
-use serde::{Deserialize, Serialize};
 
 /// A task → machine assignment (`machine_of[task]`), bijective.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Mapping {
     machine_of: Vec<usize>,
 }

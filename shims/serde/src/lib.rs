@@ -1,15 +1,12 @@
-//! Offline shim for `serde`.
+//! Offline shim for `serde`, reduced to its data model.
 //!
-//! Instead of serde's zero-copy visitor architecture, this shim routes all
-//! (de)serialization through one concrete tree type, [`Value`]. A type is
-//! serializable if it can render itself to a `Value` and deserializable if it
-//! can rebuild itself from one. `serde_json` (the shim) then maps `Value`
-//! to/from JSON text. This supports everything the workspace derives:
-//! named-field structs, tuple structs, unit enums, and the std types below.
+//! [`Value`] is the JSON-like tree that `serde_json` (the shim) prints and
+//! parses. There are no (de)serialization traits and no derives:
+//! a format that leaves a process builds its `Value` by hand and reads one
+//! back through [`Value::field`] and [`Value::as_str`] and by matching
+//! on its variants; a failure is a [`DeError`].
 
-pub use serde_derive::{Deserialize, Serialize};
-
-/// In-memory JSON-like tree every (de)serialization passes through.
+/// In-memory JSON-like tree: what `serde_json` prints and parses.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     Null,
@@ -42,19 +39,6 @@ impl Value {
         }
     }
 
-    /// Array element lookup; `Err` if `self` is not an array or is too short.
-    pub fn element(&self, idx: usize) -> Result<&Value, DeError> {
-        match self {
-            Value::Array(items) => items
-                .get(idx)
-                .ok_or_else(|| DeError(format!("missing array element {idx}"))),
-            other => Err(DeError(format!(
-                "expected array, found {}",
-                other.kind()
-            ))),
-        }
-    }
-
     /// String view; `Err` for non-strings.
     pub fn as_str(&self) -> Result<&str, DeError> {
         match self {
@@ -80,13 +64,6 @@ impl Value {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DeError(pub String);
 
-impl DeError {
-    /// Error for an enum string that matches no variant.
-    pub fn unknown_variant(enum_name: &str, got: &str) -> Self {
-        DeError(format!("unknown {enum_name} variant `{got}`"))
-    }
-}
-
 impl std::fmt::Display for DeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "deserialization error: {}", self.0)
@@ -95,341 +72,14 @@ impl std::fmt::Display for DeError {
 
 impl std::error::Error for DeError {}
 
-/// Render to the [`Value`] tree.
-pub trait Serialize {
-    fn to_value(&self) -> Value;
-}
-
-/// Rebuild from the [`Value`] tree.
-pub trait Deserialize: Sized {
-    fn from_value(v: &Value) -> Result<Self, DeError>;
-}
-
-impl Serialize for bool {
-    fn to_value(&self) -> Value {
-        Value::Bool(*self)
-    }
-}
-
-impl Deserialize for bool {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        match v {
-            Value::Bool(b) => Ok(*b),
-            other => Err(DeError(format!("expected bool, found {}", other.kind()))),
-        }
-    }
-}
-
-macro_rules! impl_unsigned {
-    ($($t:ty),*) => {$(
-        impl Serialize for $t {
-            fn to_value(&self) -> Value {
-                Value::UInt(*self as u64)
-            }
-        }
-        impl Deserialize for $t {
-            fn from_value(v: &Value) -> Result<Self, DeError> {
-                let raw = match v {
-                    Value::UInt(u) => *u,
-                    Value::Int(i) if *i >= 0 => *i as u64,
-                    other => {
-                        return Err(DeError(format!(
-                            "expected unsigned integer, found {}",
-                            other.kind()
-                        )))
-                    }
-                };
-                <$t>::try_from(raw)
-                    .map_err(|_| DeError(format!("{raw} out of range for {}", stringify!($t))))
-            }
-        }
-    )*};
-}
-impl_unsigned!(u8, u16, u32, u64, usize);
-
-macro_rules! impl_signed {
-    ($($t:ty),*) => {$(
-        impl Serialize for $t {
-            fn to_value(&self) -> Value {
-                let v = *self as i64;
-                if v >= 0 { Value::UInt(v as u64) } else { Value::Int(v) }
-            }
-        }
-        impl Deserialize for $t {
-            fn from_value(v: &Value) -> Result<Self, DeError> {
-                let raw: i64 = match v {
-                    Value::Int(i) => *i,
-                    Value::UInt(u) => i64::try_from(*u)
-                        .map_err(|_| DeError(format!("{u} out of i64 range")))?,
-                    other => {
-                        return Err(DeError(format!(
-                            "expected integer, found {}",
-                            other.kind()
-                        )))
-                    }
-                };
-                <$t>::try_from(raw)
-                    .map_err(|_| DeError(format!("{raw} out of range for {}", stringify!($t))))
-            }
-        }
-    )*};
-}
-impl_signed!(i8, i16, i32, i64, isize);
-
-macro_rules! impl_float {
-    ($($t:ty),*) => {$(
-        impl Serialize for $t {
-            fn to_value(&self) -> Value {
-                Value::Float(*self as f64)
-            }
-        }
-        impl Deserialize for $t {
-            fn from_value(v: &Value) -> Result<Self, DeError> {
-                match v {
-                    Value::Float(f) => Ok(*f as $t),
-                    Value::UInt(u) => Ok(*u as $t),
-                    Value::Int(i) => Ok(*i as $t),
-                    // JSON has no NaN literal; the json shim writes null.
-                    Value::Null => Ok(<$t>::NAN),
-                    other => Err(DeError(format!(
-                        "expected number, found {}",
-                        other.kind()
-                    ))),
-                }
-            }
-        }
-    )*};
-}
-impl_float!(f32, f64);
-
-impl Serialize for String {
-    fn to_value(&self) -> Value {
-        Value::Str(self.clone())
-    }
-}
-
-impl Deserialize for String {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        v.as_str().map(str::to_owned)
-    }
-}
-
-impl Serialize for str {
-    fn to_value(&self) -> Value {
-        Value::Str(self.to_owned())
-    }
-}
-
-impl Serialize for char {
-    fn to_value(&self) -> Value {
-        Value::Str(self.to_string())
-    }
-}
-
-impl Deserialize for char {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        let s = v.as_str()?;
-        let mut it = s.chars();
-        match (it.next(), it.next()) {
-            (Some(c), None) => Ok(c),
-            _ => Err(DeError(format!("expected single char, found {s:?}"))),
-        }
-    }
-}
-
-impl<T: Serialize> Serialize for Option<T> {
-    fn to_value(&self) -> Value {
-        match self {
-            Some(v) => v.to_value(),
-            None => Value::Null,
-        }
-    }
-}
-
-impl<T: Deserialize> Deserialize for Option<T> {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        match v {
-            Value::Null => Ok(None),
-            other => T::from_value(other).map(Some),
-        }
-    }
-}
-
-impl<T: Serialize> Serialize for Vec<T> {
-    fn to_value(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::to_value).collect())
-    }
-}
-
-impl<T: Deserialize> Deserialize for Vec<T> {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        match v {
-            Value::Array(items) => items.iter().map(T::from_value).collect(),
-            other => Err(DeError(format!("expected array, found {}", other.kind()))),
-        }
-    }
-}
-
-impl<T: Serialize> Serialize for [T] {
-    fn to_value(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::to_value).collect())
-    }
-}
-
-impl<T: Serialize, const N: usize> Serialize for [T; N] {
-    fn to_value(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::to_value).collect())
-    }
-}
-
-impl<T: Deserialize + std::fmt::Debug, const N: usize> Deserialize for [T; N] {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        let items: Vec<T> = Vec::from_value(v)?;
-        let len = items.len();
-        <[T; N]>::try_from(items)
-            .map_err(|_| DeError(format!("expected array of length {N}, found {len}")))
-    }
-}
-
-impl<A: Serialize, B: Serialize> Serialize for (A, B) {
-    fn to_value(&self) -> Value {
-        Value::Array(vec![self.0.to_value(), self.1.to_value()])
-    }
-}
-
-impl<A: Deserialize, B: Deserialize> Deserialize for (A, B) {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        Ok((A::from_value(v.element(0)?)?, B::from_value(v.element(1)?)?))
-    }
-}
-
-impl<A: Serialize, B: Serialize, C: Serialize> Serialize for (A, B, C) {
-    fn to_value(&self) -> Value {
-        Value::Array(vec![
-            self.0.to_value(),
-            self.1.to_value(),
-            self.2.to_value(),
-        ])
-    }
-}
-
-impl<A: Deserialize, B: Deserialize, C: Deserialize> Deserialize for (A, B, C) {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        Ok((
-            A::from_value(v.element(0)?)?,
-            B::from_value(v.element(1)?)?,
-            C::from_value(v.element(2)?)?,
-        ))
-    }
-}
-
-impl<V: Serialize> Serialize for std::collections::BTreeMap<String, V> {
-    fn to_value(&self) -> Value {
-        Value::Object(
-            self.iter()
-                .map(|(k, v)| (k.clone(), v.to_value()))
-                .collect(),
-        )
-    }
-}
-
-impl<V: Deserialize> Deserialize for std::collections::BTreeMap<String, V> {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        match v {
-            Value::Object(entries) => entries
-                .iter()
-                .map(|(k, v)| Ok((k.clone(), V::from_value(v)?)))
-                .collect(),
-            other => Err(DeError(format!("expected object, found {}", other.kind()))),
-        }
-    }
-}
-
-impl<V: Serialize, S> Serialize for std::collections::HashMap<String, V, S> {
-    fn to_value(&self) -> Value {
-        // Sort keys so serialization is deterministic despite hash order.
-        let mut entries: Vec<(String, Value)> = self
-            .iter()
-            .map(|(k, v)| (k.clone(), v.to_value()))
-            .collect();
-        entries.sort_by(|a, b| a.0.cmp(&b.0));
-        Value::Object(entries)
-    }
-}
-
-impl<V: Deserialize, S: std::hash::BuildHasher + Default> Deserialize
-    for std::collections::HashMap<String, V, S>
-{
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        match v {
-            Value::Object(entries) => entries
-                .iter()
-                .map(|(k, v)| Ok((k.clone(), V::from_value(v)?)))
-                .collect(),
-            other => Err(DeError(format!("expected object, found {}", other.kind()))),
-        }
-    }
-}
-
-impl<T: Serialize + ?Sized> Serialize for &T {
-    fn to_value(&self) -> Value {
-        (**self).to_value()
-    }
-}
-
-impl Serialize for Value {
-    fn to_value(&self) -> Value {
-        self.clone()
-    }
-}
-
-impl Deserialize for Value {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        Ok(v.clone())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn u64_seed_roundtrip_exact() {
-        let seed: u64 = u64::MAX - 3;
-        let v = seed.to_value();
-        assert_eq!(u64::from_value(&v).unwrap(), seed);
-    }
-
-    #[test]
-    fn option_null_roundtrip() {
-        let none: Option<f64> = None;
-        assert_eq!(none.to_value(), Value::Null);
-        assert_eq!(Option::<f64>::from_value(&Value::Null).unwrap(), None);
-        assert_eq!(
-            Option::<f64>::from_value(&Value::Float(2.5)).unwrap(),
-            Some(2.5)
-        );
-    }
 
     #[test]
     fn missing_field_is_error() {
         let v = Value::Object(vec![("a".into(), Value::UInt(1))]);
         assert!(v.field("a").is_ok());
         assert!(v.field("b").is_err());
-    }
-
-    #[test]
-    fn signed_unsigned_crosstalk() {
-        // JSON readers can't distinguish 5 from +5; both int arms accept it.
-        assert_eq!(i32::from_value(&Value::UInt(5)).unwrap(), 5);
-        assert_eq!(u32::from_value(&Value::Int(5)).unwrap(), 5);
-        assert!(u32::from_value(&Value::Int(-5)).is_err());
-    }
-
-    #[test]
-    fn nested_vec_roundtrip() {
-        let m = vec![vec![1.0f64, 2.0], vec![3.0, 4.0]];
-        let v = m.to_value();
-        assert_eq!(Vec::<Vec<f64>>::from_value(&v).unwrap(), m);
     }
 }

@@ -178,10 +178,12 @@ fn sim_transport_replays_byte_identically_under_loss() {
     let (a, b) = (run_with_seed(77), run_with_seed(77));
     assert_runs_bit_identical(&a.run, &b.run, "replay");
     assert_eq!(a.report, b.report, "replayed report must be identical");
+    // `Debug` prints every f64 in its shortest round-trip form, so equal
+    // strings mean bit-equal fields, -0.0 included.
     assert_eq!(
-        serde_json::to_string(&a.report).unwrap(),
-        serde_json::to_string(&b.report).unwrap(),
-        "replayed report must serialize byte-identically"
+        format!("{:?}", a.report),
+        format!("{:?}", b.report),
+        "replayed report must print byte-identically"
     );
     assert!(
         a.report.redispatches > 0,
