@@ -77,9 +77,8 @@ fn parse(args: &[String]) -> Result<Opts, String> {
                     .ok_or_else(|| format!("--key wants 32 hex digits, got {hex:?}"))?;
             }
             "--key-seed" => {
-                opts.key = AuthKey::from_seed(
-                    value()?.parse().map_err(|e| format!("--key-seed: {e}"))?,
-                )
+                opts.key =
+                    AuthKey::from_seed(value()?.parse().map_err(|e| format!("--key-seed: {e}"))?)
             }
             "--fault-loss" => {
                 opts.fault_loss = value()?.parse().map_err(|e| format!("--fault-loss: {e}"))?

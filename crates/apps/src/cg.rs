@@ -175,9 +175,7 @@ pub fn run(cfg: &CgConfig, env: &CommEnv<'_>) -> CgReport {
     assert!(cfg.processes >= 1 && cfg.processes <= env.n());
     let a = match cfg.operator {
         CgOperator::WellConditioned => CsrMatrix::laplacian_1d(cfg.size),
-        CgOperator::SizeScaled => {
-            CsrMatrix::shifted_poisson_1d(cfg.size, 40.0 / cfg.size as f64)
-        }
+        CgOperator::SizeScaled => CsrMatrix::shifted_poisson_1d(cfg.size, 40.0 / cfg.size as f64),
     };
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let b: Vec<f64> = (0..cfg.size).map(|_| rng.random_range(-1.0..1.0)).collect();

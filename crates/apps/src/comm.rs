@@ -74,10 +74,7 @@ mod tests {
     fn heterogeneous(n: usize) -> PerfMatrix {
         PerfMatrix::from_fn(n, |i, j| {
             let fast = (i + j) % 3 == 0;
-            LinkPerf::new(
-                if fast { 1e-4 } else { 8e-4 },
-                if fast { 2e8 } else { 2e7 },
-            )
+            LinkPerf::new(if fast { 1e-4 } else { 8e-4 }, if fast { 2e8 } else { 2e7 })
         })
     }
 

@@ -108,10 +108,7 @@ impl Workflow {
             prev_layer = layer;
         }
         // Final reduction.
-        let inputs = prev_layer
-            .iter()
-            .map(|&p| (p, bytes(&mut rng)))
-            .collect();
+        let inputs = prev_layer.iter().map(|&p| (p, bytes(&mut rng))).collect();
         tasks.push(WorkflowTask {
             flops: flops(&mut rng),
             inputs,
@@ -203,11 +200,7 @@ impl Workflow {
 /// guide's information on *which* machine gets *which* task: tasks are
 /// placed in descending input-volume order on the machine with the
 /// earliest estimated finish among those still under the layer cap.
-pub fn balanced_eft_schedule(
-    wf: &Workflow,
-    guide: &PerfMatrix,
-    flops_per_sec: f64,
-) -> Schedule {
+pub fn balanced_eft_schedule(wf: &Workflow, guide: &PerfMatrix, flops_per_sec: f64) -> Schedule {
     let m = guide.n();
     assert!(m >= 1);
     let layers = wf.layers();
@@ -236,8 +229,7 @@ pub fn balanced_eft_schedule(
                 }
                 let mut ready: f64 = 0.0;
                 for &(p, bytes) in &task.inputs {
-                    let arrive =
-                        task_finish[p] + guide.transfer_time(machine_of[p], cand, bytes);
+                    let arrive = task_finish[p] + guide.transfer_time(machine_of[p], cand, bytes);
                     ready = ready.max(arrive);
                 }
                 let finish = ready.max(machine_free[cand]) + compute;
@@ -370,10 +362,7 @@ mod tests {
     fn perf(n: usize) -> PerfMatrix {
         PerfMatrix::from_fn(n, |i, j| {
             let fast = (i / 2) == (j / 2); // pairs of machines are "same rack"
-            LinkPerf::new(
-                if fast { 1e-4 } else { 6e-4 },
-                if fast { 2e8 } else { 3e7 },
-            )
+            LinkPerf::new(if fast { 1e-4 } else { 6e-4 }, if fast { 2e8 } else { 3e7 })
         })
     }
 

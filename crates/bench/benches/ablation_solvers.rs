@@ -6,11 +6,17 @@ use cloudconst_rpca::{apg, ialm, ApgOptions, IalmOptions};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 fn instance(steps: usize, cols: usize) -> Mat {
-    let base: Vec<f64> = (0..cols).map(|j| 2.0 + ((j * 13) % 23) as f64 * 0.05).collect();
+    let base: Vec<f64> = (0..cols)
+        .map(|j| 2.0 + ((j * 13) % 23) as f64 * 0.05)
+        .collect();
     let mut data = Vec::with_capacity(steps * cols);
     for r in 0..steps {
         for (j, b) in base.iter().enumerate() {
-            let spike = if (r * 31 + j * 7) % 311 == 0 { 8.0 } else { 0.0 };
+            let spike = if (r * 31 + j * 7) % 311 == 0 {
+                8.0
+            } else {
+                0.0
+            };
             data.push(b + spike);
         }
     }

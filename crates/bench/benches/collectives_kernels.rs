@@ -7,7 +7,10 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 fn perf(n: usize) -> PerfMatrix {
     PerfMatrix::from_fn(n, |i, j| {
-        LinkPerf::new(1e-4 * (1 + (i + j) % 5) as f64, 1e8 / (1.0 + ((i * 31 + j) % 7) as f64))
+        LinkPerf::new(
+            1e-4 * (1 + (i + j) % 5) as f64,
+            1e8 / (1.0 + ((i * 31 + j) % 7) as f64),
+        )
     })
 }
 

@@ -8,7 +8,9 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 fn tp_like(steps: usize, n_instances: usize) -> Mat {
     let cols = n_instances * n_instances;
-    let base: Vec<f64> = (0..cols).map(|j| 1.0 + ((j * 31) % 17) as f64 * 0.1).collect();
+    let base: Vec<f64> = (0..cols)
+        .map(|j| 1.0 + ((j * 31) % 17) as f64 * 0.1)
+        .collect();
     let mut data = Vec::with_capacity(steps * cols);
     for r in 0..steps {
         for (j, b) in base.iter().enumerate() {

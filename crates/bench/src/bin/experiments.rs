@@ -27,16 +27,16 @@ use cloudconst_collectives::{fnf_tree, Collective};
 use cloudconst_core::{estimate, EstimatorKind};
 use cloudconst_linalg::Mat;
 use cloudconst_netmodel::{
-    pairing_rounds, triangle_violation_rate, vivaldi, Calibrator, LinkPerf, PerfMatrix,
-    TpMatrix, VivaldiConfig, MB,
+    pairing_rounds, triangle_violation_rate, vivaldi, Calibrator, LinkPerf, PerfMatrix, TpMatrix,
+    VivaldiConfig, MB,
 };
 use cloudconst_rpca::{
     apg, extract_constant, ialm, rank1_rpca, relative_difference, ApgOptions, ConstantMethod,
     IalmOptions, Rank1Options,
 };
 use cloudconst_topomap::{
-    anneal_mapping, evaluate_mapping, greedy_mapping, machine_graph_from_perf,
-    random_task_graph, ring_mapping, AnnealOptions,
+    anneal_mapping, evaluate_mapping, greedy_mapping, machine_graph_from_perf, random_task_graph,
+    ring_mapping, AnnealOptions,
 };
 use rayon::prelude::*;
 use std::path::PathBuf;
@@ -84,14 +84,34 @@ fn main() {
     };
 
     let all = [
-        "fig1", "fig2", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9a", "fig9b", "fig9c",
-        "fig10", "fig11", "fig12", "fig13", "ablation-rank1", "ablation-heuristics",
-        "ablation-pairing", "ablation-coords", "ablation-solvers", "ext-workflow",
+        "fig1",
+        "fig2",
+        "fig4",
+        "fig5",
+        "fig6",
+        "fig7",
+        "fig8",
+        "fig9a",
+        "fig9b",
+        "fig9c",
+        "fig10",
+        "fig11",
+        "fig12",
+        "fig13",
+        "ablation-rank1",
+        "ablation-heuristics",
+        "ablation-pairing",
+        "ablation-coords",
+        "ablation-solvers",
+        "ext-workflow",
         "ablation-anneal",
     ];
     let to_run: Vec<&str> = if id == "all" { all.to_vec() } else { vec![id] };
     for id in to_run {
-        println!("=== {id} ({}) ===\n", if ctx.full { "full" } else { "quick" });
+        println!(
+            "=== {id} ({}) ===\n",
+            if ctx.full { "full" } else { "quick" }
+        );
         match id {
             "fig1" => fig1(&ctx),
             "fig2" => fig2(&ctx),
@@ -139,7 +159,11 @@ fn fig1(ctx: &Ctx) {
 
     let mut t = Table::new(
         "Fig 1: FNF tree structure vs weight of link (machine1, machine3)",
-        &["variant", "edges (parent->child, 1-indexed)", "longest path weight"],
+        &[
+            "variant",
+            "edges (parent->child, 1-indexed)",
+            "longest path weight",
+        ],
     );
     for (label, wm) in [("original (w13=2)", &w), ("revised (w13=4)", &revised)] {
         let tree = fnf_tree(0, wm);
@@ -161,7 +185,10 @@ fn fig1(ctx: &Ctx) {
 fn fig2(ctx: &Ctx) {
     // A 4-machine cluster with stable weights plus one congested sample.
     let base = PerfMatrix::from_fn(4, |i, j| {
-        LinkPerf::new(1e-4 * (1 + i + j) as f64, 1e8 / (1.0 + 0.3 * ((i * 4 + j) % 5) as f64))
+        LinkPerf::new(
+            1e-4 * (1 + i + j) as f64,
+            1e8 / (1.0 + 0.3 * ((i * 4 + j) % 5) as f64),
+        )
     });
     let mut tp = TpMatrix::new(4);
     for k in 0..5 {
@@ -178,7 +205,13 @@ fn fig2(ctx: &Ctx) {
 
     let mut t = Table::new(
         "Fig 2: RPCA on a 5-calibration TP-matrix (transfer-time domain, seconds)",
-        &["row", "max |N_A|", "max |N_D|", "max |N_E|", "N_E entries > 1% scale"],
+        &[
+            "row",
+            "max |N_A|",
+            "max |N_D|",
+            "max |N_E|",
+            "N_E entries > 1% scale",
+        ],
     );
     let scale = n_a.max_abs();
     for k in 0..5 {
@@ -204,7 +237,12 @@ fn fig4(ctx: &Ctx) {
     };
     let mut t = Table::new(
         "Fig 4: overhead of calibrating one TP-matrix (time step = 10)",
-        &["instances", "probe rounds", "calibration overhead (min)", "RPCA wall (s)"],
+        &[
+            "instances",
+            "probe rounds",
+            "calibration overhead (min)",
+            "RPCA wall (s)",
+        ],
     );
     // Cluster sizes are independent sweep points: each builds its own
     // cloud, so they run concurrently and rows land in sweep order.
@@ -248,9 +286,14 @@ fn fig5(ctx: &Ctx) {
         &["time step", "Norm(P_D) vs oracle"],
     );
     for ts in [2usize, 4, 6, 8, 10, 14, 20, 30] {
-        let est = estimate(&tp.prefix(ts), EstimatorKind::Rpca).expect("estimate").perf;
+        let est = estimate(&tp.prefix(ts), EstimatorKind::Rpca)
+            .expect("estimate")
+            .perf;
         let row = flat_weights(&est, 8 * MB);
-        t.row(vec![ts.to_string(), fmt(relative_difference(&row, &oracle_row))]);
+        t.row(vec![
+            ts.to_string(),
+            fmt(relative_difference(&row, &oracle_row)),
+        ]);
     }
     ctx.save(&t, "fig5");
 }
@@ -306,7 +349,12 @@ fn overall_table(
 ) -> Table {
     let mut t = Table::new(
         title,
-        &["approach", "bcast (norm.)", "scatter (norm.)", "topomap (norm.)"],
+        &[
+            "approach",
+            "bcast (norm.)",
+            "scatter (norm.)",
+            "topomap (norm.)",
+        ],
     );
     let base_b = bcast.mean_of(Approach::Baseline);
     let base_s = scatter.mean_of(Approach::Baseline);
@@ -363,7 +411,11 @@ fn fig7(ctx: &Ctx) {
         &approaches,
     );
     ctx.save(&t, "fig7a");
-    let t = cdf_table("Fig 7(b): CDF of broadcast elapsed time", &r.bcast, &approaches);
+    let t = cdf_table(
+        "Fig 7(b): CDF of broadcast elapsed time",
+        &r.bcast,
+        &approaches,
+    );
     ctx.save(&t, "fig7b");
     ctx.save(&headline_table(&r), "headline");
 }
@@ -373,7 +425,12 @@ fn fig8(ctx: &Ctx) {
     let sizes: &[usize] = if ctx.full { &[64, 196] } else { &[24, 64] };
     let mut t = Table::new(
         "Fig 8: RPCA improvement over Baseline vs cluster and message size",
-        &["instances", "msg", "bcast improvement", "scatter improvement"],
+        &[
+            "instances",
+            "msg",
+            "bcast improvement",
+            "scatter improvement",
+        ],
     );
     for &n in sizes {
         for msg_mb in [1u64, 8] {
@@ -414,14 +471,19 @@ fn app_rows(
     let t0 = std::time::Instant::now();
     let rpca_guide = estimate(&tp, EstimatorKind::Rpca).expect("rpca").perf;
     let rpca_wall = t0.elapsed().as_secs_f64();
-    let heur_guide = estimate(&tp, EstimatorKind::HeuristicMean).expect("heur").perf;
+    let heur_guide = estimate(&tp, EstimatorKind::HeuristicMean)
+        .expect("heur")
+        .perf;
 
     for (a, guide) in [
         (Approach::Baseline, None),
         (Approach::Heuristics, Some(&heur_guide)),
         (Approach::Rpca, Some(&rpca_guide)),
     ] {
-        let env = CommEnv { actual: &actual, guide };
+        let env = CommEnv {
+            actual: &actual,
+            guide,
+        };
         let mut b = runner(&env);
         if a != Approach::Baseline {
             // "Other Overheads": calibration + RPCA calculation, charged to
@@ -443,7 +505,14 @@ fn app_rows(
 fn fig9a(ctx: &Ctx) {
     let mut t = Table::new(
         "Fig 9(a): CG execution time breakdown vs vector size",
-        &["vector", "approach", "compute (s)", "comm (s)", "other (s)", "total (s)"],
+        &[
+            "vector",
+            "approach",
+            "compute (s)",
+            "comm (s)",
+            "other (s)",
+            "total (s)",
+        ],
     );
     let sizes: &[usize] = if ctx.full {
         &[1000, 4000, 16000, 64000, 256000, 1024000]
@@ -468,7 +537,14 @@ fn fig9a(ctx: &Ctx) {
 fn fig9b(ctx: &Ctx) {
     let mut t = Table::new(
         "Fig 9(b): N-body breakdown vs #Step (message 1MB)",
-        &["#Step", "approach", "compute (s)", "comm (s)", "other (s)", "total (s)"],
+        &[
+            "#Step",
+            "approach",
+            "compute (s)",
+            "comm (s)",
+            "other (s)",
+            "total (s)",
+        ],
     );
     let steps: &[usize] = if ctx.full {
         &[10, 40, 160, 640, 2560]
@@ -497,7 +573,14 @@ fn fig9c(ctx: &Ctx) {
     let steps = if ctx.full { 2560 } else { 320 };
     let mut t = Table::new(
         format!("Fig 9(c): N-body breakdown vs message size (#Step {steps})"),
-        &["msg", "approach", "compute (s)", "comm (s)", "other (s)", "total (s)"],
+        &[
+            "msg",
+            "approach",
+            "compute (s)",
+            "comm (s)",
+            "other (s)",
+            "total (s)",
+        ],
     );
     for msg in [1u64 << 10, 1 << 12, 1 << 14, 1 << 16, 1 << 18, 1 << 20] {
         app_rows(
@@ -534,7 +617,13 @@ fn fig10(ctx: &Ctx) {
 
     let mut ta = Table::new(
         "Fig 10(a): RPCA improvement over Baseline vs Norm(N_E)",
-        &["target", "achieved Norm(N_E)", "bcast", "scatter", "topomap"],
+        &[
+            "target",
+            "achieved Norm(N_E)",
+            "bcast",
+            "scatter",
+            "topomap",
+        ],
     );
     let mut tb = Table::new(
         "Fig 10(b): broadcast improvement over Baseline vs Norm(N_E)",
@@ -735,11 +824,18 @@ fn headline_table(r: &CampaignResult) -> Table {
         "Headline: improvements (paper: bcast/scatter/topomap 20-40% over Baseline, 8-20% over Heuristics)",
         &["metric", "RPCA vs Baseline", "RPCA vs Heuristics"],
     );
-    for (name, s) in [("bcast", &r.bcast), ("scatter", &r.scatter), ("topomap", &r.topomap)] {
+    for (name, s) in [
+        ("bcast", &r.bcast),
+        ("scatter", &r.scatter),
+        ("topomap", &r.topomap),
+    ] {
         t.row(vec![
             name.to_string(),
             format!("{:.1}%", imp(s, Approach::Rpca, Approach::Baseline) * 100.0),
-            format!("{:.1}%", imp(s, Approach::Rpca, Approach::Heuristics) * 100.0),
+            format!(
+                "{:.1}%",
+                imp(s, Approach::Rpca, Approach::Heuristics) * 100.0
+            ),
         ]);
     }
     t
@@ -757,8 +853,12 @@ fn ablation_rank1(ctx: &Ctx) {
         "Ablation: rank-1 constant extraction method (error vs ground truth)",
         &["method", "relative difference"],
     );
-    let d_alpha = apg(tp.alpha_matrix(), &ApgOptions::default()).expect("rpca").d;
-    let d_beta = apg(tp.inv_beta_matrix(), &ApgOptions::default()).expect("rpca").d;
+    let d_alpha = apg(tp.alpha_matrix(), &ApgOptions::default())
+        .expect("rpca")
+        .d;
+    let d_beta = apg(tp.inv_beta_matrix(), &ApgOptions::default())
+        .expect("rpca")
+        .d;
     for (name, method) in [
         ("top-singular (paper)", ConstantMethod::TopSingular),
         ("mean row", ConstantMethod::MeanRow),
@@ -768,7 +868,10 @@ fn ablation_rank1(ctx: &Ctx) {
         let b = extract_constant(&d_beta, method).expect("extract");
         let est = PerfMatrix::from_flat(n, &a, &b);
         let row = flat_weights(&est, 8 * MB);
-        t.row(vec![name.to_string(), fmt(relative_difference(&row, &truth_row))]);
+        t.row(vec![
+            name.to_string(),
+            fmt(relative_difference(&row, &truth_row)),
+        ]);
     }
     ctx.save(&t, "ablation_rank1");
 }
@@ -808,7 +911,12 @@ fn ablation_heuristics(ctx: &Ctx) {
 fn ablation_pairing(ctx: &Ctx) {
     let mut t = Table::new(
         "Ablation: calibration pairing schedule (overhead)",
-        &["instances", "concurrent rounds (s)", "sequential (s)", "speedup"],
+        &[
+            "instances",
+            "concurrent rounds (s)",
+            "sequential (s)",
+            "speedup",
+        ],
     );
     for n in [16usize, 32, 64] {
         let mut cloud = SyntheticCloud::new(CloudConfig::ec2_like(n, 71));
@@ -886,8 +994,12 @@ fn ablation_solvers(ctx: &Ctx) {
     );
     // APG (paper's choice).
     let t0 = std::time::Instant::now();
-    let da = apg(tp.alpha_matrix(), &ApgOptions::default()).expect("apg").d;
-    let db = apg(tp.inv_beta_matrix(), &ApgOptions::default()).expect("apg").d;
+    let da = apg(tp.alpha_matrix(), &ApgOptions::default())
+        .expect("apg")
+        .d;
+    let db = apg(tp.inv_beta_matrix(), &ApgOptions::default())
+        .expect("apg")
+        .d;
     let apg_wall = t0.elapsed().as_secs_f64() * 1e3;
     let a = extract_constant(&da, ConstantMethod::TopSingular).unwrap();
     let b = extract_constant(&db, ConstantMethod::TopSingular).unwrap();
@@ -899,8 +1011,12 @@ fn ablation_solvers(ctx: &Ctx) {
     ]);
     // IALM.
     let t0 = std::time::Instant::now();
-    let da = ialm(tp.alpha_matrix(), &IalmOptions::default()).expect("ialm").d;
-    let db = ialm(tp.inv_beta_matrix(), &IalmOptions::default()).expect("ialm").d;
+    let da = ialm(tp.alpha_matrix(), &IalmOptions::default())
+        .expect("ialm")
+        .d;
+    let db = ialm(tp.inv_beta_matrix(), &IalmOptions::default())
+        .expect("ialm")
+        .d;
     let ialm_wall = t0.elapsed().as_secs_f64() * 1e3;
     let a = extract_constant(&da, ConstantMethod::TopSingular).unwrap();
     let b = extract_constant(&db, ConstantMethod::TopSingular).unwrap();
@@ -931,7 +1047,13 @@ fn ext_workflow(ctx: &Ctx) {
     let n = if ctx.full { 48 } else { 24 };
     let mut t = Table::new(
         "Extension: workflow scheduling (layered DAG makespan, seconds)",
-        &["seed", "round-robin", "EFT+Heuristics", "EFT+RPCA", "EFT+oracle"],
+        &[
+            "seed",
+            "round-robin",
+            "EFT+Heuristics",
+            "EFT+RPCA",
+            "EFT+oracle",
+        ],
     );
     let seeds: &[u64] = if ctx.full {
         &[101, 102, 103, 104, 105, 106, 107, 108]
@@ -948,7 +1070,9 @@ fn ext_workflow(ctx: &Ctx) {
             let cloud = SyntheticCloud::new(CloudConfig::ec2_like(n, seed));
             let (tp, _) = Calibrator::new().calibrate_tp_par(&cloud, 0.0, 1800.0, 10);
             let rpca_guide = estimate(&tp, EstimatorKind::Rpca).expect("rpca").perf;
-            let heur_guide = estimate(&tp, EstimatorKind::HeuristicMean).expect("heur").perf;
+            let heur_guide = estimate(&tp, EstimatorKind::HeuristicMean)
+                .expect("heur")
+                .perf;
             let truth = cloud.ground_truth(0).clone();
             // Execute against the instantaneous network some hours later.
             let actual = instantaneous_perf(&cloud, 30_000.0);
@@ -970,9 +1094,18 @@ fn ext_workflow(ctx: &Ctx) {
                 &actual,
                 flops,
             );
-            let heft_o =
-                execute_workflow(&wf, &balanced_eft_schedule(&wf, &truth, flops), &actual, flops);
-            [rr.makespan, heft_h.makespan, heft_r.makespan, heft_o.makespan]
+            let heft_o = execute_workflow(
+                &wf,
+                &balanced_eft_schedule(&wf, &truth, flops),
+                &actual,
+                flops,
+            );
+            [
+                rr.makespan,
+                heft_h.makespan,
+                heft_r.makespan,
+                heft_o.makespan,
+            ]
         })
         .collect();
     for (idx, m) in per_seed.iter().enumerate() {

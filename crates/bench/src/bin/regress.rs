@@ -73,7 +73,10 @@ fn main() {
     }
     for r in &report.records {
         if r.metric != 0.0 {
-            eprintln!("  {:28} n={:3}  {:>9.4}s  metric={:.2}", r.name, r.n, r.seconds, r.metric);
+            eprintln!(
+                "  {:28} n={:3}  {:>9.4}s  metric={:.2}",
+                r.name, r.n, r.seconds, r.metric
+            );
         } else {
             eprintln!("  {:28} n={:3}  {:>9.4}s", r.name, r.n, r.seconds);
         }

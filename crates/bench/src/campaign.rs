@@ -6,10 +6,10 @@ use cloudconst_cloud::{CloudConfig, SyntheticCloud};
 use cloudconst_collectives::Collective;
 use cloudconst_core::{estimate, Advisor, AdvisorConfig, EstimatorKind, MaintenanceDecision};
 use cloudconst_netmodel::{PerfMatrix, MB};
-use rayon::prelude::*;
 use cloudconst_topomap::{
     evaluate_mapping, greedy_mapping, machine_graph_from_perf, random_task_graph, ring_mapping,
 };
+use rayon::prelude::*;
 
 /// Parameters of one campaign (defaults follow the paper's §V-A setup,
 /// scaled to a synthetic-cloud run).
@@ -240,7 +240,10 @@ pub fn run_campaign(c: &Campaign) -> CampaignResult {
 
         let mut rpca_bcast_actual = 0.0;
         for (a, guide) in approaches {
-            let env = CommEnv { actual: &actual, guide };
+            let env = CommEnv {
+                actual: &actual,
+                guide,
+            };
             let tb = env.collective_time(Collective::Broadcast, root, c.msg_bytes);
             let ts = env.collective_time(Collective::Scatter, root, c.msg_bytes);
             result.bcast.push(a, tb);
@@ -262,7 +265,9 @@ pub fn run_campaign(c: &Campaign) -> CampaignResult {
                 None => ring_mapping(c.n),
                 Some(g) => greedy_mapping(&tasks, &machine_graph_from_perf(g)),
             };
-            result.topomap.push(a, evaluate_mapping(&tasks, &mapping, &actual));
+            result
+                .topomap
+                .push(a, evaluate_mapping(&tasks, &mapping, &actual));
         }
 
         // Algorithm 1, lines 4–9 (driven by the broadcast the user ran).
@@ -318,10 +323,7 @@ mod tests {
         // The headline shape: RPCA meaningfully better than Baseline.
         let rb = r.bcast.mean_of(Approach::Rpca);
         let bb = r.bcast.mean_of(Approach::Baseline);
-        assert!(
-            rb < bb,
-            "RPCA bcast mean {rb} worse than baseline {bb}"
-        );
+        assert!(rb < bb, "RPCA bcast mean {rb} worse than baseline {bb}");
     }
 
     #[test]

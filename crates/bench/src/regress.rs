@@ -85,7 +85,9 @@ impl RegressReport {
 /// bench so numbers stay comparable.
 pub fn tp_like(steps: usize, n_instances: usize) -> Mat {
     let cols = n_instances * n_instances;
-    let base: Vec<f64> = (0..cols).map(|j| 1.0 + ((j * 31) % 17) as f64 * 0.1).collect();
+    let base: Vec<f64> = (0..cols)
+        .map(|j| 1.0 + ((j * 31) % 17) as f64 * 0.1)
+        .collect();
     let mut data = Vec::with_capacity(steps * cols);
     for r in 0..steps {
         for (j, b) in base.iter().enumerate() {
@@ -113,7 +115,9 @@ pub fn best_of<T>(reps: usize, mut f: impl FnMut() -> T) -> f64 {
 /// Time one RPCA (APG) solve on a `10 × N²` TP-matrix.
 pub fn bench_rpca(n: usize, reps: usize) -> BenchRecord {
     let a = tp_like(10, n);
-    let seconds = best_of(reps, || apg(&a, &ApgOptions::default()).expect("apg converges"));
+    let seconds = best_of(reps, || {
+        apg(&a, &ApgOptions::default()).expect("apg converges")
+    });
     BenchRecord {
         name: "rpca_apg_10xN2".into(),
         n: n as u64,
@@ -127,7 +131,9 @@ pub fn bench_rpca(n: usize, reps: usize) -> BenchRecord {
 /// thread pool) and the `RAYON_NUM_THREADS=1` child call exactly this.
 pub fn rpca_hot_seconds() -> f64 {
     let a = tp_like(10, 64);
-    best_of(3, || apg(&a, &ApgOptions::default()).expect("apg converges"))
+    best_of(3, || {
+        apg(&a, &ApgOptions::default()).expect("apg converges")
+    })
 }
 
 /// Time a full 10-snapshot TP-matrix calibration on the synthetic cloud.
@@ -302,7 +308,11 @@ pub fn bench_calibration_sharded(n: usize, shards: usize, reps: usize) -> Vec<Be
             name: "calibration_sharded".into(),
             n: n as u64,
             seconds: sharded,
-            metric: if sharded > 0.0 { unsharded / sharded } else { 0.0 },
+            metric: if sharded > 0.0 {
+                unsharded / sharded
+            } else {
+                0.0
+            },
         },
     ]
 }
@@ -338,7 +348,11 @@ pub fn bench_calibration_tcp_localhost(n: usize, shards: usize, reps: usize) -> 
         name: "calibration_tcp_localhost".into(),
         n: n as u64,
         seconds,
-        metric: if seconds > 0.0 { frames as f64 / seconds } else { 0.0 },
+        metric: if seconds > 0.0 {
+            frames as f64 / seconds
+        } else {
+            0.0
+        },
     }
 }
 
@@ -364,7 +378,11 @@ pub fn bench_simnet(reps: usize) -> BenchRecord {
         name: "simnet_background_60s".into(),
         n: 0,
         seconds,
-        metric: if seconds > 0.0 { flows as f64 / seconds } else { 0.0 },
+        metric: if seconds > 0.0 {
+            flows as f64 / seconds
+        } else {
+            0.0
+        },
     }
 }
 
@@ -526,7 +544,10 @@ mod tests {
             .iter()
             .find(|r| r.name == "calibration_tcp_localhost")
             .unwrap();
-        assert_eq!(tcp.n, 32, "TCP leg runs at the same size as the sharded one");
+        assert_eq!(
+            tcp.n, 32,
+            "TCP leg runs at the same size as the sharded one"
+        );
         assert!(
             tcp.metric > 0.0,
             "frames-per-second metric must be recorded: {}",

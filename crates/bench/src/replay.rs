@@ -111,13 +111,18 @@ pub fn replay_campaign(setup: &ReplaySetup, target_norm: f64) -> ReplayResult {
             (Approach::Rpca, Some(&rpca_guide)),
         ];
         for (a, guide) in approaches {
-            let env = CommEnv { actual: &actual, guide };
-            result
-                .bcast
-                .push(a, env.collective_time(Collective::Broadcast, root, setup.msg_bytes));
-            result
-                .scatter
-                .push(a, env.collective_time(Collective::Scatter, root, setup.msg_bytes));
+            let env = CommEnv {
+                actual: &actual,
+                guide,
+            };
+            result.bcast.push(
+                a,
+                env.collective_time(Collective::Broadcast, root, setup.msg_bytes),
+            );
+            result.scatter.push(
+                a,
+                env.collective_time(Collective::Scatter, root, setup.msg_bytes),
+            );
             let tasks = random_task_graph(
                 setup.n,
                 2,

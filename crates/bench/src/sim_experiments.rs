@@ -164,13 +164,7 @@ pub struct SimComparison {
     pub calibration: SimCalibration,
 }
 
-fn tree_for(
-    a: Approach,
-    root: usize,
-    n: usize,
-    cal: &SimCalibration,
-    msg_bytes: u64,
-) -> CommTree {
+fn tree_for(a: Approach, root: usize, n: usize, cal: &SimCalibration, msg_bytes: u64) -> CommTree {
     match a {
         Approach::Baseline => binomial_tree(root, n),
         Approach::Heuristics => fnf_tree(root, &cal.heur_guide.weights(msg_bytes)),
@@ -232,10 +226,18 @@ pub fn sim_comparison(setup: &SimSetup, runs: usize, msg_bytes: u64) -> SimCompa
         for a in approaches {
             let tree = tree_for(a, root, n, &out.calibration, msg_bytes);
             let start = view.simulator().time() + 1.0;
-            let tb = run_dag(&mut view, &schedule(&tree, Collective::Broadcast, msg_bytes), start);
+            let tb = run_dag(
+                &mut view,
+                &schedule(&tree, Collective::Broadcast, msg_bytes),
+                start,
+            );
             out.bcast.push(a, tb);
             let start = view.simulator().time() + 1.0;
-            let ts = run_dag(&mut view, &schedule(&tree, Collective::Scatter, msg_bytes), start);
+            let ts = run_dag(
+                &mut view,
+                &schedule(&tree, Collective::Scatter, msg_bytes),
+                start,
+            );
             out.scatter.push(a, ts);
 
             // Topology mapping comparison (TopoAware uses the greedy
@@ -249,12 +251,14 @@ pub fn sim_comparison(setup: &SimSetup, runs: usize, msg_bytes: u64) -> SimCompa
             );
             let mapping = match a {
                 Approach::Baseline => ring_mapping(n),
-                Approach::Heuristics => {
-                    greedy_mapping(&tasks, &machine_graph_from_perf(&out.calibration.heur_guide))
-                }
-                Approach::Rpca => {
-                    greedy_mapping(&tasks, &machine_graph_from_perf(&out.calibration.rpca_guide))
-                }
+                Approach::Heuristics => greedy_mapping(
+                    &tasks,
+                    &machine_graph_from_perf(&out.calibration.heur_guide),
+                ),
+                Approach::Rpca => greedy_mapping(
+                    &tasks,
+                    &machine_graph_from_perf(&out.calibration.rpca_guide),
+                ),
                 Approach::TopoAware => {
                     // Machine graph from static topology: intra-rack links
                     // are "fast", cross-rack "slow" — classic topology

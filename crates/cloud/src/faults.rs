@@ -307,9 +307,7 @@ impl FaultPlan {
                 return ProbeAttempt::Lost;
             }
             match (di, dj) {
-                (Some(a), Some(b)) if a != b => {
-                    Some((self.domains[a].id, self.domains[b].id, w))
-                }
+                (Some(a), Some(b)) if a != b => Some((self.domains[a].id, self.domains[b].id, w)),
                 _ => None,
             }
         };
@@ -335,8 +333,11 @@ impl FaultPlan {
         }
         let mut secs = true_secs;
         if self.straggler_prob > 0.0
-            && hash::uniform(&[self.seed, STREAM_STRAGGLE_ON, iu, ju, tb, bytes], 0.0, 1.0)
-                < self.straggler_prob
+            && hash::uniform(
+                &[self.seed, STREAM_STRAGGLE_ON, iu, ju, tb, bytes],
+                0.0,
+                1.0,
+            ) < self.straggler_prob
         {
             let (lo, hi) = self.straggler_factor;
             secs *= hash::uniform(&[self.seed, STREAM_STRAGGLE_FAC, iu, ju, tb, bytes], lo, hi);
@@ -629,7 +630,10 @@ mod tests {
                     if touches {
                         assert_eq!(got, ProbeAttempt::Lost, "({i},{j}) at {t}");
                     } else {
-                        assert!(matches!(got, ProbeAttempt::Ok(_)), "({i},{j}) at {t}: {got:?}");
+                        assert!(
+                            matches!(got, ProbeAttempt::Ok(_)),
+                            "({i},{j}) at {t}: {got:?}"
+                        );
                     }
                 }
             }

@@ -280,7 +280,10 @@ mod tests {
             }
         }
         assert!(changed > 0, "no link changed across the shift");
-        assert!(changed < total, "every link changed — constants not keyed by host");
+        assert!(
+            changed < total,
+            "every link changed — constants not keyed by host"
+        );
     }
 
     #[test]
@@ -290,7 +293,9 @@ mod tests {
         let cloud = SyntheticCloud::new(cfg);
         let p0 = cloud.placement(0);
         let p1 = cloud.placement(1);
-        let stay: Vec<usize> = (0..16).filter(|&v| p0.host_of(v) == p1.host_of(v)).collect();
+        let stay: Vec<usize> = (0..16)
+            .filter(|&v| p0.host_of(v) == p1.host_of(v))
+            .collect();
         assert!(stay.len() >= 2, "test needs at least two unmigrated VMs");
         let (a, b) = (stay[0], stay[1]);
         let before = cloud.ground_truth(0).link(a, b);
@@ -337,7 +342,10 @@ mod tests {
         if !same_rack.is_empty() && !cross_rack.is_empty() {
             let sr_mean: f64 = same_rack.iter().sum::<f64>() / same_rack.len() as f64;
             let cr_mean: f64 = cross_rack.iter().sum::<f64>() / cross_rack.len() as f64;
-            assert!(sr_mean > cr_mean, "same-rack {sr_mean} <= cross-rack {cr_mean}");
+            assert!(
+                sr_mean > cr_mean,
+                "same-rack {sr_mean} <= cross-rack {cr_mean}"
+            );
         }
     }
 
@@ -373,7 +381,10 @@ mod tests {
                 }
                 let t = gt.link(i, j);
                 let m = run.perf.link(i, j);
-                assert!((t.alpha - m.alpha).abs() / t.alpha < 1e-3, "alpha ({i},{j})");
+                assert!(
+                    (t.alpha - m.alpha).abs() / t.alpha < 1e-3,
+                    "alpha ({i},{j})"
+                );
                 assert!((t.beta - m.beta).abs() / t.beta < 1e-2, "beta ({i},{j})");
             }
         }

@@ -503,11 +503,12 @@ fn merge_partials(
     }
     // Every schedule covers every ordered pair, so an off-diagonal cell
     // still unprobed was scheduled on some shard that never reported it.
-    let unreported = (0..n).any(|i| {
-        (0..n).any(|j| i != j && matches!(log.outcome(i, j), ProbeOutcome::Unprobed))
-    });
+    let unreported = (0..n)
+        .any(|i| (0..n).any(|j| i != j && matches!(log.outcome(i, j), ProbeOutcome::Unprobed)));
     if unreported {
-        return Err(CoordError::Protocol("fragments left a scheduled cell unreported"));
+        return Err(CoordError::Protocol(
+            "fragments left a scheduled cell unreported",
+        ));
     }
     Ok((perf, log))
 }

@@ -70,7 +70,10 @@ impl fmt::Display for CoordError {
         match self {
             CoordError::Codec(e) => write!(f, "codec: {e}"),
             CoordError::ShardLost { missing } => {
-                write!(f, "{missing} shard frame(s) lost beyond the dispatch budget")
+                write!(
+                    f,
+                    "{missing} shard frame(s) lost beyond the dispatch budget"
+                )
             }
             CoordError::Protocol(why) => write!(f, "protocol violation: {why}"),
             CoordError::Config(why) => write!(f, "bad configuration: {why}"),

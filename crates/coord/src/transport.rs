@@ -215,7 +215,8 @@ impl<P: FallibleNetworkProbe> SimTransport<P> {
     /// Draw whether wire frame `seq` is lost.
     fn lost(&self, seq: u64) -> bool {
         self.cfg.loss_prob > 0.0
-            && hash::unit(hash::mix_all(&[self.cfg.seed, STREAM_WIRE_LOSS, seq])) < self.cfg.loss_prob
+            && hash::unit(hash::mix_all(&[self.cfg.seed, STREAM_WIRE_LOSS, seq]))
+                < self.cfg.loss_prob
     }
 }
 

@@ -337,7 +337,11 @@ impl Message {
         let frame = decode_frame(buf)?;
         let read_body: BodyReader = match frame.kind {
             KIND_SHARD_TASK => read_task,
-            KIND_PHASE_ACK => |r| Ok(Body::Ack { max_consumed: r.f64()? }),
+            KIND_PHASE_ACK => |r| {
+                Ok(Body::Ack {
+                    max_consumed: r.f64()?,
+                })
+            },
             KIND_FLUSH_REQUEST => |r| Ok(Body::Flush { snapshot: r.u32()? }),
             KIND_RESET => |r| Ok(Body::Reset { snapshot: r.u32()? }),
             KIND_PARTIAL_TP => read_partial,
@@ -425,7 +429,11 @@ mod tests {
             (3, Body::HelloAck { n: 64 }),
             (u32::MAX, Body::AuthReject),
         ] {
-            let msg = Message { seq: 0, shard, body };
+            let msg = Message {
+                seq: 0,
+                shard,
+                body,
+            };
             assert_eq!(Message::decode(&msg.encode()).unwrap(), msg);
         }
     }

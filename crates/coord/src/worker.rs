@@ -105,9 +105,13 @@ impl<P: FallibleNetworkProbe> ShardWorker<P> {
             Body::Reset { .. } => Stage::Reset,
             // Handshake frames are the server's business, not the worker's:
             // a bare `ShardWorker` has no connection to greet.
-            Body::Hello => return Err(CoordError::Protocol("hello outside a connection handshake")),
+            Body::Hello => {
+                return Err(CoordError::Protocol("hello outside a connection handshake"))
+            }
             Body::Ack { .. } | Body::Partial(_) | Body::HelloAck { .. } | Body::AuthReject => {
-                return Err(CoordError::Protocol("worker received a coordinator-bound frame"))
+                return Err(CoordError::Protocol(
+                    "worker received a coordinator-bound frame",
+                ))
             }
         };
         if let Some(cached) = self.seen.get(&seq) {
@@ -359,9 +363,18 @@ mod tests {
         // Leave a dangling small phase too — the aborted barrier's shape.
         w.handle(&task(3, Phase::Small)).unwrap();
 
-        let reset = Message { seq: 4, shard: 0, body: Body::Reset { snapshot: 0 } }.encode();
+        let reset = Message {
+            seq: 4,
+            shard: 0,
+            body: Body::Reset { snapshot: 0 },
+        }
+        .encode();
         match Message::decode(&w.handle(&reset).unwrap()).unwrap() {
-            Message { seq, body: Body::Ack { max_consumed }, .. } => {
+            Message {
+                seq,
+                body: Body::Ack { max_consumed },
+                ..
+            } => {
                 assert_eq!(seq, 4);
                 assert_eq!(max_consumed, 0.0);
             }
@@ -369,15 +382,26 @@ mod tests {
         }
         // Re-dispatch of the reset returns the cached ack.
         let again = w.handle(&reset).unwrap();
-        assert_eq!(Message::decode(&again).unwrap(), Message::decode(&w.handle(&reset).unwrap()).unwrap());
+        assert_eq!(
+            Message::decode(&again).unwrap(),
+            Message::decode(&w.handle(&reset).unwrap()).unwrap()
+        );
 
         // A flush right after the reset ships an empty, zero-counter
         // fragment — nothing of the aborted work survives.
-        let flush = Message { seq: 5, shard: 0, body: Body::Flush { snapshot: 0 } }.encode();
+        let flush = Message {
+            seq: 5,
+            shard: 0,
+            body: Body::Flush { snapshot: 0 },
+        }
+        .encode();
         match Message::decode(&w.handle(&flush).unwrap()).unwrap().body {
             Body::Partial(p) => {
                 assert!(p.cells.is_empty());
-                assert_eq!(p.attempts + p.successes + p.retries + p.timeouts + p.losses, 0);
+                assert_eq!(
+                    p.attempts + p.successes + p.retries + p.timeouts + p.losses,
+                    0
+                );
             }
             other => panic!("flush must ship a partial, got {other:?}"),
         }
@@ -408,18 +432,33 @@ mod tests {
                 retry: RetryPolicy::default(),
                 pairs: vec![(0, 1), (2, 3)],
             });
-            Message { seq, shard: 0, body }.encode()
+            Message {
+                seq,
+                shard: 0,
+                body,
+            }
+            .encode()
         };
         let seq = 10 * u64::from(s);
         [
             task(seq + 1, Phase::Small, 1),
             task(seq + 2, Phase::Large, 64),
-            Message { seq: seq + 3, shard: 0, body: Body::Flush { snapshot: s } }.encode(),
+            Message {
+                seq: seq + 3,
+                shard: 0,
+                body: Body::Flush { snapshot: s },
+            }
+            .encode(),
         ]
     }
 
     fn reset_frame(seq: u64, snapshot: u32) -> Vec<u8> {
-        Message { seq, shard: 0, body: Body::Reset { snapshot } }.encode()
+        Message {
+            seq,
+            shard: 0,
+            body: Body::Reset { snapshot },
+        }
+        .encode()
     }
 
     fn partial(frame: &[u8]) -> PartialTpMatrix {
@@ -498,7 +537,11 @@ mod tests {
         assert_eq!(w.snapshots.len(), 2);
         w.handle(&f0).unwrap();
         assert!(!w.snapshots.contains_key(&0));
-        assert_eq!(w.seen.len(), 1, "only the fragment of the latest flush is cached");
+        assert_eq!(
+            w.seen.len(),
+            1,
+            "only the fragment of the latest flush is cached"
+        );
         w.handle(&f1).unwrap();
         assert!(w.snapshots.is_empty());
         assert_eq!(w.seen.keys().copied().collect::<Vec<_>>(), [13]);

@@ -239,7 +239,10 @@ fn contract_duplicate_dispatch_is_idempotent(mut transport: Harness, wire: &str)
             None => panic!("{wire}: wire stalled before both responses arrived"),
         }
     }
-    assert_eq!(acks[0], acks[1], "{wire}: duplicate must replay the cached bytes");
+    assert_eq!(
+        acks[0], acks[1],
+        "{wire}: duplicate must replay the cached bytes"
+    );
     match Message::decode(&acks[0]).unwrap() {
         Message {
             seq,
@@ -322,11 +325,7 @@ fn failover_after_tcp_silent_kill_by_dispatch_budget() {
     server.kill_shard_after(2, 1);
     let cfg = TcpConfig::new(key).with_recv_timeout(Duration::from_millis(100));
     let transport = TcpTransport::connect(&server.shard_addrs(k), cfg).expect("connect");
-    contract_failover_survives_the_kill(
-        Harness::Tcp { transport, server },
-        k,
-        "tcp silent kill",
-    );
+    contract_failover_survives_the_kill(Harness::Tcp { transport, server }, k, "tcp silent kill");
 }
 
 // ---------------------------------------------------------------------------
@@ -350,7 +349,10 @@ fn kill_points(k: usize) -> [(u64, &'static str); 2] {
         .filter(|&r| plan.chunks(r).iter().any(|&(s, _)| s == VICTIM))
         .count() as u64;
     let tasks = rounds * 2 * WAVE_STEPS as u64;
-    [(tasks / 2 + 1, "mid-task"), (tasks + 1, "after the first flush")]
+    [
+        (tasks / 2 + 1, "mid-task"),
+        (tasks + 1, "after the first flush"),
+    ]
 }
 
 fn contract_mid_wave_kill(mut transport: Harness, k: usize, what: &str) {
@@ -369,7 +371,10 @@ fn contract_mid_wave_kill(mut transport: Harness, k: usize, what: &str) {
         .calibrate_tp(&mut transport, 0.0, 60.0, WAVE_STEPS)
         .unwrap_or_else(|e| panic!("{what}: survivors must finish: {e}"));
     assert_runs_bit_identical(&sharded.run, &reference, what);
-    assert_eq!(sharded.report.failovers, 1, "{what}: the kill must fire once");
+    assert_eq!(
+        sharded.report.failovers, 1,
+        "{what}: the kill must fire once"
+    );
     assert_eq!(sharded.report.shards_alive as usize, k - 1, "{what}");
 }
 
@@ -479,8 +484,7 @@ fn assert_tampering_is_a_protocol_error(what: &str, tamper: impl FnMut(&mut Body
         shard: 1,
         tamper,
     };
-    match Coordinator::new(CoordinatorConfig::new(2)).calibrate_tp(&mut transport, 0.0, 60.0, 10)
-    {
+    match Coordinator::new(CoordinatorConfig::new(2)).calibrate_tp(&mut transport, 0.0, 60.0, 10) {
         Err(CoordError::Protocol(_)) => {}
         Err(other) => panic!("{what}: expected a protocol error, got {other:?}"),
         Ok(run) => panic!(

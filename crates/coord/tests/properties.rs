@@ -5,12 +5,11 @@
 
 use cloudconst_cloud::{CloudConfig, FaultPlan, FaultyCloud, SyntheticCloud};
 use cloudconst_coord::{
-    AuthKey, Body, CellResult, CoordError, Coordinator,
-    CoordinatorConfig, Message, PartialTpMatrix, Phase, ShardTask, SimConfig, SimTransport,
+    AuthKey, Body, CellResult, CoordError, Coordinator, CoordinatorConfig, Message,
+    PartialTpMatrix, Phase, ShardTask, SimConfig, SimTransport,
 };
 use cloudconst_netmodel::{
-    Calibrator, FaultyTpRun, ImputePolicy, ProbeOutcome, RetryPolicy,
-    TpMatrix,
+    Calibrator, FaultyTpRun, ImputePolicy, ProbeOutcome, RetryPolicy, TpMatrix,
 };
 use proptest::prelude::*;
 

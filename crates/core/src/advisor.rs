@@ -567,9 +567,7 @@ mod tests {
         let mut advisor = Advisor::new(quick_cfg());
         advisor.calibrate_par(&cloud, 0.0).unwrap();
         let t = advisor.expected_transfer(0, 1, BETA_PROBE_BYTES).unwrap();
-        let truth = cloud
-            .ground_truth(0)
-            .transfer_time(0, 1, BETA_PROBE_BYTES);
+        let truth = cloud.ground_truth(0).transfer_time(0, 1, BETA_PROBE_BYTES);
         assert!((t - truth).abs() / truth < 0.05);
     }
 
@@ -745,7 +743,9 @@ mod tests {
         assert!(advisor.campaign_history().is_empty());
 
         for k in 0..3u32 {
-            advisor.calibrate_par(&cloud, f64::from(k) * 1000.0).unwrap();
+            advisor
+                .calibrate_par(&cloud, f64::from(k) * 1000.0)
+                .unwrap();
         }
         let h = advisor.campaign_history();
         assert_eq!(h.len(), 3);
@@ -784,7 +784,11 @@ mod tests {
         for k in 0..HISTORY_CAPACITY {
             h.push(rate_report(k as f64));
         }
-        assert_eq!(h.len(), HISTORY_CAPACITY, "at capacity, nothing evicted yet");
+        assert_eq!(
+            h.len(),
+            HISTORY_CAPACITY,
+            "at capacity, nothing evicted yet"
+        );
         assert_eq!(h.reports()[0].probe_success_rate, 0.0);
         h.push(rate_report(-1.0));
         assert_eq!(h.len(), HISTORY_CAPACITY, "one in, one out");
@@ -848,7 +852,9 @@ mod tests {
 
         let expected = advisor.expected_transfer(bi, bj, BETA_PROBE_BYTES).unwrap();
         let observed = cloud.probe(bi, bj, BETA_PROBE_BYTES, 20_000.0);
-        let d = advisor.observe(&cloud, 20_000.0, expected, observed).unwrap();
+        let d = advisor
+            .observe(&cloud, 20_000.0, expected, observed)
+            .unwrap();
         assert_eq!(d, MaintenanceDecision::Recalibrate);
     }
 }

@@ -107,10 +107,10 @@ pub fn estimate_with_opts(
             );
             let (ra, rb) = (ra?, rb?);
             degraded = ra.2 || rb.2;
-            let a = extract_constant(&ra.0, ConstantMethod::TopSingular)
-                .map_err(CoreError::Rpca)?;
-            let b = extract_constant(&rb.0, ConstantMethod::TopSingular)
-                .map_err(CoreError::Rpca)?;
+            let a =
+                extract_constant(&ra.0, ConstantMethod::TopSingular).map_err(CoreError::Rpca)?;
+            let b =
+                extract_constant(&rb.0, ConstantMethod::TopSingular).map_err(CoreError::Rpca)?;
             (a, b, ra.1 + rb.1)
         }
         EstimatorKind::Rank1Direct => {
@@ -284,10 +284,8 @@ mod tests {
         let mean = estimate(&tp, EstimatorKind::HeuristicMean).unwrap();
         let rpca = estimate(&tp, EstimatorKind::Rpca).unwrap();
         let spiked_link_truth = truth.transfer_time(0, 1, BETA_PROBE_BYTES);
-        let err_mean =
-            (mean.perf.transfer_time(0, 1, BETA_PROBE_BYTES) - spiked_link_truth).abs();
-        let err_rpca =
-            (rpca.perf.transfer_time(0, 1, BETA_PROBE_BYTES) - spiked_link_truth).abs();
+        let err_mean = (mean.perf.transfer_time(0, 1, BETA_PROBE_BYTES) - spiked_link_truth).abs();
+        let err_rpca = (rpca.perf.transfer_time(0, 1, BETA_PROBE_BYTES) - spiked_link_truth).abs();
         assert!(
             err_rpca < err_mean,
             "rpca {err_rpca} should beat mean {err_mean} on the spiked link"
@@ -341,7 +339,9 @@ mod tests {
 
     #[test]
     fn clean_tp_matrix_has_near_zero_error() {
-        let truth = PerfMatrix::from_fn(5, |i, j| LinkPerf::new(1e-4 * (1 + i) as f64, 1e8 * (1 + j) as f64));
+        let truth = PerfMatrix::from_fn(5, |i, j| {
+            LinkPerf::new(1e-4 * (1 + i) as f64, 1e8 * (1 + j) as f64)
+        });
         let mut tp = TpMatrix::new(5);
         for k in 0..8 {
             tp.push(k as f64, &truth);

@@ -29,7 +29,9 @@ pub use advisor::{
     Advisor, AdvisorConfig, CampaignHistory, HealthReport, MaintenanceDecision, ModelState,
 };
 pub use effectiveness::{classify, EffectivenessBand};
-pub use estimator::{estimate, estimate_with_opts, ConstantEstimate, DegradedPolicy, EstimatorKind};
+pub use estimator::{
+    estimate, estimate_with_opts, ConstantEstimate, DegradedPolicy, EstimatorKind,
+};
 pub use noise::{inject_noise, inject_noise_until, NoiseConfig};
 
 /// Errors surfaced by the advisor pipeline.

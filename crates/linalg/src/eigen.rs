@@ -162,11 +162,7 @@ mod tests {
 
     #[test]
     fn reconstruction_identity() {
-        let a = Mat::from_rows(&[
-            &[4.0, 1.0, -2.0],
-            &[1.0, 2.0, 0.0],
-            &[-2.0, 0.0, 3.0],
-        ]);
+        let a = Mat::from_rows(&[&[4.0, 1.0, -2.0], &[1.0, 2.0, 0.0], &[-2.0, 0.0, 3.0]]);
         let r = eigh(&a).unwrap();
         let b = reconstruct(&r);
         for i in 0..3 {
@@ -178,11 +174,7 @@ mod tests {
 
     #[test]
     fn eigenvectors_orthonormal() {
-        let a = Mat::from_rows(&[
-            &[4.0, 1.0, -2.0],
-            &[1.0, 2.0, 0.0],
-            &[-2.0, 0.0, 3.0],
-        ]);
+        let a = Mat::from_rows(&[&[4.0, 1.0, -2.0], &[1.0, 2.0, 0.0], &[-2.0, 0.0, 3.0]]);
         let r = eigh(&a).unwrap();
         let vtv = r.vectors.transpose().matmul(&r.vectors).unwrap();
         for i in 0..3 {

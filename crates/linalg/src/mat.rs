@@ -69,7 +69,11 @@ impl Mat {
             assert_eq!(row.len(), c, "Mat::from_rows: ragged rows");
             data.extend_from_slice(row);
         }
-        Mat { rows: r, cols: c, data }
+        Mat {
+            rows: r,
+            cols: c,
+            data,
+        }
     }
 
     /// Build an `n × n` diagonal matrix from the given diagonal entries.
@@ -209,13 +213,7 @@ impl Mat {
                 rhs: (x.len(), 1),
             });
         }
-        let dot = |i: usize| -> f64 {
-            self.row(i)
-                .iter()
-                .zip(x.iter())
-                .map(|(a, b)| a * b)
-                .sum()
-        };
+        let dot = |i: usize| -> f64 { self.row(i).iter().zip(x.iter()).map(|(a, b)| a * b).sum() };
         if self.rows * self.cols >= PAR_MATMUL_FLOPS {
             Ok((0..self.rows).into_par_iter().map(dot).collect())
         } else {

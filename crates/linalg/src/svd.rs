@@ -351,12 +351,7 @@ mod tests {
 
     #[test]
     fn reconstruct_tall() {
-        let a = Mat::from_rows(&[
-            &[1.0, 2.0],
-            &[3.0, 4.0],
-            &[5.0, 6.0],
-            &[-1.0, 0.5],
-        ]);
+        let a = Mat::from_rows(&[&[1.0, 2.0], &[3.0, 4.0], &[5.0, 6.0], &[-1.0, 0.5]]);
         let svd = svd_thin(&a).unwrap();
         assert_eq!(svd.k(), 2);
         assert_close(&svd.reconstruct().unwrap(), &a, 1e-10);
@@ -406,10 +401,7 @@ mod tests {
 
     #[test]
     fn singular_values_descending() {
-        let a = Mat::from_rows(&[
-            &[0.3, 1.7, -2.0, 0.0, 5.0],
-            &[1.0, 1.0, 1.0, 1.0, 1.0],
-        ]);
+        let a = Mat::from_rows(&[&[0.3, 1.7, -2.0, 0.0, 5.0], &[1.0, 1.0, 1.0, 1.0, 1.0]]);
         let svd = svd_thin(&a).unwrap();
         for w in svd.s.windows(2) {
             assert!(w[0] >= w[1]);
@@ -418,10 +410,7 @@ mod tests {
 
     #[test]
     fn u_orthonormal_on_rank() {
-        let a = Mat::from_rows(&[
-            &[1.0, 2.0, 3.0],
-            &[4.0, 5.0, 6.0],
-        ]);
+        let a = Mat::from_rows(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]]);
         let svd = svd_thin(&a).unwrap();
         let utu = svd.u.transpose().matmul(&svd.u).unwrap();
         for i in 0..2 {
@@ -434,7 +423,10 @@ mod tests {
 
     #[test]
     fn empty_errors() {
-        assert!(matches!(svd_thin(&Mat::zeros(0, 5)), Err(LinalgError::Empty)));
+        assert!(matches!(
+            svd_thin(&Mat::zeros(0, 5)),
+            Err(LinalgError::Empty)
+        ));
     }
 
     #[test]

@@ -34,7 +34,11 @@ impl LinkPerf {
         assert!(alpha >= 0.0 && inv_beta >= 0.0);
         LinkPerf {
             alpha,
-            beta: if inv_beta == 0.0 { f64::INFINITY } else { 1.0 / inv_beta },
+            beta: if inv_beta == 0.0 {
+                f64::INFINITY
+            } else {
+                1.0 / inv_beta
+            },
         }
     }
 

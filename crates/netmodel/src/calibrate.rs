@@ -551,7 +551,10 @@ mod tests {
     fn parallel_calibration_is_bit_identical() {
         // 24 VMs → 12-pair rounds.
         let truth = PerfMatrix::from_fn(24, |i, j| {
-            LinkPerf::new(1e-4 * (1 + (i * 7 + j) % 5) as f64, 1e8 * (1 + (i + j) % 3) as f64)
+            LinkPerf::new(
+                1e-4 * (1 + (i * 7 + j) % 5) as f64,
+                1e8 * (1 + (i + j) % 3) as f64,
+            )
         });
         let serial = Calibrator::new().calibrate(&mut ModelProbe(truth.clone()), 10.0);
         let par =
@@ -673,7 +676,11 @@ mod tests {
             flaky_until: 1.0,
         };
         let run = Calibrator::new().calibrate_par(&probe, 0.0, &RetryPolicy::default());
-        assert_eq!(run.outcomes.failed_links().len(), 0, "retries should recover");
+        assert_eq!(
+            run.outcomes.failed_links().len(),
+            0,
+            "retries should recover"
+        );
         assert!(run.outcomes.retries > 0);
         assert!(run.outcomes.losses > 0);
         // The recovered cells are marked as retried.

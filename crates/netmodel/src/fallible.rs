@@ -392,8 +392,7 @@ impl AdaptiveRetryPolicy {
                     if i == j {
                         continue;
                     }
-                    let mut score = match history.filter(|h| h.n() == n).map(|h| h.outcome(i, j))
-                    {
+                    let mut score = match history.filter(|h| h.n() == n).map(|h| h.outcome(i, j)) {
                         Some(ProbeOutcome::Failed(a)) => 1_000 + a as u64,
                         Some(ProbeOutcome::Ok(a)) if a > 1 => a as u64,
                         _ => 0,

@@ -128,7 +128,10 @@ impl PerfMatrix {
     /// Flatten to the paper's row layout: `N²` values in row order.
     /// Returns `(alpha_flat, inv_beta_flat)`.
     pub fn flatten(&self) -> (Vec<f64>, Vec<f64>) {
-        (self.alpha.as_slice().to_vec(), self.inv_beta.as_slice().to_vec())
+        (
+            self.alpha.as_slice().to_vec(),
+            self.inv_beta.as_slice().to_vec(),
+        )
     }
 
     /// Rebuild from flattened rows (inverse of [`PerfMatrix::flatten`]).
@@ -216,7 +219,9 @@ mod tests {
         let pm2 = PerfMatrix::from_flat(3, &af, &bf);
         for i in 0..3 {
             for j in 0..3 {
-                assert!((pm.transfer_time(i, j, 1000) - pm2.transfer_time(i, j, 1000)).abs() < 1e-12);
+                assert!(
+                    (pm.transfer_time(i, j, 1000) - pm2.transfer_time(i, j, 1000)).abs() < 1e-12
+                );
             }
         }
     }

@@ -10,9 +10,8 @@ fn link_strategy() -> impl Strategy<Value = LinkPerf> {
 
 fn perf_strategy(max_n: usize) -> impl Strategy<Value = PerfMatrix> {
     (2..=max_n).prop_flat_map(|n| {
-        proptest::collection::vec(link_strategy(), n * n).prop_map(move |links| {
-            PerfMatrix::from_fn(n, |i, j| links[i * n + j])
-        })
+        proptest::collection::vec(link_strategy(), n * n)
+            .prop_map(move |links| PerfMatrix::from_fn(n, |i, j| links[i * n + j]))
     })
 }
 

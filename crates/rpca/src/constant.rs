@@ -85,11 +85,7 @@ mod tests {
     fn top_singular_handles_scaled_rows() {
         // Rank-1 but rows scaled differently: constant = average row.
         let base = [2.0, 4.0, 6.0];
-        let d = Mat::from_rows(&[
-            &[2.0, 4.0, 6.0],
-            &[2.2, 4.4, 6.6],
-            &[1.8, 3.6, 5.4],
-        ]);
+        let d = Mat::from_rows(&[&[2.0, 4.0, 6.0], &[2.2, 4.4, 6.6], &[1.8, 3.6, 5.4]]);
         let c = extract_constant(&d, ConstantMethod::TopSingular).unwrap();
         for (a, b) in c.iter().zip(base.iter()) {
             assert!((a - b).abs() < 1e-9);

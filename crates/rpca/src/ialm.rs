@@ -108,7 +108,9 @@ pub fn ialm(a: &Mat, opts: &IalmOptions) -> Result<RpcaResult> {
     // no rescaling — only packaging.
     let z = a.sub(&d)?.sub(&e)?;
     let residual = fro_norm(&z) / a_fro.max(f64::MIN_POSITIVE);
-    let rank = cloudconst_linalg::svd_thin(&d).map(|s| s.rank(1e-9)).unwrap_or(0);
+    let rank = cloudconst_linalg::svd_thin(&d)
+        .map(|s| s.rank(1e-9))
+        .unwrap_or(0);
     Err(RpcaError::NoConvergence {
         iters: opts.max_iters,
         residual,

@@ -213,7 +213,11 @@ mod tests {
         // Deterministic pseudo-noise ±0.05.
         for i in 0..10 {
             for j in 0..15 {
-                let s = if (i * 31 + j * 17) % 2 == 0 { 1.0 } else { -1.0 };
+                let s = if (i * 31 + j * 17) % 2 == 0 {
+                    1.0
+                } else {
+                    -1.0
+                };
                 a[(i, j)] += s * 0.05 * ((i + j) % 3) as f64 / 3.0;
             }
         }

@@ -46,7 +46,14 @@ impl BackgroundSpec {
             if src == dst || !chosen.insert((src, dst)) {
                 continue;
             }
-            sim.add_background_with_churn(src, dst, self.message_bytes, self.lambda, from, self.churn);
+            sim.add_background_with_churn(
+                src,
+                dst,
+                self.message_bytes,
+                self.lambda,
+                from,
+                self.churn,
+            );
             placed += 1;
         }
     }

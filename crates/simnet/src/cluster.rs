@@ -126,7 +126,10 @@ mod tests {
         let seq = view.probe(0, 1, 1_000_000, 0.0);
         let now = view.simulator().time();
         let both = view.probe_concurrent(&[(0, 1), (0, 2)], 1_000_000, now);
-        assert!(both[0] > 1.5 * seq, "no contention visible: {both:?} vs {seq}");
+        assert!(
+            both[0] > 1.5 * seq,
+            "no contention visible: {both:?} vs {seq}"
+        );
     }
 
     #[test]

@@ -55,7 +55,13 @@ pub fn run_dag(view: &mut ClusterView<'_>, dag: &TransferDag, start: f64) -> f64
         // all arrivals we now know.
         let outstanding: Vec<(usize, FlowId)> = (0..m)
             .filter_map(|i| {
-                flow_of[i].and_then(|id| if finish[i].is_none() { Some((i, id)) } else { None })
+                flow_of[i].and_then(|id| {
+                    if finish[i].is_none() {
+                        Some((i, id))
+                    } else {
+                        None
+                    }
+                })
             })
             .collect();
         if outstanding.is_empty() {
@@ -140,9 +146,17 @@ mod tests {
         let mut sim = Simulator::new(topo(), 2);
         let mut view = ClusterView::new(&mut sim, vec![0, 1, 2, 3]);
         let tree = binomial_tree(0, 4);
-        let b = run_dag(&mut view, &schedule(&tree, Collective::Broadcast, 400_000), 0.0);
+        let b = run_dag(
+            &mut view,
+            &schedule(&tree, Collective::Broadcast, 400_000),
+            0.0,
+        );
         let now = view.simulator().time();
-        let s = run_dag(&mut view, &schedule(&tree, Collective::Scatter, 100_000), now);
+        let s = run_dag(
+            &mut view,
+            &schedule(&tree, Collective::Scatter, 100_000),
+            now,
+        );
         // Scatter moves less total data on the root's deepest edges.
         assert!(s < b, "scatter {s} >= broadcast {b}");
     }

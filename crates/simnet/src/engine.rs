@@ -190,7 +190,14 @@ impl Simulator {
     /// from `src` to `dst` with exponential waiting times of mean
     /// `mean_wait` seconds between *send starts* (the paper's λ), starting
     /// at `from`.
-    pub fn add_background(&mut self, src: usize, dst: usize, bytes: u64, mean_wait: f64, from: f64) {
+    pub fn add_background(
+        &mut self,
+        src: usize,
+        dst: usize,
+        bytes: u64,
+        mean_wait: f64,
+        from: f64,
+    ) {
         self.add_background_with_churn(src, dst, bytes, mean_wait, from, 0.0);
     }
 
@@ -226,7 +233,9 @@ impl Simulator {
     }
 
     fn sample_wait(&mut self, mean: f64) -> f64 {
-        Exp::new(1.0 / mean).expect("positive rate").sample(&mut self.rng)
+        Exp::new(1.0 / mean)
+            .expect("positive rate")
+            .sample(&mut self.rng)
     }
 
     fn start_flow(&mut self, id: FlowId, src: usize, dst: usize, bytes: f64, tracked: bool) {
@@ -485,10 +494,7 @@ mod tests {
         let f = busy.submit(0, 1, 10_000, 100.0);
         busy.run_until(100.0);
         let t_busy = busy.wait_for(&[f])[0] - 100.0;
-        assert!(
-            t_busy > 1.2 * t_clean,
-            "busy {t_busy} vs clean {t_clean}"
-        );
+        assert!(t_busy > 1.2 * t_clean, "busy {t_busy} vs clean {t_clean}");
     }
 
     #[test]
@@ -525,7 +531,9 @@ mod tests {
     #[test]
     fn many_concurrent_flows_conserve_capacity() {
         let mut sim = Simulator::new(topo(), 3);
-        let ids: Vec<FlowId> = (0..3).map(|k| sim.submit(0, 1 + k % 3, 1000, 0.0)).collect();
+        let ids: Vec<FlowId> = (0..3)
+            .map(|k| sim.submit(0, 1 + k % 3, 1000, 0.0))
+            .collect();
         // All three leave host 0 (capacity 100): total throughput ≤ 100 ⇒
         // 3000 bytes take ≥ 30 s.
         let ts = sim.wait_for(&ids);

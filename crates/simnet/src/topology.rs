@@ -51,7 +51,12 @@ impl Topology {
     }
 
     /// General two-level tree with the given host-link and core-link specs.
-    pub fn tree(racks: usize, hosts_per_rack: usize, host_link: LinkSpec, core_link: LinkSpec) -> Self {
+    pub fn tree(
+        racks: usize,
+        hosts_per_rack: usize,
+        host_link: LinkSpec,
+        core_link: LinkSpec,
+    ) -> Self {
         assert!(racks >= 1 && hosts_per_rack >= 1);
         assert!(host_link.capacity > 0.0 && core_link.capacity > 0.0);
         let hosts = racks * hosts_per_rack;
@@ -342,7 +347,9 @@ mod tests {
         let t = three();
         let p = t.path(0, 7);
         assert_eq!(p.len(), 6);
-        assert!((t.path_latency(&p) - (0.001 + 0.002 + 0.003 + 0.003 + 0.002 + 0.001)).abs() < 1e-12);
+        assert!(
+            (t.path_latency(&p) - (0.001 + 0.002 + 0.003 + 0.003 + 0.002 + 0.001)).abs() < 1e-12
+        );
     }
 
     #[test]

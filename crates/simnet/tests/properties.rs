@@ -145,14 +145,13 @@ fn topo_strategy() -> impl Strategy<Value = Topology> {
 fn flows_strategy() -> impl Strategy<Value = (Topology, Vec<(usize, usize)>)> {
     topo_strategy().prop_flat_map(|t| {
         let hosts = t.hosts();
-        proptest::collection::vec((0..hosts, 0..hosts), 1..12)
-            .prop_map(move |pairs| {
-                let pairs: Vec<(usize, usize)> = pairs
-                    .into_iter()
-                    .map(|(a, b)| if a == b { (a, (b + 1) % hosts) } else { (a, b) })
-                    .collect();
-                (t.clone(), pairs)
-            })
+        proptest::collection::vec((0..hosts, 0..hosts), 1..12).prop_map(move |pairs| {
+            let pairs: Vec<(usize, usize)> = pairs
+                .into_iter()
+                .map(|(a, b)| if a == b { (a, (b + 1) % hosts) } else { (a, b) })
+                .collect();
+            (t.clone(), pairs)
+        })
     })
 }
 

@@ -95,10 +95,7 @@ mod tests {
     fn heterogeneous(n: usize) -> PerfMatrix {
         PerfMatrix::from_fn(n, |i, j| {
             let fast = (i / 2) == (j / 2);
-            LinkPerf::new(
-                if fast { 1e-4 } else { 5e-4 },
-                if fast { 2e8 } else { 2e7 },
-            )
+            LinkPerf::new(if fast { 1e-4 } else { 5e-4 }, if fast { 2e8 } else { 2e7 })
         })
     }
 

@@ -16,7 +16,9 @@ pub struct TaskGraph {
 impl TaskGraph {
     /// Graph with no edges.
     pub fn empty(n: usize) -> Self {
-        TaskGraph { w: Mat::zeros(n, n) }
+        TaskGraph {
+            w: Mat::zeros(n, n),
+        }
     }
 
     /// Number of vertices.

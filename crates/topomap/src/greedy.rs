@@ -54,7 +54,11 @@ pub fn ring_mapping(n: usize) -> Mapping {
 /// Disconnected components restart from the globally heaviest remainder.
 pub fn greedy_mapping(tasks: &TaskGraph, machines: &TaskGraph) -> Mapping {
     let n = tasks.n();
-    assert_eq!(n, machines.n(), "task and machine graphs must match in size");
+    assert_eq!(
+        n,
+        machines.n(),
+        "task and machine graphs must match in size"
+    );
     assert!(n > 0);
 
     let mut machine_of = vec![usize::MAX; n];

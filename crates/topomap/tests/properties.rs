@@ -8,9 +8,8 @@ use cloudconst_topomap::{
 use proptest::prelude::*;
 
 fn task_graph_strategy(max_n: usize) -> impl Strategy<Value = TaskGraph> {
-    (2..=max_n, 0usize..3, 1u64..1000).prop_map(|(n, degree, seed)| {
-        random_task_graph(n, degree, 1e5, 1e7, seed)
-    })
+    (2..=max_n, 0usize..3, 1u64..1000)
+        .prop_map(|(n, degree, seed)| random_task_graph(n, degree, 1e5, 1e7, seed))
 }
 
 proptest! {

@@ -22,8 +22,14 @@ fn main() {
     c.runs = runs;
     let r = run_campaign(&c);
 
-    println!("Norm(N_E) = {:.3}  (calibrations: {})\n", r.norm_ne, r.calibrations);
-    println!("{:<12} {:>14} {:>14} {:>14}", "approach", "bcast", "scatter", "topomap");
+    println!(
+        "Norm(N_E) = {:.3}  (calibrations: {})\n",
+        r.norm_ne, r.calibrations
+    );
+    println!(
+        "{:<12} {:>14} {:>14} {:>14}",
+        "approach", "bcast", "scatter", "topomap"
+    );
     let base = (
         r.bcast.mean_of(Approach::Baseline),
         r.scatter.mean_of(Approach::Baseline),
@@ -40,7 +46,10 @@ fn main() {
     }
 
     println!("\nbroadcast CDF (seconds):");
-    println!("{:>9} {:>10} {:>11} {:>8}", "quantile", "Baseline", "Heuristics", "RPCA");
+    println!(
+        "{:>9} {:>10} {:>11} {:>8}",
+        "quantile", "Baseline", "Heuristics", "RPCA"
+    );
     let q = 5;
     let cdfs: Vec<Vec<(f64, f64)>> = [Approach::Baseline, Approach::Heuristics, Approach::Rpca]
         .iter()

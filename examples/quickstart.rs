@@ -46,10 +46,7 @@ fn main() {
     let t_rpca = guided.collective_time(Collective::Broadcast, 0, msg);
     println!("binomial broadcast (baseline): {t_base:.3} s");
     println!("FNF broadcast (RPCA-guided):   {t_rpca:.3} s");
-    println!(
-        "improvement: {:.1}%",
-        (1.0 - t_rpca / t_base) * 100.0
-    );
+    println!("improvement: {:.1}%", (1.0 - t_rpca / t_base) * 100.0);
 
     // 4. Maintenance: report the observation back; the advisor
     //    re-calibrates only when reality diverges from the model.
@@ -57,5 +54,8 @@ fn main() {
     let decision = advisor
         .observe(&cloud, t, expected, t_rpca)
         .expect("observe");
-    println!("maintenance decision: {decision:?} (calibrations so far: {})", advisor.calibrations());
+    println!(
+        "maintenance decision: {decision:?} (calibrations so far: {})",
+        advisor.calibrations()
+    );
 }

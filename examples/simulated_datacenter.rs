@@ -9,9 +9,9 @@
 //! cargo run --release --example simulated_datacenter [runs]
 //! ```
 
+use cloudconst::netmodel::MB;
 use cloudconst_bench::sim_experiments::{sim_comparison, SimSetup};
 use cloudconst_bench::Approach;
-use cloudconst::netmodel::MB;
 
 fn main() {
     let runs: usize = std::env::args()
@@ -38,9 +38,15 @@ fn main() {
     );
 
     let r = sim_comparison(&setup, runs, 8 * MB);
-    println!("Norm(N_E) measured on the simulator: {:.3}\n", r.calibration.norm_ne);
+    println!(
+        "Norm(N_E) measured on the simulator: {:.3}\n",
+        r.calibration.norm_ne
+    );
     let base = r.bcast.mean_of(Approach::Baseline);
-    println!("{:<16} {:>12} {:>12}", "approach", "bcast (s)", "normalized");
+    println!(
+        "{:<16} {:>12} {:>12}",
+        "approach", "bcast (s)", "normalized"
+    );
     for a in [
         Approach::Baseline,
         Approach::TopoAware,

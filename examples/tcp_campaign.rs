@@ -45,7 +45,12 @@ fn main() {
     config.retry = quick.retry.clone();
     config.impute = quick.impute;
     let campaign = Coordinator::new(config)
-        .calibrate_tp(&mut transport, 0.0, quick.snapshot_interval, quick.time_step)
+        .calibrate_tp(
+            &mut transport,
+            0.0,
+            quick.snapshot_interval,
+            quick.time_step,
+        )
         .expect("campaign");
 
     println!(

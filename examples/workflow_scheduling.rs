@@ -34,10 +34,21 @@ fn main() {
 
     let flops = 1e9;
     let rr = execute_workflow(&wf, &round_robin_schedule(&wf, n), &actual, flops);
-    let eft = execute_workflow(&wf, &balanced_eft_schedule(&wf, &guide, flops), &actual, flops);
+    let eft = execute_workflow(
+        &wf,
+        &balanced_eft_schedule(&wf, &guide, flops),
+        &actual,
+        flops,
+    );
 
-    println!("{:<24} {:>10} {:>14} {:>12}", "scheduler", "makespan", "network bytes", "comm total");
-    for (name, r) in [("round-robin (oblivious)", &rr), ("balanced EFT + RPCA", &eft)] {
+    println!(
+        "{:<24} {:>10} {:>14} {:>12}",
+        "scheduler", "makespan", "network bytes", "comm total"
+    );
+    for (name, r) in [
+        ("round-robin (oblivious)", &rr),
+        ("balanced EFT + RPCA", &eft),
+    ] {
         println!(
             "{name:<24} {:>9.2}s {:>13}M {:>11.1}s",
             r.makespan,

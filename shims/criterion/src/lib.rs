@@ -43,11 +43,7 @@ impl BenchmarkGroup {
     }
 
     /// Benchmark a closure.
-    pub fn bench_function<F: FnMut(&mut Bencher)>(
-        &mut self,
-        id: impl IdLabel,
-        f: F,
-    ) -> &mut Self {
+    pub fn bench_function<F: FnMut(&mut Bencher)>(&mut self, id: impl IdLabel, f: F) -> &mut Self {
         run_one(&self.name, &id.label(), self.sample_size, f);
         self
     }
@@ -86,7 +82,10 @@ fn run_one<F: FnMut(&mut Bencher)>(group: &str, id: &str, samples: usize, mut f:
     };
     if b.iters > 0 {
         let per_iter = b.total / b.iters as u32;
-        println!("bench {label:<40} {per_iter:>12.2?}/iter ({} iters)", b.iters);
+        println!(
+            "bench {label:<40} {per_iter:>12.2?}/iter ({} iters)",
+            b.iters
+        );
     } else {
         println!("bench {label:<40} (no iterations recorded)");
     }

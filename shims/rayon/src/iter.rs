@@ -218,8 +218,7 @@ impl<'a, T: Send> EnumeratedParChunksMut<'a, T> {
                 let lo = ci * chunk;
                 let hi = (lo + chunk).min(len);
                 // SAFETY: chunks are disjoint; each ci visited exactly once.
-                let slice =
-                    unsafe { std::slice::from_raw_parts_mut(ptr.get().add(lo), hi - lo) };
+                let slice = unsafe { std::slice::from_raw_parts_mut(ptr.get().add(lo), hi - lo) };
                 f((ci, slice));
             }
         });

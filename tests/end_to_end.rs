@@ -34,7 +34,10 @@ fn pipeline_recovers_ground_truth_on_calm_cloud() {
         }
     }
     assert!(advisor.norm_ne().unwrap() < 0.05);
-    assert_eq!(classify(advisor.norm_ne().unwrap()), EffectivenessBand::HighlyEffective);
+    assert_eq!(
+        classify(advisor.norm_ne().unwrap()),
+        EffectivenessBand::HighlyEffective
+    );
 }
 
 #[test]
@@ -113,7 +116,10 @@ fn maintenance_loop_survives_regime_shift() {
             recalibrated = true;
         }
     }
-    assert!(recalibrated, "the post-shift divergence never triggered maintenance");
+    assert!(
+        recalibrated,
+        "the post-shift divergence never triggered maintenance"
+    );
 
     // After re-calibration the model should match the *new* epoch.
     let truth = cloud.ground_truth(1);
@@ -132,5 +138,8 @@ fn maintenance_loop_survives_regime_shift() {
         }
     }
     let avg_rel = total_rel / count as f64;
-    assert!(avg_rel < 0.25, "post-shift model error too large: {avg_rel}");
+    assert!(
+        avg_rel < 0.25,
+        "post-shift model error too large: {avg_rel}"
+    );
 }

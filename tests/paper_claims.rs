@@ -1,11 +1,11 @@
 //! The paper's load-bearing quantitative claims, checked as tests (shape,
 //! not absolute numbers — see DESIGN.md).
 
+use cloudconst::collectives::fnf_tree;
+use cloudconst::linalg::Mat;
 use cloudconst_bench::campaign::{run_campaign, Campaign};
 use cloudconst_bench::replay::{replay_campaign, ReplaySetup};
 use cloudconst_bench::{mean, Approach};
-use cloudconst::collectives::fnf_tree;
-use cloudconst::linalg::Mat;
 
 /// §II-C / Fig. 1: the FNF example — longest path 5, and 7 after raising
 /// weight(1,3) from 2 to 4.
@@ -43,7 +43,10 @@ fn campaign_ordering_rpca_heuristics_baseline() {
     let p = r.bcast.mean_of(Approach::Rpca);
     assert!(p < 0.8 * b, "RPCA {p} not ≳20% better than Baseline {b}");
     assert!(h < 0.8 * b, "Heuristics {h} should beat Baseline {b}");
-    assert!(p <= h * 1.10, "RPCA {p} meaningfully worse than Heuristics {h}");
+    assert!(
+        p <= h * 1.10,
+        "RPCA {p} meaningfully worse than Heuristics {h}"
+    );
 }
 
 /// The mechanism behind the paper's RPCA-vs-Heuristics gap: congestion
@@ -114,5 +117,8 @@ fn rpca_runtime_is_small() {
     let t0 = std::time::Instant::now();
     estimate(&tp, EstimatorKind::Rpca).expect("estimate");
     let wall = t0.elapsed().as_secs_f64();
-    assert!(wall < 30.0, "RPCA took {wall}s on 10x4096 — far off the paper's budget");
+    assert!(
+        wall < 30.0,
+        "RPCA took {wall}s on 10x4096 — far off the paper's budget"
+    );
 }

@@ -7,8 +7,8 @@
 
 use cloudconst::cloud::{CloudConfig, FaultPlan, FaultyCloud, FlakyLink, SyntheticCloud};
 use cloudconst::coord::{
-    AuthKey, Coordinator, CoordinatorConfig, LoopbackTransport, SimConfig, SimTransport,
-    TcpConfig, TcpTransport, TcpWorkerServer,
+    AuthKey, Coordinator, CoordinatorConfig, LoopbackTransport, SimConfig, SimTransport, TcpConfig,
+    TcpTransport, TcpWorkerServer,
 };
 use cloudconst::core::{Advisor, AdvisorConfig};
 use cloudconst::netmodel::{
@@ -124,8 +124,14 @@ fn sharded_matches_faulty_calibrator_for_all_k() {
         SyntheticCloud::new(CloudConfig::small_test(n, 9)),
         FaultPlan::uniform(17, 0.05),
     );
-    let unsharded =
-        Calibrator::new().calibrate_tp_faulty_par(&cloud, 0.0, 60.0, steps, &retry, ImputePolicy::LastGood);
+    let unsharded = Calibrator::new().calibrate_tp_faulty_par(
+        &cloud,
+        0.0,
+        60.0,
+        steps,
+        &retry,
+        ImputePolicy::LastGood,
+    );
 
     for k in SHARD_COUNTS {
         let mut transport = SimTransport::new(
@@ -222,7 +228,12 @@ fn advisor_adopts_sharded_run() {
     config.impute = quick.impute;
     let mut transport = SimTransport::new(cloud.clone(), 4, SimConfig::default());
     let sharded = Coordinator::new(config)
-        .calibrate_tp(&mut transport, 0.0, quick.snapshot_interval, quick.time_step)
+        .calibrate_tp(
+            &mut transport,
+            0.0,
+            quick.snapshot_interval,
+            quick.time_step,
+        )
         .expect("loss-free campaign cannot abort");
     external.adopt_faulty_run(sharded.run, 0.0).unwrap();
 
@@ -235,7 +246,10 @@ fn advisor_adopts_sharded_run() {
             assert_eq!(a.beta.to_bits(), b.beta.to_bits(), "beta ({i},{j})");
         }
     }
-    let (hi, he) = (internal.health(10.0).unwrap(), external.health(10.0).unwrap());
+    let (hi, he) = (
+        internal.health(10.0).unwrap(),
+        external.health(10.0).unwrap(),
+    );
     assert_eq!(hi.probe_success_rate, he.probe_success_rate);
     assert_eq!(hi.attempts, he.attempts);
     assert_eq!(hi.masked_fraction, he.masked_fraction);
@@ -274,7 +288,12 @@ fn advisor_adopts_tcp_campaign_end_to_end() {
     config.retry = quick.retry.clone();
     config.impute = quick.impute;
     let sharded = Coordinator::new(config)
-        .calibrate_tp(&mut transport, 0.0, quick.snapshot_interval, quick.time_step)
+        .calibrate_tp(
+            &mut transport,
+            0.0,
+            quick.snapshot_interval,
+            quick.time_step,
+        )
         .expect("localhost campaign must complete");
     assert_eq!(sharded.report.shards_alive as usize, k);
     assert_eq!(sharded.report.failovers, 0);
@@ -292,7 +311,10 @@ fn advisor_adopts_tcp_campaign_end_to_end() {
             assert_eq!(a.beta.to_bits(), b.beta.to_bits(), "beta ({i},{j})");
         }
     }
-    let (hi, he) = (internal.health(10.0).unwrap(), external.health(10.0).unwrap());
+    let (hi, he) = (
+        internal.health(10.0).unwrap(),
+        external.health(10.0).unwrap(),
+    );
     assert_eq!(hi.probe_success_rate, he.probe_success_rate);
     assert_eq!(hi.attempts, he.attempts);
     assert_eq!(hi.masked_fraction, he.masked_fraction);
@@ -315,10 +337,7 @@ fn quarantine_survives_sharded_merge() {
         }],
         ..FaultPlan::none(4)
     };
-    let cloud = FaultyCloud::new(
-        SyntheticCloud::new(CloudConfig::small_test(n, 9)),
-        plan,
-    );
+    let cloud = FaultyCloud::new(SyntheticCloud::new(CloudConfig::small_test(n, 9)), plan);
     // time_step 5 ≥ the advisor's quarantine threshold of 3 consecutive failures.
     let quick = AdvisorConfig {
         time_step: 5,
@@ -337,7 +356,12 @@ fn quarantine_survives_sharded_merge() {
         config.impute = quick.impute;
         let mut transport = SimTransport::new(cloud.clone(), k, SimConfig::default());
         let sharded = Coordinator::new(config)
-            .calibrate_tp(&mut transport, 0.0, quick.snapshot_interval, quick.time_step)
+            .calibrate_tp(
+                &mut transport,
+                0.0,
+                quick.snapshot_interval,
+                quick.time_step,
+            )
             .expect("loss-free campaign cannot abort");
 
         let mut external = Advisor::new(quick.clone());
@@ -365,9 +389,8 @@ fn json_trace_is_lossless_on_volatile_traces() {
     let mut trace = NetTrace::new(12);
     for s in 0..6 {
         let t = s as f64 * 60.0;
-        let perf = cloudconst::netmodel::PerfMatrix::from_fn(12, |i, j| {
-            cloud.instantaneous(i, j, t)
-        });
+        let perf =
+            cloudconst::netmodel::PerfMatrix::from_fn(12, |i, j| cloud.instantaneous(i, j, t));
         trace.record(t, perf);
     }
     let mut json = Vec::new();

@@ -75,9 +75,17 @@ fn fnf_tree_from_simulator_calibration_runs_as_flows() {
     let fnf = fnf_tree(0, &guide.weights(4 * MB));
     let bin = binomial_tree(0, n);
     let start = view.simulator().time() + 1.0;
-    let t_fnf = run_dag(&mut view, &schedule(&fnf, Collective::Broadcast, 4 * MB), start);
+    let t_fnf = run_dag(
+        &mut view,
+        &schedule(&fnf, Collective::Broadcast, 4 * MB),
+        start,
+    );
     let start = view.simulator().time() + 1.0;
-    let t_bin = run_dag(&mut view, &schedule(&bin, Collective::Broadcast, 4 * MB), start);
+    let t_bin = run_dag(
+        &mut view,
+        &schedule(&bin, Collective::Broadcast, 4 * MB),
+        start,
+    );
     assert!(t_fnf > 0.0 && t_bin > 0.0);
     // Not a strict inequality under a single noisy run, but both must be
     // in a sane band: broadcast of 4MB over >=1MB/s effective links.
