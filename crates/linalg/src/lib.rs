@@ -30,7 +30,10 @@ pub mod svd;
 
 pub use eigen::{eigh, EighResult};
 pub use mat::{select_stable, Mat};
-pub use norms::{blocked_sums, count_above, fro_norm, inf_norm, l1_norm, zero_norm_frac};
+pub use norms::{
+    blocked_sums, blocked_sums_until, count_above, fro_norm, inf_norm, l1_norm, sum_squares,
+    zero_norm_frac,
+};
 pub use shrink::{
     for_each_chunk_pair, shrink_scalar, soft_threshold, soft_threshold_into, svt, svt_in_place,
     SvtResult,
