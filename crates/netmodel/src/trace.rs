@@ -328,6 +328,24 @@ mod tests {
     }
 
     #[test]
+    fn load_rejects_text_that_is_not_json() {
+        let mut buf = Vec::new();
+        sample_trace().save(&mut buf).unwrap();
+        let text = String::from_utf8(buf).unwrap();
+        let edit = |from: &str, to: &str| {
+            assert!(text.contains(from), "{from} in {text}");
+            NetTrace::load(text.replacen(from, to, 1).as_bytes())
+        };
+        // A valid escape and exponent load: only the invalid forms fail.
+        assert!(edit(r#"{"n":"#, r#"{"\u006e":"#).is_ok());
+        assert!(edit(r#""time":10.0"#, r#""time":1.0e1"#).is_ok());
+        assert_invalid(edit(r#"{"n":"#, r#"{"\u+06e":"#));
+        assert_invalid(edit(r#""time":10.0"#, r#""time":010.0"#));
+        assert_invalid(edit(r#""time":10.0"#, r#""time":10."#));
+        assert_invalid(edit(r#""time":10.0"#, r#""time":1.e1"#));
+    }
+
+    #[test]
     fn load_rejects_out_of_order_samples() {
         let mut t = sample_trace();
         t.samples.swap(0, 1);

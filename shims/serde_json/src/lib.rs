@@ -341,32 +341,61 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// Exactly four hex digits: no sign, no space, no shorter run.
     fn parse_hex4(&mut self) -> Result<u32> {
-        if self.pos + 4 > self.bytes.len() {
-            return Err(self.err("truncated \\u escape"));
+        let digits = self
+            .bytes
+            .get(self.pos..self.pos + 4)
+            .ok_or_else(|| self.err("truncated \\u escape"))?;
+        let mut cp = 0;
+        for &b in digits {
+            let d = char::from(b)
+                .to_digit(16)
+                .ok_or_else(|| self.err("bad \\u escape"))?;
+            cp = cp * 16 + d;
         }
-        let hex = std::str::from_utf8(&self.bytes[self.pos..self.pos + 4])
-            .map_err(|_| self.err("invalid utf-8 in \\u escape"))?;
-        let cp = u32::from_str_radix(hex, 16).map_err(|_| self.err("bad \\u escape"))?;
         self.pos += 4;
         Ok(cp)
     }
 
+    /// A run of one or more ASCII digits.
+    fn digits(&mut self) -> Result<()> {
+        let start = self.pos;
+        while matches!(self.peek(), Some(b'0'..=b'9')) {
+            self.pos += 1;
+        }
+        if self.pos == start {
+            return Err(self.err("malformed number"));
+        }
+        Ok(())
+    }
+
+    /// JSON's number grammar, `-? (0 | [1-9][0-9]*) (.[0-9]+)?
+    /// ([eE][+-]?[0-9]+)?`: no leading zeros, and a digit after every `.`
+    /// and exponent.
     fn parse_number(&mut self) -> Result<Value> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
+        if self.peek() == Some(b'0') {
+            self.pos += 1;
+        } else {
+            self.digits()?;
+        }
         let mut is_float = false;
-        while let Some(&b) = self.bytes.get(self.pos) {
-            match b {
-                b'0'..=b'9' => self.pos += 1,
-                b'.' | b'e' | b'E' | b'+' | b'-' => {
-                    is_float = true;
-                    self.pos += 1;
-                }
-                _ => break,
+        if self.peek() == Some(b'.') {
+            is_float = true;
+            self.pos += 1;
+            self.digits()?;
+        }
+        if matches!(self.peek(), Some(b'e' | b'E')) {
+            is_float = true;
+            self.pos += 1;
+            if matches!(self.peek(), Some(b'+' | b'-')) {
+                self.pos += 1;
             }
+            self.digits()?;
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos])
             .map_err(|_| self.err("invalid utf-8 in number"))?;
@@ -486,6 +515,42 @@ mod tests {
             "{\n  \"a\": [\n    1,\n    2,\n    3\n  ],\n  \"b\": []\n}"
         );
         assert_eq!(from_str(&pretty).unwrap(), obj);
+    }
+
+    #[test]
+    fn numbers_follow_the_json_grammar() {
+        for ok in [
+            "0", "-0", "-0.0", "10", "2.5", "1e5", "1E+5", "2.5e-3", "1e999",
+        ] {
+            assert!(from_str(ok).is_ok(), "{ok} is JSON");
+        }
+        assert_eq!(from_str("1E+2").unwrap(), Value::Float(100.0));
+        // Leading zeros, a `.` or exponent without digits, a bare or
+        // doubled sign, and a missing integer part.
+        for bad in [
+            "01", "-01", "00", "1.", "1.e5", "1e", "1e+", "-", "+1", "--1", ".5", "-.5", "1.5.",
+        ] {
+            assert!(from_str(bad).is_err(), "{bad} is not JSON");
+            assert!(
+                from_str(&format!("[{bad}]")).is_err(),
+                "[{bad}] is not JSON"
+            );
+        }
+    }
+
+    #[test]
+    fn unicode_escapes_take_exactly_four_hex_digits() {
+        assert_eq!(from_str(r#""\u0041""#).unwrap().as_str().unwrap(), "A");
+        assert_eq!(from_str(r#""\u00e9""#).unwrap().as_str().unwrap(), "é");
+        for bad in [
+            r#""\u+041""#,
+            r#""\u-041""#,
+            r#""\u 041""#,
+            r#""\u41""#,
+            r#""\u004g""#,
+        ] {
+            assert!(from_str(bad).is_err(), "{bad} is not JSON");
+        }
     }
 
     #[test]
