@@ -28,15 +28,15 @@ use cloudconst_core::{estimate, EstimatorKind};
 use cloudconst_linalg::Mat;
 use cloudconst_netmodel::{
     pairing_rounds, triangle_violation_rate, vivaldi, Calibrator, LinkPerf, PerfMatrix, TpMatrix,
-    VivaldiConfig, MB,
+    MB,
 };
 use cloudconst_rpca::{
     apg, extract_constant, ialm, rank1_rpca, relative_difference, ApgOptions, ConstantMethod,
-    IalmOptions, Rank1Options,
+    IalmOptions,
 };
 use cloudconst_topomap::{
     anneal_mapping, evaluate_mapping, greedy_mapping, machine_graph_from_perf, random_task_graph,
-    ring_mapping, AnnealOptions,
+    ring_mapping,
 };
 use rayon::prelude::*;
 use std::path::PathBuf;
@@ -922,10 +922,7 @@ fn ablation_pairing(ctx: &Ctx) {
         let mut cloud = SyntheticCloud::new(CloudConfig::ec2_like(n, 71));
         let conc = Calibrator::new().calibrate(&mut cloud, 0.0).overhead;
         let seq = Calibrator {
-            config: cloudconst_netmodel::CalibrationConfig {
-                concurrent: false,
-                ..Default::default()
-            },
+            config: cloudconst_netmodel::CalibrationConfig { concurrent: false },
         }
         .calibrate(&mut cloud, 0.0)
         .overhead;
@@ -955,7 +952,8 @@ fn ablation_coords(ctx: &Ctx) {
     for seed in [5u64, 6, 7] {
         let mut cloud = SyntheticCloud::new(CloudConfig::ec2_like(n, seed));
         let tv = triangle_violation_rate(&mut cloud, 0.0);
-        let model = vivaldi(&mut cloud, &VivaldiConfig::default(), 10.0);
+        // 64 rounds: 64·N probes, against calibration's N(N−1) pairs.
+        let model = vivaldi(&mut cloud, 64, 10.0);
         let run = Calibrator::new().calibrate(&mut cloud, 2000.0);
         let truth = cloud.ground_truth(0).clone();
         let (mut viv_err, mut cal_err, mut cnt) = (0.0, 0.0, 0usize);
@@ -1028,8 +1026,8 @@ fn ablation_solvers(ctx: &Ctx) {
     ]);
     // Direct rank-1.
     let t0 = std::time::Instant::now();
-    let ra = rank1_rpca(tp.alpha_matrix(), &Rank1Options::default());
-    let rb = rank1_rpca(tp.inv_beta_matrix(), &Rank1Options::default());
+    let ra = rank1_rpca(tp.alpha_matrix());
+    let rb = rank1_rpca(tp.inv_beta_matrix());
     let r1_wall = t0.elapsed().as_secs_f64() * 1e3;
     let est = PerfMatrix::from_flat(n, &ra.constant, &rb.constant);
     t.row(vec![
@@ -1149,7 +1147,7 @@ fn ablation_anneal(ctx: &Ctx) {
 
         let ring = ring_mapping(n);
         let greedy = greedy_mapping(&tasks, &machines);
-        let annealed = anneal_mapping(&tasks, &greedy, &guide, &AnnealOptions::default());
+        let annealed = anneal_mapping(&tasks, &greedy, &guide);
         t.row(vec![
             seed.to_string(),
             fmt(evaluate_mapping(&tasks, &ring, &actual)),

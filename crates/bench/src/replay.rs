@@ -5,7 +5,7 @@ use crate::Approach;
 use cloudconst_apps::CommEnv;
 use cloudconst_cloud::{CloudConfig, SyntheticCloud};
 use cloudconst_collectives::Collective;
-use cloudconst_core::{estimate, inject_noise_until, EstimatorKind, NoiseConfig};
+use cloudconst_core::{estimate, inject_noise_until, EstimatorKind};
 use cloudconst_netmodel::{PerfMatrix, TpMatrix, MB};
 use cloudconst_topomap::{
     evaluate_mapping, greedy_mapping, machine_graph_from_perf, random_task_graph, ring_mapping,
@@ -77,16 +77,8 @@ pub fn replay_campaign(setup: &ReplaySetup, target_norm: f64) -> ReplayResult {
     }
 
     // Inject noise until the estimation-relevant error reaches the target.
-    let (noised, achieved) = inject_noise_until(
-        &tp,
-        target_norm,
-        &NoiseConfig {
-            seed: setup.seed ^ 0xA5A5,
-            ..Default::default()
-        },
-        4000,
-    )
-    .expect("noise injection");
+    let (noised, achieved) =
+        inject_noise_until(&tp, target_norm, setup.seed ^ 0xA5A5, 4000).expect("noise injection");
 
     // Guides from the estimation window only.
     let window = noised.prefix(setup.time_step);

@@ -30,7 +30,7 @@ use crate::wire::{Body, Message, PartialTpMatrix, Phase, ShardTask};
 use crate::CoordError;
 use cloudconst_netmodel::{
     CalibrationConfig, CalibrationRun, FaultyTpRun, ImputePolicy, LinkPerf, PerfMatrix, ProbeLog,
-    ProbeOutcome, RetryPolicy,
+    ProbeOutcome, RetryPolicy, ALPHA_PROBE_BYTES, BETA_PROBE_BYTES,
 };
 use std::collections::BTreeMap;
 use std::ops::Range;
@@ -223,8 +223,8 @@ impl Coordinator {
                 })
                 .collect();
             for (phase, bytes) in [
-                (Phase::Small, self.config.calibration.small_bytes),
-                (Phase::Large, self.config.calibration.large_bytes),
+                (Phase::Small, ALPHA_PROBE_BYTES),
+                (Phase::Large, BETA_PROBE_BYTES),
             ] {
                 // Snapshot-major: request `s · chunks + c` is chunk `c` of
                 // snapshot `first + s`.

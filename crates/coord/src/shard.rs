@@ -113,10 +113,7 @@ mod tests {
 
     #[test]
     fn serial_schedule_plan_has_single_pair_rounds() {
-        let cfg = CalibrationConfig {
-            concurrent: false,
-            ..CalibrationConfig::default()
-        };
+        let cfg = CalibrationConfig { concurrent: false };
         let plan = ShardPlan::new(4, 2, &cfg);
         assert_eq!(plan.rounds(), 12); // 4·3 ordered pairs
         for r in 0..plan.rounds() {

@@ -114,9 +114,8 @@ pub fn estimate_with_opts(
             (a, b, ra.1 + rb.1)
         }
         EstimatorKind::Rank1Direct => {
-            let opts = cloudconst_rpca::Rank1Options::default();
-            let ra = cloudconst_rpca::rank1_rpca(tp.alpha_matrix(), &opts);
-            let rb = cloudconst_rpca::rank1_rpca(tp.inv_beta_matrix(), &opts);
+            let ra = cloudconst_rpca::rank1_rpca(tp.alpha_matrix());
+            let rb = cloudconst_rpca::rank1_rpca(tp.inv_beta_matrix());
             (ra.constant, rb.constant, ra.iters + rb.iters)
         }
         EstimatorKind::HeuristicMean => (
@@ -356,10 +355,7 @@ mod tests {
         let (tp, truth) = tp_with_spike(6, 10);
         // Starve the solver so it cannot converge (this fixture needs 74
         // iterations; at 50 the residual is ~0.6% — near tolerance)…
-        let opts = ApgOptions {
-            max_iters: 50,
-            ..ApgOptions::default()
-        };
+        let opts = ApgOptions { max_iters: 50 };
         // …strict mode refuses the partial…
         let strict = estimate_with_opts(&tp, EstimatorKind::Rpca, DegradedPolicy::Fail, &opts);
         assert!(
@@ -401,10 +397,7 @@ mod tests {
     #[test]
     fn accept_near_tolerance_rejects_residual_above_epsilon() {
         let (tp, _) = tp_with_spike(6, 10);
-        let opts = ApgOptions {
-            max_iters: 50,
-            ..ApgOptions::default()
-        };
+        let opts = ApgOptions { max_iters: 50 };
         // An ε no starved solve can meet: the policy must refuse.
         let r = estimate_with_opts(
             &tp,

@@ -32,7 +32,7 @@ pub use effectiveness::{classify, EffectivenessBand};
 pub use estimator::{
     estimate, estimate_with_opts, ConstantEstimate, DegradedPolicy, EstimatorKind,
 };
-pub use noise::{inject_noise, inject_noise_until, NoiseConfig};
+pub use noise::{inject_noise, inject_noise_until};
 
 /// Errors surfaced by the advisor pipeline.
 #[derive(Debug)]

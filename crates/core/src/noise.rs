@@ -6,7 +6,8 @@
 //! reaches the predefined value". [`inject_noise_until`] implements that
 //! loop: rounds of random multiplicative perturbations are applied to the
 //! TP-matrix until the RPCA-measured `Norm(N_E)` reaches the target. The
-//! default step is 10%, not the paper's 1% (see [`NoiseConfig::step`]).
+//! step is 10%, not the paper's 1%: at 1% the achieved error grows too
+//! slowly to reach the figures' targets within a practical round cap.
 
 use crate::estimator::{estimate, EstimatorKind};
 use crate::Result;
@@ -14,44 +15,28 @@ use cloudconst_netmodel::{LinkPerf, PerfMatrix, TpMatrix};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Parameters of one perturbation round.
-#[derive(Debug, Clone)]
-pub struct NoiseConfig {
-    /// Relative size of a single perturbation. The paper uses 1%; the
-    /// default is 10%, the value fig10 and fig11 run with. The achieved
-    /// error grows like `step · √rounds`, so 1% steps need ~100× the
-    /// rounds: on fig10's 16-VM replay trace they stop at `Norm(N_E)` ≈
-    /// 0.19 when the replay's 4000-round cap runs out, short of fig11's 0.2
-    /// and fig10's 0.4, while 10% steps reach every target.
-    pub step: f64,
-    /// Fraction of links perturbed per round.
-    pub cell_fraction: f64,
-    /// RNG seed.
-    pub seed: u64,
-}
+/// Relative size of a single perturbation. The paper uses 1%; 10% is the
+/// value fig10 and fig11 run with. The achieved error grows like
+/// `STEP · √rounds`, so 1% steps need ~100× the rounds: on fig10's 16-VM
+/// replay trace they stop at `Norm(N_E)` ≈ 0.19 when the replay's
+/// 4000-round cap runs out, short of fig11's 0.2 and fig10's 0.4, while
+/// 10% steps reach every target.
+const STEP: f64 = 0.1;
 
-impl Default for NoiseConfig {
-    fn default() -> Self {
-        NoiseConfig {
-            step: 0.1,
-            cell_fraction: 0.1,
-            seed: 0xC10D,
-        }
-    }
-}
+/// Fraction of cells perturbed per round.
+const CELL_FRACTION: f64 = 0.1;
 
-/// Apply `rounds` rounds of ±`step` multiplicative noise to a copy of
-/// `tp`.
+/// Apply `rounds` rounds of ±10% multiplicative noise to a copy of `tp`,
+/// drawn from a generator seeded with `seed`.
 ///
 /// Each round visits every off-diagonal `(link, snapshot)` cell and, with
-/// probability `cell_fraction`, scales its α and β by independent
-/// `(1 ± step)` factors — sparse corruption of single measurements.
-/// Repeated rounds compound into heavier-tailed measurement noise: the
-/// paper's "change the network performance by 1%… repeat" loop, with the
-/// step set by `cfg.step`.
-pub fn inject_noise(tp: &TpMatrix, cfg: &NoiseConfig, rounds: usize) -> TpMatrix {
+/// probability 10%, scales its α and β by independent `(1 ± 10%)` factors
+/// — sparse corruption of single measurements. Repeated rounds compound
+/// into heavier-tailed measurement noise: the paper's "change the network
+/// performance by 1%… repeat" loop, with a 10% step.
+pub fn inject_noise(tp: &TpMatrix, seed: u64, rounds: usize) -> TpMatrix {
     let n = tp.n();
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
+    let mut rng = StdRng::seed_from_u64(seed);
     let mut snaps: Vec<(f64, PerfMatrix)> = (0..tp.steps())
         .map(|k| (tp.times()[k], tp.snapshot(k)))
         .collect();
@@ -62,12 +47,12 @@ pub fn inject_noise(tp: &TpMatrix, cfg: &NoiseConfig, rounds: usize) -> TpMatrix
                     continue;
                 }
                 for (_, snap) in snaps.iter_mut() {
-                    if rng.random::<f64>() >= cfg.cell_fraction {
+                    if rng.random::<f64>() >= CELL_FRACTION {
                         continue;
                     }
                     let ea = if rng.random::<bool>() { 1 } else { -1 };
                     let eb = if rng.random::<bool>() { 1 } else { -1 };
-                    scale_cell(snap, i, j, cfg.step, ea, eb);
+                    scale_cell(snap, i, j, ea, eb);
                 }
             }
         }
@@ -76,10 +61,10 @@ pub fn inject_noise(tp: &TpMatrix, cfg: &NoiseConfig, rounds: usize) -> TpMatrix
 }
 
 #[inline]
-fn scale_cell(snap: &mut PerfMatrix, i: usize, j: usize, step: f64, ea: i32, eb: i32) {
+fn scale_cell(snap: &mut PerfMatrix, i: usize, j: usize, ea: i32, eb: i32) {
     let link = snap.link(i, j);
-    let fa = (1.0 + step).powi(ea);
-    let fb = (1.0 + step).powi(eb);
+    let fa = (1.0 + STEP).powi(ea);
+    let fb = (1.0 + STEP).powi(eb);
     snap.set(
         i,
         j,
@@ -89,19 +74,19 @@ fn scale_cell(snap: &mut PerfMatrix, i: usize, j: usize, step: f64, ea: i32, eb:
 
 /// Keep injecting noise rounds until the estimator-measured `Norm(N_E)`
 /// (ℓ₁ form, which responds smoothly) reaches `target`, or `max_rounds`
-/// rounds have been applied. Returns the noised matrix and the achieved
-/// value.
+/// rounds have been applied. The batches of rounds draw from generators
+/// seeded with `seed`, `seed + 1`, …. Returns the noised matrix and the
+/// achieved value.
 ///
-/// The ±`step` random-walk perturbations (10% by default, the paper's 1%
-/// reaches too little error within a practical round cap; see
-/// [`NoiseConfig::step`]) compound into a lognormal-like spread
+/// The ±10% random-walk perturbations (the paper's 1% reaches too little
+/// error within a practical round cap) compound into a lognormal-like spread
 /// across snapshots, which is exactly the "more dynamic network" the
 /// paper simulates; RPCA sees it as error because it is inconsistent
 /// across rows.
 pub fn inject_noise_until(
     tp: &TpMatrix,
     target: f64,
-    cfg: &NoiseConfig,
+    seed: u64,
     max_rounds: usize,
 ) -> Result<(TpMatrix, f64)> {
     assert!(target >= 0.0);
@@ -109,17 +94,13 @@ pub fn inject_noise_until(
     let mut achieved = estimate(&current, EstimatorKind::Rpca)?.norm_ne_l1;
     let mut rounds_done = 0usize;
     let mut batch = 8usize;
-    let mut round_seed = cfg.seed;
+    let mut round_seed = seed;
     while achieved < target && rounds_done < max_rounds {
-        let round_cfg = NoiseConfig {
-            seed: round_seed,
-            ..cfg.clone()
-        };
-        current = inject_noise(&current, &round_cfg, batch.min(max_rounds - rounds_done));
+        current = inject_noise(&current, round_seed, batch.min(max_rounds - rounds_done));
         rounds_done += batch.min(max_rounds - rounds_done);
         round_seed = round_seed.wrapping_add(1);
         achieved = estimate(&current, EstimatorKind::Rpca)?.norm_ne_l1;
-        // The ±step random walk compounds so the achieved error grows like
+        // The ±STEP random walk compounds so the achieved error grows like
         // √rounds; jump straight toward the target instead of crawling,
         // leaving slack so the last approach is gradual.
         if achieved > 0.0 {
@@ -137,6 +118,8 @@ pub fn inject_noise_until(
 mod tests {
     use super::*;
 
+    const SEED: u64 = 0xC10D;
+
     fn clean_tp(n: usize, steps: usize) -> TpMatrix {
         let truth = PerfMatrix::from_fn(n, |i, j| {
             LinkPerf::new(1e-4 * (1 + i + j) as f64, 1e8 / (1.0 + 0.2 * i as f64))
@@ -151,7 +134,7 @@ mod tests {
     #[test]
     fn zero_rounds_is_identity() {
         let tp = clean_tp(4, 5);
-        let noised = inject_noise(&tp, &NoiseConfig::default(), 0);
+        let noised = inject_noise(&tp, SEED, 0);
         assert_eq!(noised, tp);
     }
 
@@ -159,7 +142,7 @@ mod tests {
     fn noise_increases_norm_ne() {
         let tp = clean_tp(5, 8);
         let before = estimate(&tp, EstimatorKind::Rpca).unwrap().norm_ne_l1;
-        let noised = inject_noise(&tp, &NoiseConfig::default(), 30);
+        let noised = inject_noise(&tp, SEED, 30);
         let after = estimate(&noised, EstimatorKind::Rpca).unwrap().norm_ne_l1;
         assert!(after > before, "after {after} <= before {before}");
     }
@@ -167,16 +150,15 @@ mod tests {
     #[test]
     fn noise_is_deterministic_in_seed() {
         let tp = clean_tp(4, 4);
-        let a = inject_noise(&tp, &NoiseConfig::default(), 5);
-        let b = inject_noise(&tp, &NoiseConfig::default(), 5);
+        let a = inject_noise(&tp, SEED, 5);
+        let b = inject_noise(&tp, SEED, 5);
         assert_eq!(a, b);
     }
 
     #[test]
     fn inject_until_reaches_target() {
         let tp = clean_tp(5, 8);
-        let (noised, achieved) =
-            inject_noise_until(&tp, 0.05, &NoiseConfig::default(), 2000).unwrap();
+        let (noised, achieved) = inject_noise_until(&tp, 0.05, SEED, 2000).unwrap();
         assert!(achieved >= 0.05, "achieved only {achieved}");
         assert_ne!(noised, tp);
     }
@@ -184,8 +166,7 @@ mod tests {
     #[test]
     fn inject_until_zero_target_is_noop() {
         let tp = clean_tp(3, 4);
-        let (noised, achieved) =
-            inject_noise_until(&tp, 0.0, &NoiseConfig::default(), 100).unwrap();
+        let (noised, achieved) = inject_noise_until(&tp, 0.0, SEED, 100).unwrap();
         assert_eq!(noised, tp);
         assert!(achieved >= 0.0);
     }
@@ -194,7 +175,7 @@ mod tests {
     fn structure_preserved_under_noise() {
         // Noise must not create self-link costs or negative values.
         let tp = clean_tp(4, 4);
-        let noised = inject_noise(&tp, &NoiseConfig::default(), 10);
+        let noised = inject_noise(&tp, SEED, 10);
         for k in 0..noised.steps() {
             let snap = noised.snapshot(k);
             for i in 0..4 {

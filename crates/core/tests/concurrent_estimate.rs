@@ -106,10 +106,7 @@ fn concurrent_estimate_is_bits_of_the_sequential_solves() {
 #[test]
 fn alpha_error_wins_when_both_solves_run_out_of_budget() {
     let tp = calibrated_tp();
-    let opts = ApgOptions {
-        max_iters: 3,
-        ..ApgOptions::default()
-    };
+    let opts = ApgOptions { max_iters: 3 };
     let residual = |m: &Mat| match apg(m, &opts) {
         Err(RpcaError::NoConvergence { residual, .. }) => residual,
         other => panic!("a 3-iteration solve must not converge: {other:?}"),
@@ -138,10 +135,7 @@ fn alpha_error_wins_when_both_solves_run_out_of_budget() {
 #[test]
 fn accepted_partials_keep_the_degraded_flag_and_bits() {
     let tp = calibrated_tp();
-    let opts = ApgOptions {
-        max_iters: 20,
-        ..ApgOptions::default()
-    };
+    let opts = ApgOptions { max_iters: 20 };
     let policy = DegradedPolicy::AcceptNearTolerance(1.0);
     let est = estimate_with_opts(&tp, EstimatorKind::Rpca, policy, &opts).unwrap();
     let (perf, iters, degraded) = sequential_estimate(&tp, &opts, policy);

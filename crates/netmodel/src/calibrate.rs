@@ -65,13 +65,10 @@ pub fn pairing_rounds(n: usize) -> Vec<Vec<(usize, usize)>> {
     rounds
 }
 
-/// Configuration of the calibration protocol.
+/// Configuration of the calibration protocol. The probe sizes are the
+/// paper's, [`ALPHA_PROBE_BYTES`] and [`BETA_PROBE_BYTES`].
 #[derive(Debug, Clone)]
 pub struct CalibrationConfig {
-    /// Probe size for latency (paper: 1 byte).
-    pub small_bytes: u64,
-    /// Probe size for bandwidth (paper: 8 MB).
-    pub large_bytes: u64,
     /// When true, use the `N/2`-concurrent-pairs schedule; when false,
     /// probe links one at a time (the ablation baseline with `O(N²)` cost).
     pub concurrent: bool,
@@ -79,11 +76,7 @@ pub struct CalibrationConfig {
 
 impl Default for CalibrationConfig {
     fn default() -> Self {
-        CalibrationConfig {
-            small_bytes: ALPHA_PROBE_BYTES,
-            large_bytes: BETA_PROBE_BYTES,
-            concurrent: true,
-        }
+        CalibrationConfig { concurrent: true }
     }
 }
 
@@ -239,21 +232,20 @@ impl Calibrator {
         now: f64,
         mut phase: impl FnMut(&[(usize, usize)], u64, f64) -> Vec<AttemptSeries>,
     ) -> CalibrationRun {
-        let (small_bytes, large_bytes) = (self.config.small_bytes, self.config.large_bytes);
         let mut perf = PerfMatrix::ideal(n);
         let mut log = ProbeLog::new(n);
         let mut clock = now;
         let schedule = self.config.schedule(n);
         for pairs in &schedule {
-            let small = phase(pairs, small_bytes, clock);
+            let small = phase(pairs, ALPHA_PROBE_BYTES, clock);
             clock += small.iter().map(|s| s.consumed).fold(0.0, f64::max);
-            let large = phase(pairs, large_bytes, clock);
+            let large = phase(pairs, BETA_PROBE_BYTES, clock);
             clock += large.iter().map(|s| s.consumed).fold(0.0, f64::max);
             fold_round(
                 &mut log,
                 pairs,
-                (small_bytes, &small),
-                (large_bytes, &large),
+                (ALPHA_PROBE_BYTES, &small),
+                (BETA_PROBE_BYTES, &large),
                 |i, j, _, link| {
                     if let Some(link) = link {
                         perf.set(i, j, link);
@@ -508,10 +500,7 @@ mod tests {
         let truth = PerfMatrix::from_fn(4, |_, _| LinkPerf::new(1e-4, 1e9));
         let mut probe = ModelProbe(truth);
         let cal = Calibrator {
-            config: CalibrationConfig {
-                concurrent: false,
-                ..Default::default()
-            },
+            config: CalibrationConfig { concurrent: false },
         };
         let run = cal.calibrate(&mut probe, 0.0);
         assert_eq!(run.rounds, 12); // N(N-1)
@@ -522,10 +511,7 @@ mod tests {
         let truth = PerfMatrix::from_fn(8, |_, _| LinkPerf::new(1e-3, 1e8));
         let concurrent = Calibrator::new().calibrate(&mut ModelProbe(truth.clone()), 0.0);
         let sequential = Calibrator {
-            config: CalibrationConfig {
-                concurrent: false,
-                ..Default::default()
-            },
+            config: CalibrationConfig { concurrent: false },
         }
         .calibrate(&mut ModelProbe(truth), 0.0);
         assert!(sequential.overhead > concurrent.overhead);

@@ -14,27 +14,11 @@ use crate::NetworkProbe;
 /// Embedding dimensionality (Vivaldi's classic choice, 2-3 + height).
 const DIMS: usize = 3;
 
-/// Configuration of a Vivaldi run.
-#[derive(Debug, Clone)]
-pub struct VivaldiConfig {
-    /// Adaptation gain `cc` (fraction of the error corrected per sample).
-    pub gain: f64,
-    /// Probe rounds: each round samples every node against one random
-    /// neighbor.
-    pub rounds: usize,
-    /// RNG seed for neighbor selection and initialization.
-    pub seed: u64,
-}
+/// Adaptation gain `cc`: the fraction of the error corrected per sample.
+const GAIN: f64 = 0.25;
 
-impl Default for VivaldiConfig {
-    fn default() -> Self {
-        VivaldiConfig {
-            gain: 0.25,
-            rounds: 64,
-            seed: 0x717A,
-        }
-    }
-}
+/// Seed of the neighbor selection and the initialization.
+const SEED: u64 = 0x717A;
 
 /// A learned coordinate embedding predicting pair-wise latency.
 #[derive(Debug, Clone)]
@@ -76,9 +60,10 @@ fn unit_f64(h: u64) -> f64 {
 }
 
 /// Train Vivaldi coordinates against a probe, using 1-byte ping latencies.
-/// Uses `rounds × N` probes — the linear measurement budget that makes
+/// Each of the `rounds` probe rounds samples every node against one random
+/// neighbor: `rounds × N` probes — the linear measurement budget that makes
 /// coordinates attractive versus `O(N²)` calibration.
-pub fn vivaldi<P: NetworkProbe>(probe: &mut P, cfg: &VivaldiConfig, now: f64) -> VivaldiModel {
+pub fn vivaldi<P: NetworkProbe>(probe: &mut P, rounds: usize, now: f64) -> VivaldiModel {
     let n = probe.n();
     assert!(n >= 2);
     let mut coords = vec![[0.0f64; DIMS]; n];
@@ -86,12 +71,12 @@ pub fn vivaldi<P: NetworkProbe>(probe: &mut P, cfg: &VivaldiConfig, now: f64) ->
     // Small random initialization to break symmetry.
     for (i, c) in coords.iter_mut().enumerate() {
         for (k, x) in c.iter_mut().enumerate() {
-            *x = 1e-4 * (unit_f64(splitmix(cfg.seed ^ (i * DIMS + k) as u64)) - 0.5);
+            *x = 1e-4 * (unit_f64(splitmix(SEED ^ (i * DIMS + k) as u64)) - 0.5);
         }
     }
 
-    let mut ctr = cfg.seed;
-    for round in 0..cfg.rounds {
+    let mut ctr = SEED;
+    for round in 0..rounds {
         for i in 0..n {
             ctr = ctr.wrapping_add(1);
             let j = (splitmix(ctr) as usize) % n;
@@ -116,9 +101,9 @@ pub fn vivaldi<P: NetworkProbe>(probe: &mut P, cfg: &VivaldiConfig, now: f64) ->
             }
             // Move i along the error.
             for k in 0..DIMS {
-                coords[i][k] += cfg.gain * err * dir[k];
+                coords[i][k] += GAIN * err * dir[k];
             }
-            height[i] = (height[i] + cfg.gain * err * 0.5).max(0.0);
+            height[i] = (height[i] + GAIN * err * 0.5).max(0.0);
         }
     }
     VivaldiModel { coords, height }
@@ -188,14 +173,7 @@ mod tests {
     #[test]
     fn vivaldi_learns_euclidean_latencies() {
         let mut probe = ModelProbe(euclidean_perf(8));
-        let model = vivaldi(
-            &mut probe,
-            &VivaldiConfig {
-                rounds: 400,
-                ..Default::default()
-            },
-            0.0,
-        );
+        let model = vivaldi(&mut probe, 400, 0.0);
         // Average relative prediction error should be modest on a truly
         // embeddable space.
         let mut err = 0.0;
@@ -233,7 +211,7 @@ mod tests {
     #[test]
     fn predict_self_is_zero() {
         let mut probe = ModelProbe(euclidean_perf(4));
-        let model = vivaldi(&mut probe, &VivaldiConfig::default(), 0.0);
+        let model = vivaldi(&mut probe, 64, 0.0);
         assert_eq!(model.predict(2, 2), 0.0);
         assert_eq!(model.n(), 4);
     }

@@ -40,7 +40,7 @@ pub use alpha_beta::LinkPerf;
 pub use calibrate::{
     fold_round, pairing_rounds, CalibrationConfig, CalibrationRun, Calibrator, FaultyTpRun,
 };
-pub use coords::{triangle_violation_rate, vivaldi, VivaldiConfig, VivaldiModel};
+pub use coords::{triangle_violation_rate, vivaldi, VivaldiModel};
 pub use fallible::{
     run_attempt_series, AdaptiveRetryPolicy, AttemptSeries, FallibleNetworkProbe, ProbeAttempt,
     ProbeLog, ProbeOutcome, RetryPlan, RetryPolicy,

@@ -7,7 +7,10 @@ use cloudconst_linalg::{select_stable, Mat};
 ///
 /// Imputed cells are *marked* in the observation mask so downstream error
 /// accounting (`Norm(N_E)`) can exclude them; the fill value only has to be
-/// plausible enough that RPCA treats any residual as a sparse error.
+/// plausible enough that RPCA treats any residual as a sparse error. Both
+/// policies fall back to the snapshot median — the median of the observed
+/// off-diagonal cells of this snapshot, crude (it mixes distance classes)
+/// but usable for a first snapshot with no history.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ImputePolicy {
     /// The most recent *observed* value of the same cell from an earlier
@@ -15,10 +18,6 @@ pub enum ImputePolicy {
     /// been observed. The right default: link constants are exactly the
     /// thing that persists between snapshots.
     LastGood,
-    /// The median of the observed off-diagonal cells of this snapshot —
-    /// crude (it mixes distance classes) but usable for a first snapshot
-    /// with no history.
-    SnapshotMedian,
     /// The current rank-one constant prediction: a rank-1 RPCA
     /// (`cloudconst_rpca::rank1_rpca`) over the history rows of the same
     /// plane yields `N_D`, and the masked cell is filled with its predicted
@@ -151,8 +150,7 @@ impl TpMatrix {
         // the caller only imputes when some cell is unobserved.
         let model: Option<Vec<f64>> = match impute {
             ImputePolicy::ModelPrediction if self.steps() > 0 => {
-                let opts = cloudconst_rpca::Rank1Options::default();
-                Some(cloudconst_rpca::rank1_rpca(hist, &opts).constant)
+                Some(cloudconst_rpca::rank1_rpca(hist).constant)
             }
             _ => None,
         };
@@ -161,7 +159,6 @@ impl TpMatrix {
                 continue;
             }
             row[k] = match impute {
-                ImputePolicy::SnapshotMedian => median,
                 ImputePolicy::LastGood => {
                     // Walk history backwards for the last observed value of
                     // this cell.
@@ -377,8 +374,9 @@ mod tests {
 
         let mut with_model = TpMatrix::new(3);
         with_model.push_masked(0.0, &truth, &observed, ImputePolicy::ModelPrediction);
+        // `LastGood` with no history takes the same snapshot-median fallback.
         let mut with_median = TpMatrix::new(3);
-        with_median.push_masked(0.0, &truth, &observed, ImputePolicy::SnapshotMedian);
+        with_median.push_masked(0.0, &truth, &observed, ImputePolicy::LastGood);
         assert_eq!(
             with_model.alpha_matrix()[(0, masked)],
             with_median.alpha_matrix()[(0, masked)],
@@ -421,8 +419,9 @@ mod tests {
             seen.sort_by(|a, b| a.partial_cmp(b).unwrap());
             let want = seen.get(seen.len() / 2).copied().unwrap_or(0.0);
 
+            // No history: `LastGood` falls back to the snapshot median.
             let mut tp = TpMatrix::new(n);
-            tp.push_masked(0.0, &pm, &observed, ImputePolicy::SnapshotMedian);
+            tp.push_masked(0.0, &pm, &observed, ImputePolicy::LastGood);
             assert_eq!(
                 tp.alpha_matrix()[(0, 1)].to_bits(),
                 want.to_bits(),

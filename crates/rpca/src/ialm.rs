@@ -11,48 +11,34 @@
 use crate::{default_lambda, spectral_norm, Result, RpcaError, RpcaResult};
 use cloudconst_linalg::{fro_norm, inf_norm, soft_threshold, svt, Mat};
 
-/// Options for [`ialm`].
+/// Growth factor of μ per iteration (ρ in the literature).
+const RHO: f64 = 1.5;
+
+/// Stop when `‖A − D − E‖_F / ‖A‖_F` drops below this.
+const TOL: f64 = 1e-7;
+
+/// Options for [`ialm`]. The sparsity weight is `λ = 1/√max(m,n)`, as for
+/// [`crate::apg`](fn@crate::apg); only the iteration budget can be set.
 #[derive(Debug, Clone)]
 pub struct IalmOptions {
-    /// Sparsity weight λ. `None` selects `1/√max(m,n)`.
-    pub lambda: Option<f64>,
-    /// Growth factor for μ per iteration (ρ in the literature).
-    pub rho: f64,
-    /// Stop when `‖A − D − E‖_F / ‖A‖_F` drops below this.
-    pub tol: f64,
     /// Hard iteration cap.
     pub max_iters: usize,
 }
 
 impl Default for IalmOptions {
     fn default() -> Self {
-        IalmOptions {
-            lambda: None,
-            rho: 1.5,
-            tol: 1e-7,
-            max_iters: 200,
-        }
+        IalmOptions { max_iters: 200 }
     }
 }
 
 /// Run IALM RPCA on `a`.
 ///
 /// # Errors
-/// [`RpcaError::BadOption`] for invalid parameters;
 /// [`RpcaError::NoConvergence`] if the residual stays above tolerance for
 /// `max_iters` iterations.
 pub fn ialm(a: &Mat, opts: &IalmOptions) -> Result<RpcaResult> {
     let (m, n) = a.shape();
-    let lambda = opts.lambda.unwrap_or_else(|| default_lambda(m, n));
-    if lambda <= 0.0 {
-        return Err(RpcaError::BadOption("lambda must be positive"));
-    }
-    if opts.rho <= 1.0 {
-        return Err(RpcaError::BadOption("rho must exceed 1"));
-    }
-    if opts.tol <= 0.0 {
-        return Err(RpcaError::BadOption("tol must be positive"));
-    }
+    let lambda = default_lambda(m, n);
 
     let a_fro = fro_norm(a);
     let a_norm2 = spectral_norm(a)?;
@@ -90,10 +76,10 @@ pub fn ialm(a: &Mat, opts: &IalmOptions) -> Result<RpcaResult> {
         // Multiplier and penalty update.
         let z = a.sub(&d)?.sub(&e)?;
         y.axpy(mu, &z)?;
-        mu = (mu * opts.rho).min(mu_max);
+        mu = (mu * RHO).min(mu_max);
 
         let residual = fro_norm(&z) / a_fro.max(f64::MIN_POSITIVE);
-        if residual < opts.tol {
+        if residual < TOL {
             return Ok(RpcaResult {
                 d,
                 e,
@@ -157,9 +143,8 @@ mod tests {
     #[test]
     fn residual_meets_tolerance() {
         let (a, _) = fixture();
-        let o = IalmOptions::default();
-        let r = ialm(&a, &o).unwrap();
-        assert!(r.residual < o.tol);
+        let r = ialm(&a, &IalmOptions::default()).unwrap();
+        assert!(r.residual < TOL);
     }
 
     #[test]
@@ -180,28 +165,9 @@ mod tests {
     }
 
     #[test]
-    fn bad_options_rejected() {
-        let a = Mat::zeros(2, 2);
-        let o = IalmOptions {
-            rho: 0.5,
-            ..Default::default()
-        };
-        assert!(matches!(ialm(&a, &o), Err(RpcaError::BadOption(_))));
-        let o = IalmOptions {
-            lambda: Some(0.0),
-            ..Default::default()
-        };
-        assert!(matches!(ialm(&a, &o), Err(RpcaError::BadOption(_))));
-    }
-
-    #[test]
     fn exhausted_budget_reports_no_convergence() {
         let (a, _) = fixture();
-        let o = IalmOptions {
-            max_iters: 1,
-            tol: 1e-12,
-            ..Default::default()
-        };
+        let o = IalmOptions { max_iters: 1 };
         assert!(matches!(
             ialm(&a, &o),
             Err(RpcaError::NoConvergence { iters: 1, .. })

@@ -31,7 +31,7 @@ pub use apg::{apg, ApgOptions};
 pub use constant::{constant_matrix, extract_constant, ConstantMethod};
 pub use ialm::{ialm, IalmOptions};
 pub use metrics::{norm_ne, norm_ne_l1, relative_difference};
-pub use rank1::{rank1_rpca, Rank1Options, Rank1Result};
+pub use rank1::{rank1_rpca, Rank1Result};
 
 use cloudconst_linalg::{eigh, LinalgError, Mat};
 
@@ -78,8 +78,6 @@ pub enum RpcaError {
         /// convergence can keep treating this as a failure.
         partial: Box<RpcaResult>,
     },
-    /// Invalid option value (e.g. non-positive λ).
-    BadOption(&'static str),
 }
 
 impl From<LinalgError> for RpcaError {
@@ -100,7 +98,6 @@ impl std::fmt::Display for RpcaError {
                     "RPCA did not converge in {iters} iterations (residual {residual:.3e})"
                 )
             }
-            RpcaError::BadOption(msg) => write!(f, "invalid RPCA option: {msg}"),
         }
     }
 }

@@ -18,28 +18,16 @@
 
 use cloudconst_linalg::{select_stable, Mat};
 
-/// Options for [`rank1_rpca`].
-#[derive(Debug, Clone)]
-pub struct Rank1Options {
-    /// Residuals beyond `mad_factor × MAD` (per matrix) count as outliers.
-    /// 3.0 is the classic robust-statistics choice.
-    pub mad_factor: f64,
-    /// Maximum alternating sweeps.
-    pub max_iters: usize,
-    /// Cap on the outlier fraction; protects against degenerate masks when
-    /// the data is nearly constant (MAD ≈ 0).
-    pub max_outlier_frac: f64,
-}
+/// Residuals beyond `MAD_FACTOR × MAD` (scaled to σ) count as outliers:
+/// the classic robust-statistics choice.
+const MAD_FACTOR: f64 = 3.0;
 
-impl Default for Rank1Options {
-    fn default() -> Self {
-        Rank1Options {
-            mad_factor: 3.0,
-            max_iters: 50,
-            max_outlier_frac: 0.5,
-        }
-    }
-}
+/// Maximum alternating sweeps.
+const MAX_SWEEPS: usize = 50;
+
+/// Cap on the outlier fraction; protects against degenerate masks when the
+/// data is nearly constant (MAD ≈ 0).
+const MAX_OUTLIER_FRAC: f64 = 0.5;
 
 /// Result of [`rank1_rpca`].
 #[derive(Debug, Clone)]
@@ -65,7 +53,7 @@ fn median(values: &mut [f64]) -> f64 {
 }
 
 /// Decompose `a` into an identical-rows rank-one part plus sparse error.
-pub fn rank1_rpca(a: &Mat, opts: &Rank1Options) -> Rank1Result {
+pub fn rank1_rpca(a: &Mat) -> Rank1Result {
     let (m, n) = a.shape();
     assert!(m > 0 && n > 0, "matrix must be non-empty");
 
@@ -82,7 +70,7 @@ pub fn rank1_rpca(a: &Mat, opts: &Rank1Options) -> Rank1Result {
     let mut sums = vec![0.0f64; n];
     let mut counts = vec![0usize; n];
 
-    for sweep in 0..opts.max_iters {
+    for sweep in 0..MAX_SWEEPS {
         iters = sweep + 1;
 
         // Residuals and a robust scale estimate (MAD over all entries).
@@ -93,7 +81,7 @@ pub fn rank1_rpca(a: &Mat, opts: &Rank1Options) -> Rank1Result {
         }
         scratch.copy_from_slice(&abs_res);
         let mad = median(&mut scratch).max(f64::MIN_POSITIVE);
-        let threshold = opts.mad_factor * 1.4826 * mad; // MAD → σ scaling
+        let threshold = MAD_FACTOR * 1.4826 * mad; // MAD → σ scaling
 
         // New mask, capped in size.
         new_mask.fill(false);
@@ -105,7 +93,7 @@ pub fn rank1_rpca(a: &Mat, opts: &Rank1Options) -> Rank1Result {
                 .filter(|(_, &r)| r > threshold)
                 .map(|(k, &r)| (r, k)),
         );
-        let cap = ((m * n) as f64 * opts.max_outlier_frac) as usize;
+        let cap = ((m * n) as f64 * MAX_OUTLIER_FRAC) as usize;
         if flagged.len() > cap {
             flagged.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap());
             flagged.truncate(cap);
@@ -174,7 +162,7 @@ mod tests {
     #[test]
     fn clean_matrix_recovered_exactly() {
         let (a, row) = fixture(6, 12, &[]);
-        let r = rank1_rpca(&a, &Rank1Options::default());
+        let r = rank1_rpca(&a);
         for (x, y) in r.constant.iter().zip(row.iter()) {
             assert!((x - y).abs() < 1e-12);
         }
@@ -185,7 +173,7 @@ mod tests {
     fn spikes_identified_and_rejected() {
         let spikes = [(1usize, 3usize, 40.0), (4, 7, -35.0), (2, 0, 25.0)];
         let (a, row) = fixture(8, 10, &spikes);
-        let r = rank1_rpca(&a, &Rank1Options::default());
+        let r = rank1_rpca(&a);
         for (j, (x, y)) in r.constant.iter().zip(row.iter()).enumerate() {
             assert!((x - y).abs() < 1e-9, "col {j}: {x} vs {y}");
         }
@@ -199,7 +187,7 @@ mod tests {
     #[test]
     fn decomposition_is_exact() {
         let (a, _) = fixture(5, 8, &[(0, 0, 10.0)]);
-        let r = rank1_rpca(&a, &Rank1Options::default());
+        let r = rank1_rpca(&a);
         for i in 0..5 {
             for j in 0..8 {
                 assert!((r.constant[j] + r.e[(i, j)] - a[(i, j)]).abs() < 1e-12);
@@ -221,7 +209,7 @@ mod tests {
                 a[(i, j)] += s * 0.05 * ((i + j) % 3) as f64 / 3.0;
             }
         }
-        let r = rank1_rpca(&a, &Rank1Options::default());
+        let r = rank1_rpca(&a);
         for (x, y) in r.constant.iter().zip(row.iter()) {
             assert!((x - y).abs() < 0.1, "{x} vs {y}");
         }
@@ -230,7 +218,7 @@ mod tests {
     #[test]
     fn single_row_matrix() {
         let a = Mat::from_rows(&[&[1.0, 2.0, 3.0]]);
-        let r = rank1_rpca(&a, &Rank1Options::default());
+        let r = rank1_rpca(&a);
         assert_eq!(r.constant, vec![1.0, 2.0, 3.0]);
     }
 
@@ -240,7 +228,7 @@ mod tests {
         // the cap.
         let mut a = constant_matrix(&[1.0; 6], 5);
         a[(0, 0)] += 1e-9;
-        let r = rank1_rpca(&a, &Rank1Options::default());
+        let r = rank1_rpca(&a);
         assert!(r.outliers <= 15); // ≤ 50% of 30
         assert!((r.constant[1] - 1.0).abs() < 1e-9);
     }

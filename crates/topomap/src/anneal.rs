@@ -13,52 +13,35 @@ use cloudconst_netmodel::PerfMatrix;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Options for [`anneal_mapping`].
-#[derive(Debug, Clone)]
-pub struct AnnealOptions {
-    /// Swap proposals to evaluate.
-    pub iterations: usize,
-    /// Initial temperature as a fraction of the starting cost.
-    pub initial_temp_frac: f64,
-    /// Geometric cooling factor per iteration.
-    pub cooling: f64,
-    /// RNG seed.
-    pub seed: u64,
-}
+/// Swap proposals evaluated per run.
+const ITERATIONS: usize = 2000;
 
-impl Default for AnnealOptions {
-    fn default() -> Self {
-        AnnealOptions {
-            iterations: 2000,
-            initial_temp_frac: 0.2,
-            cooling: 0.998,
-            seed: 0xA11EA1,
-        }
-    }
-}
+/// Initial temperature as a fraction of the starting cost.
+const INITIAL_TEMP_FRAC: f64 = 0.2;
+
+/// Geometric cooling factor per proposal.
+const COOLING: f64 = 0.998;
+
+/// Seed of the proposal and acceptance draws.
+const SEED: u64 = 0xA11EA1;
 
 /// Refine `start` by annealed pairwise swaps, scoring candidate mappings
 /// on `guide` (the believed network — e.g. the RPCA constant). Returns the
 /// best mapping found; never worse than `start` under `guide`.
-pub fn anneal_mapping(
-    tasks: &TaskGraph,
-    start: &Mapping,
-    guide: &PerfMatrix,
-    opts: &AnnealOptions,
-) -> Mapping {
+pub fn anneal_mapping(tasks: &TaskGraph, start: &Mapping, guide: &PerfMatrix) -> Mapping {
     let n = tasks.n();
     assert_eq!(n, start.n());
     if n < 2 {
         return start.clone();
     }
-    let mut rng = StdRng::seed_from_u64(opts.seed);
+    let mut rng = StdRng::seed_from_u64(SEED);
     let mut current: Vec<usize> = start.as_slice().to_vec();
     let mut current_cost = evaluate_mapping(tasks, start, guide);
     let mut best = current.clone();
     let mut best_cost = current_cost;
-    let mut temp = (current_cost * opts.initial_temp_frac).max(f64::MIN_POSITIVE);
+    let mut temp = (current_cost * INITIAL_TEMP_FRAC).max(f64::MIN_POSITIVE);
 
-    for _ in 0..opts.iterations {
+    for _ in 0..ITERATIONS {
         // Propose swapping the machines of two tasks.
         let a = rng.random_range(0..n);
         let mut b = rng.random_range(0..n);
@@ -79,7 +62,7 @@ pub fn anneal_mapping(
         } else {
             current.swap(a, b); // revert
         }
-        temp = (temp * opts.cooling).max(f64::MIN_POSITIVE);
+        temp = (temp * COOLING).max(f64::MIN_POSITIVE);
     }
     Mapping::new(best)
 }
@@ -105,7 +88,7 @@ mod tests {
         let tasks = random_task_graph(n, 2, 1e6, 8e6, 5);
         let perf = heterogeneous(n);
         let start = ring_mapping(n);
-        let refined = anneal_mapping(&tasks, &start, &perf, &AnnealOptions::default());
+        let refined = anneal_mapping(&tasks, &start, &perf);
         let c0 = evaluate_mapping(&tasks, &start, &perf);
         let c1 = evaluate_mapping(&tasks, &refined, &perf);
         assert!(c1 <= c0 + 1e-12, "annealing made it worse: {c1} > {c0}");
@@ -117,7 +100,7 @@ mod tests {
         let tasks = random_task_graph(n, 2, 1e6, 8e6, 9);
         let perf = heterogeneous(n);
         let greedy = greedy_mapping(&tasks, &machine_graph_from_perf(&perf));
-        let refined = anneal_mapping(&tasks, &greedy, &perf, &AnnealOptions::default());
+        let refined = anneal_mapping(&tasks, &greedy, &perf);
         let cg = evaluate_mapping(&tasks, &greedy, &perf);
         let cr = evaluate_mapping(&tasks, &refined, &perf);
         assert!(cr <= cg + 1e-12, "refined {cr} vs greedy {cg}");
@@ -128,7 +111,7 @@ mod tests {
         let n = 8;
         let tasks = random_task_graph(n, 1, 1e5, 1e6, 2);
         let perf = heterogeneous(n);
-        let refined = anneal_mapping(&tasks, &ring_mapping(n), &perf, &AnnealOptions::default());
+        let refined = anneal_mapping(&tasks, &ring_mapping(n), &perf);
         let mut seen = vec![false; n];
         for t in 0..n {
             assert!(!seen[refined.machine_of(t)]);
@@ -141,9 +124,8 @@ mod tests {
         let n = 9;
         let tasks = random_task_graph(n, 2, 1e5, 1e6, 4);
         let perf = heterogeneous(n);
-        let o = AnnealOptions::default();
-        let a = anneal_mapping(&tasks, &ring_mapping(n), &perf, &o);
-        let b = anneal_mapping(&tasks, &ring_mapping(n), &perf, &o);
+        let a = anneal_mapping(&tasks, &ring_mapping(n), &perf);
+        let b = anneal_mapping(&tasks, &ring_mapping(n), &perf);
         assert_eq!(a, b);
     }
 
@@ -151,7 +133,7 @@ mod tests {
     fn single_task_noop() {
         let tasks = TaskGraph::empty(1);
         let perf = PerfMatrix::uniform(1, LinkPerf::new(1e-4, 1e8));
-        let m = anneal_mapping(&tasks, &ring_mapping(1), &perf, &AnnealOptions::default());
+        let m = anneal_mapping(&tasks, &ring_mapping(1), &perf);
         assert_eq!(m.machine_of(0), 0);
     }
 

@@ -22,7 +22,7 @@ pub mod generate;
 pub mod graph;
 pub mod greedy;
 
-pub use anneal::{anneal_mapping, AnnealOptions};
+pub use anneal::anneal_mapping;
 pub use cost::evaluate_mapping;
 pub use generate::{random_task_graph, ring_task_graph};
 pub use graph::{machine_graph_from_perf, TaskGraph};

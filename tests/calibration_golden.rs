@@ -132,10 +132,7 @@ fn check(name: &str, got: Golden, want: Golden) {
 
 fn one_pair_per_round() -> Calibrator {
     Calibrator {
-        config: CalibrationConfig {
-            concurrent: false,
-            ..CalibrationConfig::default()
-        },
+        config: CalibrationConfig { concurrent: false },
     }
 }
 
