@@ -43,11 +43,6 @@ fn fnv1a_chain(mut h: u64, bytes: &[u8]) -> u64 {
 pub struct AuthKey([u8; KEY_LEN]);
 
 impl AuthKey {
-    /// A key from explicit bytes.
-    pub fn from_bytes(bytes: [u8; KEY_LEN]) -> Self {
-        AuthKey(bytes)
-    }
-
     /// A key expanded deterministically from a seed (two SplitMix64-style
     /// mixes over disjoint stream tags). Convenient for tests and for
     /// launching worker + coordinator from one `--key-seed` flag.

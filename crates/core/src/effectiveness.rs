@@ -32,13 +32,6 @@ pub fn classify(norm_ne: f64) -> EffectivenessBand {
     }
 }
 
-impl EffectivenessBand {
-    /// Should a user bother with network performance aware optimization?
-    pub fn worth_optimizing(self) -> bool {
-        !matches!(self, EffectivenessBand::Ineffective)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -53,12 +46,5 @@ mod tests {
         assert_eq!(classify(0.49), EffectivenessBand::Marginal);
         assert_eq!(classify(0.5), EffectivenessBand::Ineffective);
         assert_eq!(classify(1.0), EffectivenessBand::Ineffective);
-    }
-
-    #[test]
-    fn worth_optimizing_cutoff() {
-        assert!(classify(0.1).worth_optimizing());
-        assert!(classify(0.3).worth_optimizing());
-        assert!(!classify(0.7).worth_optimizing());
     }
 }

@@ -200,27 +200,6 @@ impl Mat {
         Ok(out)
     }
 
-    /// Matrix–vector product `self * x`.
-    ///
-    /// Parallelizes over output rows for large products; each row's dot
-    /// product runs left-to-right either way, so the parallel path is
-    /// bit-identical to the serial one.
-    pub fn matvec(&self, x: &[f64]) -> Result<Vec<f64>> {
-        if self.cols != x.len() {
-            return Err(LinalgError::ShapeMismatch {
-                op: "matvec",
-                lhs: self.shape(),
-                rhs: (x.len(), 1),
-            });
-        }
-        let dot = |i: usize| -> f64 { self.row(i).iter().zip(x.iter()).map(|(a, b)| a * b).sum() };
-        if self.rows * self.cols >= PAR_MATMUL_FLOPS {
-            Ok((0..self.rows).into_par_iter().map(dot).collect())
-        } else {
-            Ok((0..self.rows).map(dot).collect())
-        }
-    }
-
     /// Gram matrix of the rows: `self * selfᵀ` (shape `rows × rows`).
     ///
     /// Exploits symmetry — only the upper triangle is computed. Entry
@@ -538,12 +517,6 @@ mod tests {
             a.matmul(&b),
             Err(LinalgError::ShapeMismatch { op: "matmul", .. })
         ));
-    }
-
-    #[test]
-    fn matvec_known() {
-        let a = Mat::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
-        assert_eq!(a.matvec(&[1.0, 1.0]).unwrap(), vec![3.0, 7.0]);
     }
 
     #[test]

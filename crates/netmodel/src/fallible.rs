@@ -70,16 +70,6 @@ impl Default for RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// Policy that never retries and never waits — every failure is final.
-    pub fn no_retry(deadline: f64) -> Self {
-        RetryPolicy {
-            deadline,
-            max_attempts: 1,
-            backoff_base: 0.0,
-            backoff_mult: 1.0,
-        }
-    }
-
     /// Deterministic wait before attempt `k` (1-based). Zero for the first
     /// attempt, `backoff_base · backoff_mult^(k−2)` afterwards.
     pub fn backoff(&self, attempt: u32) -> f64 {
@@ -272,16 +262,6 @@ impl ProbeLog {
             }
         }
         out
-    }
-
-    /// Fraction of off-diagonal cells that ended unobserved.
-    pub fn failed_fraction(&self) -> f64 {
-        let links = self.n * (self.n.saturating_sub(1));
-        if links == 0 {
-            0.0
-        } else {
-            self.failed_links().len() as f64 / links as f64
-        }
     }
 
     /// Fold another calibration's counters into this one (grid outcomes are
@@ -508,20 +488,11 @@ mod tests {
     }
 
     #[test]
-    fn no_retry_policy_single_attempt() {
-        let p = RetryPolicy::no_retry(1.5);
-        assert_eq!(p.max_attempts, 1);
-        assert_eq!(p.deadline, 1.5);
-        assert_eq!(p.backoff(2), 0.0);
-    }
-
-    #[test]
     fn failed_cells_tracked_and_masked() {
         let mut log = clean_log(3);
         log.set_outcome(0, 1, ProbeOutcome::Failed(3));
         assert!(!log.observed(0, 1));
         assert_eq!(log.failed_links(), vec![(0, 1)]);
-        assert!((log.failed_fraction() - 1.0 / 6.0).abs() < 1e-12);
         let mask = log.observed_mask();
         assert!(!mask[1]); // (0,1)
         assert!(mask[0]); // diagonal
@@ -531,7 +502,6 @@ mod tests {
     fn empty_log_success_rate_is_one() {
         let log = ProbeLog::new(5);
         assert_eq!(log.success_rate(), 1.0);
-        assert_eq!(log.failed_fraction(), 0.0);
     }
 
     #[test]

@@ -136,30 +136,6 @@ impl<F> ParRangeMap<F> {
         let f = &self.f;
         C::from(parallel_collect(self.end - self.start, &|i| f(base + i)))
     }
-
-    /// Deterministic blocked sum: partial sums are taken over fixed 1024
-    /// element blocks and combined in block order, independent of thread
-    /// count and scheduling.
-    pub fn sum(self) -> f64
-    where
-        F: Fn(usize) -> f64 + Sync,
-    {
-        const BLOCK: usize = 1024;
-        let len = self.end - self.start;
-        let base = self.start;
-        let f = &self.f;
-        let blocks = len.div_ceil(BLOCK);
-        let partials = parallel_collect(blocks, &|b| {
-            let lo = base + b * BLOCK;
-            let hi = (lo + BLOCK).min(base + len);
-            let mut s = 0.0;
-            for i in lo..hi {
-                s += f(i);
-            }
-            s
-        });
-        partials.into_iter().sum()
-    }
 }
 
 // ---------------------------------------------------------------------------
