@@ -16,9 +16,11 @@
 //! The inputs straddle the linalg crate's parallel thresholds (32768
 //! elements for norms and shrinkage, 8192 columns for the `V`
 //! accumulation), so both the serial and the fanned-out paths are pinned.
+//! The symmetric eigensolver behind every APG iteration is pinned on its
+//! own too, on the 10 × 10 row Grams of the 10-row fixtures.
 
 use cloudconst::cloud::{CloudConfig, SyntheticCloud};
-use cloudconst::linalg::Mat;
+use cloudconst::linalg::{eigh, fro_norm, Mat};
 use cloudconst::netmodel::{Calibrator, TpMatrix};
 use cloudconst::rpca::{apg, ialm, rank1_rpca, ApgOptions, IalmOptions, RpcaError, RpcaResult};
 
@@ -267,4 +269,62 @@ fn rank1_calibrated_ec2_like_64() {
         (0x6a8faec417ebb758, 5560, 5),
         "rank1 inv_beta"
     );
+}
+
+/// `(values digest, vectors digest)` of `eigh` on the row Gram of `a` and
+/// on that of `a / ‖a‖_F`, the copy whose Gram gives APG its spectral norm.
+fn eigh_digests(a: &Mat) -> [(u64, u64); 2] {
+    let digest = |a: &Mat| {
+        let r = eigh(&a.gram_rows()).expect("eigh converges");
+        (fnv1a_slice(&r.values), fnv1a(&r.vectors))
+    };
+    [digest(a), digest(&a.scale(1.0 / fro_norm(a)))]
+}
+
+/// The Jacobi eigensolver on the 10 × 10 Grams APG factors: the two
+/// synthetic 10-row fixtures and both calibrated planes.
+#[test]
+fn eigh_on_fixture_grams() {
+    let tp = calibrated_ec2_like_64_tp();
+    let cases = [
+        (
+            "wide 10x4096",
+            rank_one_plus_spikes(10, 4096, 64),
+            [
+                (0x92a9639d4b11cb3f, 0x259017b09e33956f),
+                (0xf1b33566ff8e2cef, 0xaca1b667b7869ecb),
+            ],
+        ),
+        (
+            "regress tp_like(10, 64)",
+            cloudconst_bench::regress::tp_like(10, 64),
+            [
+                (0xe22b3f2621fb7426, 0x0604fd8a35c324cc),
+                (0xecdab08fe02fe0fc, 0xa18f00824eab9460),
+            ],
+        ),
+        (
+            "ec2_like(64) alpha",
+            tp.alpha_matrix().clone(),
+            [
+                (0xd87dfa85b47438c4, 0x73121200560250ac),
+                (0x24aff34b232deb80, 0xfe0739b81e80f840),
+            ],
+        ),
+        (
+            "ec2_like(64) inv_beta",
+            tp.inv_beta_matrix().clone(),
+            [
+                (0x2026eb0a4a2671ea, 0x3a8bc38a38233c5a),
+                (0x2f221f0179ba0608, 0x32a790c653b54616),
+            ],
+        ),
+    ];
+    for (name, a, want) in cases {
+        let got = eigh_digests(&a);
+        assert_eq!(
+            got, want,
+            "{name}: eigh drifted from the golden digest (got {got:#018x?})"
+        );
+    }
 }
