@@ -70,6 +70,9 @@ pub enum LinalgError {
     },
     /// The input was empty where a non-empty matrix is required.
     Empty,
+    /// The input held a NaN or an infinity, which the routine cannot
+    /// factor.
+    NonFinite,
 }
 
 impl std::fmt::Display for LinalgError {
@@ -87,6 +90,7 @@ impl std::fmt::Display for LinalgError {
                 write!(f, "{routine} did not converge after {iters} iterations")
             }
             LinalgError::Empty => write!(f, "matrix must be non-empty"),
+            LinalgError::NonFinite => write!(f, "matrix holds a NaN or an infinity"),
         }
     }
 }

@@ -295,7 +295,7 @@ fn svd_rank_of(d: &Mat) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cloudconst_linalg::{svd_thin, zero_norm_frac};
+    use cloudconst_linalg::{svd_thin, zero_norm_frac, LinalgError};
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     /// Deterministic low-rank + sparse test fixture.
@@ -523,6 +523,23 @@ mod tests {
         let mut x = x;
         x[0][0] = f64::NAN;
         assert!(!stationary(len, bound_of(&x), |i| x[i]));
+    }
+
+    #[test]
+    fn non_finite_input_is_a_linalg_error() {
+        // Each used to panic in the eigensolver's sort, under the
+        // spectral norm.
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut a = Mat::full(4, 9, 1.0);
+            a[(2, 5)] = bad;
+            assert!(
+                matches!(
+                    apg(&a, &ApgOptions::default()),
+                    Err(RpcaError::Linalg(LinalgError::NonFinite))
+                ),
+                "{bad}"
+            );
+        }
     }
 
     #[test]
