@@ -8,6 +8,13 @@
 //! an `O(mn²)` bidiagonalization. [`svd_jacobi`] is a one-sided Jacobi SVD —
 //! slower but independently derived — used as a cross-check and for small
 //! dense problems.
+//!
+//! The Gram matrix fixes the bits of everything downstream of it, so its
+//! contract is exact: entry `(i, j)` of [`Mat::gram_rows`] (and of
+//! [`Mat::gram_cols`] for a tall input) sums its products one by one, from
+//! `-0.0`, in ascending order along the long dimension. How the kernel
+//! tiles the entries to run several sums at once is free; the order within
+//! each entry is not.
 
 use crate::eigen::eigh;
 use crate::{LinalgError, Mat, Result};

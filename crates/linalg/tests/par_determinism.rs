@@ -57,19 +57,46 @@ fn matmul_parallel_is_bit_identical_to_serial() {
     assert_bits_eq(got.as_slice(), &want, "matmul");
 }
 
-#[test]
-fn gram_rows_parallel_is_bit_identical_to_serial() {
-    let a = random_mat(48, 3000, 5);
-    let got = a.gram_rows();
-    let mut want = Mat::zeros(48, 48);
-    for i in 0..48 {
-        for j in i..48 {
-            let dot: f64 = a.row(i).iter().zip(a.row(j)).map(|(p, q)| p * q).sum();
-            want[(i, j)] = dot;
-            want[(j, i)] = dot;
+/// The row Gram by its definition: each entry a dot product summed from
+/// `-0.0` in ascending column order.
+fn naive_gram(a: &Mat) -> Mat {
+    let (m, n) = a.shape();
+    let mut g = Mat::zeros(m, m);
+    for i in 0..m {
+        for j in 0..m {
+            let mut s = -0.0;
+            for c in 0..n {
+                s += a[(i, c)] * a[(j, c)];
+            }
+            g[(i, j)] = s;
         }
     }
-    assert_bits_eq(got.as_slice(), want.as_slice(), "gram_rows");
+    g
+}
+
+#[test]
+fn gram_rows_matches_the_naive_sum_at_every_tile_remainder() {
+    // Every row count up to 13 leaves each remainder of the two-row and
+    // the up-to-eight-row tiling; the column counts straddle the loop's
+    // unrolling and the 10 × 4032 shape of a 64-VM TP-matrix.
+    for m in 1..=13 {
+        for n in [0, 1, 2, 3, 5, 127, 128, 129, 4032] {
+            let a = random_mat(m, n, (m * 10_000 + n) as u64);
+            let what = format!("gram_rows {m}x{n}");
+            assert_bits_eq(a.gram_rows().as_slice(), naive_gram(&a).as_slice(), &what);
+        }
+    }
+}
+
+#[test]
+fn gram_rows_parallel_is_bit_identical_to_serial() {
+    // 48 × 48 × 3000 / 2 flops: above the parallel threshold.
+    let a = random_mat(48, 3000, 5);
+    assert_bits_eq(
+        a.gram_rows().as_slice(),
+        naive_gram(&a).as_slice(),
+        "gram_rows",
+    );
 }
 
 #[test]
