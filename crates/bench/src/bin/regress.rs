@@ -74,11 +74,11 @@ fn main() {
     for r in &report.records {
         if r.metric != 0.0 {
             eprintln!(
-                "  {:28} n={:3}  {:>9.4}s  metric={:.2}",
+                "  {:28} n={:3}  {:>11.6}s  metric={:.2}",
                 r.name, r.n, r.seconds, r.metric
             );
         } else {
-            eprintln!("  {:28} n={:3}  {:>9.4}s", r.name, r.n, r.seconds);
+            eprintln!("  {:28} n={:3}  {:>11.6}s", r.name, r.n, r.seconds);
         }
     }
 
