@@ -4,7 +4,9 @@
 //! experiments <id> [--full]
 //!     id ∈ { fig1 fig2 fig4 fig5 fig6 fig7 fig8 fig9a fig9b fig9c
 //!            fig10 fig11 fig12 fig13 headline (alias of fig7)
-//!            ablation-rank1 ablation-heuristics ablation-pairing all }
+//!            ablation-rank1 ablation-heuristics ablation-pairing
+//!            ablation-coords ablation-solvers ext-workflow ablation-anneal
+//!            all }
 //! ```
 //!
 //! Default sizes are scaled for minutes-not-hours runtime (`--full`

@@ -7,23 +7,15 @@
 //!     --out     directory for the report (default: the workspace root)
 //! ```
 //!
-//! Invoked with `--serial-rpca-probe` the binary only measures the
-//! paper-scale `10 × 4096` RPCA solve and prints the seconds — the parent
-//! process launches that mode under `RAYON_NUM_THREADS=1` to obtain the
-//! serial leg of the parallel-vs-serial comparison without contaminating
-//! its own (already initialized) thread pool.
+//! Run it under `RAYON_NUM_THREADS=1` for the serial figure of every
+//! record; the report's `threads` field says which pool size it timed.
 
-use cloudconst_bench::regress::{civil_date, rpca_hot_seconds, run_suite, SIZES};
+use cloudconst_bench::regress::{civil_date, run_suite, SIZES};
 use std::path::PathBuf;
-use std::process::Command;
 use std::time::{SystemTime, UNIX_EPOCH};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--serial-rpca-probe") {
-        println!("{}", rpca_hot_seconds());
-        return;
-    }
     let quick = args.iter().any(|a| a == "--quick");
     let out_pos = args.iter().position(|a| a == "--out");
     if out_pos.is_some_and(|i| args.get(i + 1).is_none_or(|v| v.starts_with("--"))) {
@@ -49,12 +41,6 @@ fn main() {
         SIZES.to_vec()
     };
 
-    eprintln!("measuring serial 10x4096 RPCA (RAYON_NUM_THREADS=1 subprocess)...");
-    let serial = serial_rpca_via_subprocess();
-    if serial.is_none() {
-        eprintln!("  subprocess probe failed; report will omit the serial leg");
-    }
-
     eprintln!("running suite at N = {sizes:?}...");
     let date = civil_date(
         SystemTime::now()
@@ -62,15 +48,8 @@ fn main() {
             .expect("clock before 1970")
             .as_secs(),
     );
-    let report = run_suite(&sizes, serial, date);
+    let report = run_suite(&sizes, date);
 
-    if report.threads <= 1 {
-        eprintln!(
-            "  note: the rayon pool has a single thread on this machine; \
-             the parallel/serial comparison reflects process warm-up, not \
-             parallelism"
-        );
-    }
     for r in &report.records {
         if r.metric != 0.0 {
             eprintln!(
@@ -90,17 +69,4 @@ fn main() {
         std::process::exit(1);
     }
     println!("wrote {}", path.display());
-}
-
-fn serial_rpca_via_subprocess() -> Option<f64> {
-    let exe = std::env::current_exe().ok()?;
-    let out = Command::new(exe)
-        .arg("--serial-rpca-probe")
-        .env("RAYON_NUM_THREADS", "1")
-        .output()
-        .ok()?;
-    if !out.status.success() {
-        return None;
-    }
-    String::from_utf8(out.stdout).ok()?.trim().parse().ok()
 }

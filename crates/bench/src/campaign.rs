@@ -127,10 +127,6 @@ pub struct CampaignResult {
     pub calibrations: usize,
     /// Total calibration overhead in seconds (network occupancy).
     pub calibration_overhead: f64,
-    /// Wall-clock seconds of every model build, summed: each
-    /// `Advisor::calibrate_par` call, i.e. the TP-matrix calibration plus
-    /// both APG solves (α and 1/β) and the constant extraction.
-    pub model_wall_seconds: f64,
 }
 
 /// Instantaneous all-link performance of the cloud at time `t` — the
@@ -165,7 +161,6 @@ pub fn run_pooled(c: &Campaign, pools: usize) -> CampaignResult {
         base.topomap.merge(&r.topomap);
         base.calibrations += r.calibrations;
         base.calibration_overhead += r.calibration_overhead;
-        base.model_wall_seconds += r.model_wall_seconds;
         norm_sum += r.norm_ne;
     }
     base.norm_ne = norm_sum / pools as f64;
@@ -198,14 +193,11 @@ pub fn run_campaign(c: &Campaign) -> CampaignResult {
     // (the mean) clairvoyant knowledge of that run's network state.
     const CAL_OFFSET: f64 = 450.0;
 
-    let mut model_wall = 0.0;
-    let t0 = std::time::Instant::now();
     // The synthetic cloud's probes are pure, so calibration rounds fan out
     // across threads (bit-identical to the serial path — see Advisor).
     advisor
         .calibrate_par(&cloud, CAL_OFFSET)
         .expect("initial calibration");
-    model_wall += t0.elapsed().as_secs_f64();
     let mut calibration_overhead = advisor.model().unwrap().calibration_overhead;
     let mut heur_guide = estimate(&advisor.model().unwrap().tp, EstimatorKind::HeuristicMean)
         .expect("heuristic estimate")
@@ -218,7 +210,6 @@ pub fn run_campaign(c: &Campaign) -> CampaignResult {
         norm_ne: advisor.model().unwrap().estimate.norm_ne,
         calibrations: 1,
         calibration_overhead: 0.0,
-        model_wall_seconds: 0.0,
     };
 
     // Offset runs by half an interval so they never coincide with the
@@ -274,11 +265,9 @@ pub fn run_campaign(c: &Campaign) -> CampaignResult {
         let guide_env = CommEnv::guided(&rpca_guide, &rpca_guide);
         let expected = guide_env.collective_time(Collective::Broadcast, root, c.msg_bytes);
         if advisor.check(expected, rpca_bcast_actual) == MaintenanceDecision::Recalibrate {
-            let t0 = std::time::Instant::now();
             advisor
                 .calibrate_par(&cloud, t + CAL_OFFSET)
                 .expect("re-calibration");
-            model_wall += t0.elapsed().as_secs_f64();
             calibration_overhead += advisor.model().unwrap().calibration_overhead;
             result.calibrations += 1;
             heur_guide = estimate(&advisor.model().unwrap().tp, EstimatorKind::HeuristicMean)
@@ -289,7 +278,6 @@ pub fn run_campaign(c: &Campaign) -> CampaignResult {
     }
 
     result.calibration_overhead = calibration_overhead;
-    result.model_wall_seconds = model_wall;
     result
 }
 

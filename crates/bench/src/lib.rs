@@ -1,5 +1,5 @@
-//! Experiment machinery shared by the `experiments` binary and the
-//! criterion benches.
+//! Experiment machinery behind the `experiments` binary, and the
+//! `regress` timing harness.
 //!
 //! The EC2-style experiments (Figures 4–11) run on the synthetic cloud;
 //! the large-scale simulations (Figures 12–13) run on the flow-level

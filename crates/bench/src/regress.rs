@@ -1,23 +1,25 @@
 //! Performance-regression harness (the `regress` binary).
 //!
-//! Times the pipeline's hot paths — RPCA solves, the flow-level
-//! simulator, full TP-matrix calibration and the advisor model build that
-//! runs the two together — at the cluster sizes the paper evaluates
-//! (`N ∈ {16, 64, 196}`), and writes the measurements to
-//! `BENCH_<date>.json` at the repository root. Successive working sessions
-//! diff these files to catch performance regressions; the report also
-//! records the parallel-vs-serial timing of a paper-scale RPCA solve
-//! (10 × 4096, i.e. `N = 64`), whose serial leg the binary measures in a
-//! `RAYON_NUM_THREADS=1` subprocess.
+//! Times the pipeline's hot paths — RPCA solves and their kernels, the
+//! flow-level simulator, full TP-matrix calibration, the advisor model
+//! build that runs the two together and the FNF broadcast tree — at the
+//! cluster sizes the paper evaluates (`N ∈ {16, 64, 196}`), and writes the
+//! measurements to `BENCH_<date>.json` at the repository root. Successive
+//! changes diff these files to catch performance regressions. The report
+//! records the rayon pool's thread count; running the harness under
+//! `RAYON_NUM_THREADS=1` gives the serial figure of every record.
 
 use cloudconst_cloud::{CloudConfig, FaultPlan, FaultyCloud, SyntheticCloud};
+use cloudconst_collectives::{evaluate_tree, fnf_tree, Collective};
 use cloudconst_coord::{
     AuthKey, Coordinator, CoordinatorConfig, LoopbackTransport, TcpConfig, TcpTransport,
     TcpWorkerServer,
 };
 use cloudconst_core::{Advisor, AdvisorConfig};
-use cloudconst_linalg::{eigh, Mat};
-use cloudconst_netmodel::{AdaptiveRetryPolicy, Calibrator, ImputePolicy, RetryPolicy};
+use cloudconst_linalg::{eigh, svd_jacobi, svd_thin, Mat};
+use cloudconst_netmodel::{
+    AdaptiveRetryPolicy, Calibrator, ImputePolicy, LinkPerf, PerfMatrix, RetryPolicy, MB,
+};
 use cloudconst_rpca::{apg, ApgOptions};
 use cloudconst_simnet::{BackgroundSpec, Simulator, Topology};
 use serde::Value;
@@ -81,8 +83,7 @@ impl RegressReport {
 }
 
 /// A TP-matrix-shaped input (`steps × N²`): constant columns plus sparse
-/// spikes, the structure RPCA sees in production. Mirrors the criterion
-/// bench so numbers stay comparable.
+/// spikes, the structure RPCA sees in production.
 pub fn tp_like(steps: usize, n_instances: usize) -> Mat {
     let cols = n_instances * n_instances;
     let base: Vec<f64> = (0..cols)
@@ -151,14 +152,45 @@ pub fn bench_eigh(n: usize, reps: usize) -> BenchRecord {
     }
 }
 
-/// The paper-scale hot RPCA solve used for the parallel-vs-serial
-/// comparison: `10 × 4096` (`N = 64`). Both the parent process (full
-/// thread pool) and the `RAYON_NUM_THREADS=1` child call exactly this.
-pub fn rpca_hot_seconds() -> f64 {
-    let a = tp_like(10, 64);
-    best_of(3, || {
-        apg(&a, &ApgOptions::default()).expect("apg converges")
-    })
+/// Time the one-sided Jacobi SVD on a `10 × 1024` TP-matrix (`N = 32`),
+/// the design ablation behind `svd_thin`'s Gram trick (DESIGN.md §5 item
+/// 2). The metric is the Jacobi time over `svd_thin`'s on the same input.
+pub fn bench_svd_jacobi(reps: usize) -> BenchRecord {
+    let a = tp_like(10, 32);
+    let jacobi = best_of(reps, || svd_jacobi(&a).expect("svd"));
+    let thin = best_of(reps, || svd_thin(&a).expect("svd"));
+    BenchRecord {
+        name: "svd_jacobi_10x1024".into(),
+        n: 32,
+        seconds: jacobi,
+        metric: if thin > 0.0 { jacobi / thin } else { 0.0 },
+    }
+}
+
+/// Time an FNF broadcast tree at `N = 196`: its build from the 8 MB
+/// transfer-time weights plus the broadcast's evaluation, the per-run
+/// cost every campaign figure pays per approach. The metric is the
+/// modelled broadcast time in seconds, which a change that keeps the tree
+/// bit-identical cannot move.
+pub fn bench_fnf_tree(reps: usize) -> BenchRecord {
+    let n = 196;
+    let perf = PerfMatrix::from_fn(n, |i, j| {
+        LinkPerf::new(
+            1e-4 * (1 + (i + j) % 5) as f64,
+            1e8 / (1.0 + ((i * 31 + j) % 7) as f64),
+        )
+    });
+    let weights = perf.weights(8 * MB);
+    let mut bcast = 0.0;
+    let seconds = best_of(reps, || {
+        bcast = evaluate_tree(&fnf_tree(0, &weights), &perf, Collective::Broadcast, 8 * MB);
+    });
+    BenchRecord {
+        name: "fnf_tree_196".into(),
+        n: n as u64,
+        seconds,
+        metric: bcast,
+    }
 }
 
 /// Time a full 10-snapshot TP-matrix calibration on the synthetic cloud.
@@ -411,11 +443,8 @@ pub fn bench_simnet(reps: usize) -> BenchRecord {
     }
 }
 
-/// Run the whole suite. `serial_rpca_seconds` is the `RAYON_NUM_THREADS=1`
-/// measurement of [`rpca_hot_seconds`] when the caller obtained one (the
-/// binary measures it in a subprocess); the parallel leg is always timed
-/// here, and a speedup record is emitted when both legs exist.
-pub fn run_suite(sizes: &[usize], serial_rpca_seconds: Option<f64>, date: String) -> RegressReport {
+/// Run the whole suite.
+pub fn run_suite(sizes: &[usize], date: String) -> RegressReport {
     let mut records = Vec::new();
     for &n in sizes {
         // One rep at paper scale (tens of seconds), three below it.
@@ -451,28 +480,8 @@ pub fn run_suite(sizes: &[usize], serial_rpca_seconds: Option<f64>, date: String
     records.extend(bench_calibration_sharded(sharded_n, 4, 1));
     records.push(bench_calibration_tcp_localhost(sharded_n, 4, 1));
     records.push(bench_simnet(2));
-
-    let par = rpca_hot_seconds();
-    records.push(BenchRecord {
-        name: "rpca_10x4096_parallel".into(),
-        n: 64,
-        seconds: par,
-        metric: 0.0,
-    });
-    if let Some(serial) = serial_rpca_seconds {
-        records.push(BenchRecord {
-            name: "rpca_10x4096_serial".into(),
-            n: 64,
-            seconds: serial,
-            metric: 0.0,
-        });
-        records.push(BenchRecord {
-            name: "rpca_10x4096_speedup".into(),
-            n: 64,
-            seconds: 0.0,
-            metric: if par > 0.0 { serial / par } else { 0.0 },
-        });
-    }
+    records.push(bench_svd_jacobi(30));
+    records.push(bench_fnf_tree(100));
 
     RegressReport {
         date,
@@ -513,7 +522,7 @@ mod tests {
     #[test]
     fn suite_produces_json_roundtrip() {
         // Tiny sizes so the test stays fast; the shape is what matters.
-        let report = run_suite(&[8], Some(0.5), "2026-08-07".into());
+        let report = run_suite(&[8], "2026-08-07".into());
         assert_eq!(report.file_name(), "BENCH_2026-08-07.json");
         assert!(report.threads >= 1);
         let names: Vec<&str> = report.records.iter().map(|r| r.name.as_str()).collect();
@@ -585,8 +594,16 @@ mod tests {
             "frames-per-second metric must be recorded: {}",
             tcp.metric
         );
-        assert!(names.contains(&"rpca_10x4096_parallel"));
-        assert!(names.contains(&"rpca_10x4096_speedup"));
+        let jacobi = report
+            .records
+            .iter()
+            .find(|r| r.name == "svd_jacobi_10x1024")
+            .unwrap();
+        assert!(
+            jacobi.metric > 0.0,
+            "the Jacobi/Gram-trick ratio is recorded"
+        );
+        assert!(names.contains(&"fnf_tree_196"));
         for r in &report.records {
             assert!(r.seconds.is_finite() && r.seconds >= 0.0, "{}", r.name);
         }

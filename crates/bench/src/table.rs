@@ -65,18 +65,28 @@ impl Table {
         println!("{}", self.render());
     }
 
-    /// Save as CSV.
+    /// Save as CSV. A field holding `,` or `"` is quoted (RFC 4180).
     pub fn save_csv(&self, path: &Path) -> std::io::Result<()> {
         if let Some(dir) = path.parent() {
             std::fs::create_dir_all(dir)?;
         }
         let mut f = std::fs::File::create(path)?;
         writeln!(f, "# {}", self.title)?;
-        writeln!(f, "{}", self.headers.join(","))?;
-        for row in &self.rows {
-            writeln!(f, "{}", row.join(","))?;
+        for line in std::iter::once(&self.headers).chain(&self.rows) {
+            let fields: Vec<String> = line.iter().map(|c| csv_field(c)).collect();
+            writeln!(f, "{}", fields.join(","))?;
         }
         Ok(())
+    }
+}
+
+/// `cell` as one CSV field: in double quotes, its own quotes doubled,
+/// when it holds a comma or a quote; as it is otherwise.
+fn csv_field(cell: &str) -> String {
+    if cell.contains([',', '"']) {
+        format!("\"{}\"", cell.replace('"', "\"\""))
+    } else {
+        cell.to_string()
     }
 }
 
@@ -116,14 +126,25 @@ mod tests {
 
     #[test]
     fn csv_roundtrip() {
-        let mut t = Table::new("csv", &["a", "b"]);
-        t.row(vec!["1".into(), "2".into()]);
         let dir = std::env::temp_dir().join("cloudconst_table_test");
         let path = dir.join("t.csv");
-        t.save_csv(&path).unwrap();
-        let content = std::fs::read_to_string(&path).unwrap();
-        assert!(content.contains("a,b"));
-        assert!(content.contains("1,2"));
+        let cases: [(&[&str], [&str; 2], &str); 2] = [
+            (&["a", "b"], ["1", "2"], "a,b\n1,2\n"),
+            // A comma or a quote makes the field quoted, so every line
+            // still splits into two fields.
+            (
+                &["edges (p->c, 1-indexed)", "b"],
+                ["1-2 2-3", "say \"hi\""],
+                "\"edges (p->c, 1-indexed)\",b\n1-2 2-3,\"say \"\"hi\"\"\"\n",
+            ),
+        ];
+        for (headers, row, body) in cases {
+            let mut t = Table::new("csv", headers);
+            t.row(row.iter().map(|c| c.to_string()).collect());
+            t.save_csv(&path).unwrap();
+            let content = std::fs::read_to_string(&path).unwrap();
+            assert_eq!(content, format!("# csv\n{body}"));
+        }
         std::fs::remove_dir_all(dir).ok();
     }
 

@@ -38,7 +38,7 @@ pub struct EighResult {
 /// # Errors
 /// [`LinalgError::NotSquare`] for non-square input;
 /// [`LinalgError::NonFinite`] when the symmetrized input holds a NaN or
-/// an infinity;
+/// an infinity, or when an eigenvalue exceeds `f64::MAX`;
 /// [`LinalgError::NoConvergence`] if the off-diagonal mass fails to vanish
 /// in 100 sweeps (practically unreachable for symmetric input).
 pub fn eigh(a: &Mat) -> Result<EighResult> {
@@ -65,7 +65,22 @@ pub fn eigh(a: &Mat) -> Result<EighResult> {
     if !sym.as_slice().iter().all(|x| x.is_finite()) {
         return Err(LinalgError::NonFinite);
     }
-    let scale = crate::norms::fro_norm(&sym).max(f64::MIN_POSITIVE);
+    let scale = crate::norms::fro_norm(&sym);
+    if scale.is_infinite() {
+        // Finite entries whose squares overflow would make `tol` infinite
+        // and skip every sweep. Solve a copy scaled by 2⁻⁶⁰⁰ (exact but
+        // for entries that turn subnormal, far below the tolerance) and
+        // scale its eigenvalues back; the eigenvectors do not change.
+        let mut r = eigh(&sym.scale(2f64.powi(-600)))?;
+        for v in &mut r.values {
+            *v *= 2f64.powi(600);
+        }
+        if r.values.iter().any(|v| v.is_infinite()) {
+            return Err(LinalgError::NonFinite);
+        }
+        return Ok(r);
+    }
+    let scale = scale.max(f64::MIN_POSITIVE);
     let tol = (1e-15 * scale) * (1e-15 * scale) * (n * n) as f64;
     let mut w = sym.into_vec();
     // Eigenvectors as rows: row `k` of `vt` is column `k` of V.
@@ -233,6 +248,23 @@ mod tests {
         for a in [off, diag, inf] {
             assert!(matches!(eigh(&a), Err(LinalgError::NonFinite)), "{a:?}");
         }
+    }
+
+    #[test]
+    fn overflowing_norm_still_sweeps() {
+        // The Frobenius norm overflows; this used to return the untouched
+        // diagonal [1e200, 1e200].
+        let a = Mat::from_rows(&[&[1e200, 1e200], &[1e200, 1e200]]);
+        let r = eigh(&a).unwrap();
+        assert!((r.values[0] / 2e200 - 1.0).abs() < 1e-15, "{:?}", r.values);
+        assert!(r.values[1].abs() < 1e-15 * 2e200, "{:?}", r.values);
+        for &x in reconstruct(&r).as_slice() {
+            assert!((x / 1e200 - 1.0).abs() < 1e-12, "{x}");
+        }
+        // An eigenvalue past f64::MAX (here 2.4e308) is an error, not an
+        // infinity.
+        let big = Mat::full(3, 3, 8e307);
+        assert!(matches!(eigh(&big), Err(LinalgError::NonFinite)));
     }
 
     #[test]
