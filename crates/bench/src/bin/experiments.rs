@@ -24,7 +24,7 @@ use cloudconst_bench::replay::{replay_campaign, ReplaySetup};
 use cloudconst_bench::sim_experiments::{sim_calibrate, sim_comparison, SimSetup};
 use cloudconst_bench::table::fmt;
 use cloudconst_bench::{cdf_points, mean, Approach, Table};
-use cloudconst_cloud::{record_trace, CloudConfig, SyntheticCloud};
+use cloudconst_cloud::{CloudConfig, SyntheticCloud};
 use cloudconst_collectives::{fnf_tree, Collective};
 use cloudconst_core::{estimate, EstimatorKind};
 use cloudconst_linalg::Mat;
@@ -276,8 +276,7 @@ fn fig4(ctx: &Ctx) {
 fn fig5(ctx: &Ctx) {
     let n = if ctx.full { 64 } else { 24 };
     let mut cloud = SyntheticCloud::new(CloudConfig::ec2_like(n, 5));
-    let trace = record_trace(&mut cloud, &Calibrator::new(), 0.0, 1800.0, 30);
-    let tp = trace.to_tp_matrix();
+    let (tp, _) = Calibrator::new().calibrate_tp(&mut cloud, 0.0, 1800.0, 30);
 
     // Oracle: constant from the full window.
     let oracle = estimate(&tp, EstimatorKind::Rpca).expect("oracle").perf;

@@ -1,8 +1,8 @@
 //! Seeded, replayable fault injection over the synthetic cloud.
 //!
 //! A real calibration campaign loses probes: packets vanish, stragglers
-//! outlive their deadline, a VM goes dark for a maintenance window, one
-//! link is persistently flaky. [`FaultPlan`] describes such an environment
+//! outlive their deadline, a rack goes dark for a window, one link is
+//! persistently flaky. [`FaultPlan`] describes such an environment
 //! as plain data, and [`FaultyCloud`] applies it on top of
 //! [`SyntheticCloud`]'s ground-truth link model, exposing the
 //! [`FallibleNetworkProbe`] interface the fault-aware calibrator consumes.
@@ -17,7 +17,8 @@
 //! * **Transient by default**: a retry happens at a *later* simulated time
 //!   (after backoff), so it draws a fresh fault decision — transient loss
 //!   clears, exactly like the real thing. Persistent failures are modelled
-//!   explicitly (blackout windows, flaky links), not by accident of RNG.
+//!   explicitly (rack blackout windows, flaky links), not by accident of
+//!   RNG.
 
 use crate::hash;
 use crate::placement::Placement;
@@ -31,8 +32,6 @@ const STREAM_STRAGGLE_ON: u64 = 0xF3;
 const STREAM_STRAGGLE_FAC: u64 = 0xF4;
 const STREAM_FLAKY: u64 = 0xF5;
 const STREAM_DOMAIN_BLACKOUT: u64 = 0xF6;
-const STREAM_DOMAIN_CONGEST_ON: u64 = 0xF7;
-const STREAM_DOMAIN_CONGEST_FAC: u64 = 0xF8;
 
 /// A correlated fault domain: a set of VMs that fail *together* because
 /// they share hidden infrastructure (a rack's ToR switch, a PDU). Derived
@@ -51,25 +50,6 @@ impl FaultDomain {
     /// Is VM `v` a member of this domain?
     pub fn contains(&self, v: usize) -> bool {
         self.vms.contains(&v)
-    }
-}
-
-/// A maintenance/outage window during which one VM answers no probes:
-/// every attempt touching `vm` in `[start, end)` is lost.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Blackout {
-    /// The affected VM index.
-    pub vm: usize,
-    /// Window start (inclusive), simulated seconds.
-    pub start: f64,
-    /// Window end (exclusive), simulated seconds.
-    pub end: f64,
-}
-
-impl Blackout {
-    /// Does this window swallow a probe between `i` and `j` at `now`?
-    pub fn covers(&self, i: usize, j: usize, now: f64) -> bool {
-        (self.vm == i || self.vm == j) && now >= self.start && now < self.end
     }
 }
 
@@ -105,8 +85,6 @@ pub struct FaultPlan {
     pub straggler_prob: f64,
     /// `(lo, hi)` range of the straggler multiplier (≥ 1).
     pub straggler_factor: (f64, f64),
-    /// Per-VM outage windows.
-    pub blackouts: Vec<Blackout>,
     /// Links with extra persistent loss.
     pub flaky_links: Vec<FlakyLink>,
     /// Correlated fault domains (typically one per rack, via
@@ -115,15 +93,9 @@ pub struct FaultPlan {
     /// Per-window probability that a whole domain blacks out: every probe
     /// touching any member VM during the window is lost.
     pub domain_blackout_prob: f64,
-    /// Per-window probability that an unordered *pair* of domains is
-    /// congested: every cross-domain probe between them has its true
-    /// transfer time inflated by one shared factor for the whole window.
-    pub domain_congestion_prob: f64,
-    /// `(lo, hi)` range of the shared congestion multiplier (≥ 1).
-    pub domain_congestion_factor: (f64, f64),
     /// Length of the domain-event decision window, simulated seconds.
-    /// Events are pure hashes of `(seed, stream, domain id(s), window)`,
-    /// so replay stays bit-exact. Must be > 0 when event rates are.
+    /// Events are pure hashes of `(seed, stream, domain id, window)`, so
+    /// replay stays bit-exact. Must be > 0 when `domain_blackout_prob` is.
     pub domain_window: f64,
     /// Cap on simultaneously dark domains per window (0 = unlimited).
     /// When capped, lower-indexed domains win: the set of dark domains is
@@ -142,12 +114,9 @@ impl FaultPlan {
             timeout_prob: 0.0,
             straggler_prob: 0.0,
             straggler_factor: (1.0, 1.0),
-            blackouts: Vec::new(),
             flaky_links: Vec::new(),
             domains: Vec::new(),
             domain_blackout_prob: 0.0,
-            domain_congestion_prob: 0.0,
-            domain_congestion_factor: (1.0, 1.0),
             domain_window: 0.0,
             max_concurrent_domain_events: 0,
         }
@@ -201,15 +170,13 @@ impl FaultPlan {
         self.loss_prob <= 0.0
             && self.timeout_prob <= 0.0
             && self.straggler_prob <= 0.0
-            && self.blackouts.is_empty()
             && self.flaky_links.is_empty()
             && !self.has_domain_events()
     }
 
-    /// Can a correlated domain event (blackout or congestion) fire at all?
+    /// Can a domain blackout fire at all?
     fn has_domain_events(&self) -> bool {
-        !self.domains.is_empty()
-            && (self.domain_blackout_prob > 0.0 || self.domain_congestion_prob > 0.0)
+        !self.domains.is_empty() && self.domain_blackout_prob > 0.0
     }
 
     /// Index (into `domains`) of the domain VM `v` belongs to, if any.
@@ -246,27 +213,6 @@ impl FaultPlan {
         rank < cap
     }
 
-    /// Shared congestion multiplier for the unordered domain pair
-    /// `(da, db)` during window `w`, if the pair is congested. The factor
-    /// is keyed by the pair and the window only, so every link crossing
-    /// the pair sees the *same* slowdown — that is the correlation.
-    fn pair_congestion(&self, da: u64, db: u64, w: u64) -> Option<f64> {
-        if self.domain_congestion_prob <= 0.0 {
-            return None;
-        }
-        let (lo_id, hi_id) = if da <= db { (da, db) } else { (db, da) };
-        let key = [self.seed, STREAM_DOMAIN_CONGEST_ON, lo_id, hi_id, w];
-        if hash::uniform(&key, 0.0, 1.0) >= self.domain_congestion_prob {
-            return None;
-        }
-        let (lo, hi) = self.domain_congestion_factor;
-        Some(hash::uniform(
-            &[self.seed, STREAM_DOMAIN_CONGEST_FAC, lo_id, hi_id, w],
-            lo,
-            hi,
-        ))
-    }
-
     /// Extra loss probability from a flaky-link entry for `(i, j)`, if any.
     fn flaky_loss(&self, i: usize, j: usize) -> f64 {
         self.flaky_links
@@ -280,9 +226,9 @@ impl FaultPlan {
     /// `true_secs`. Pure in `(i, j, bytes, now, deadline)` for a fixed
     /// plan, so the parallel calibration path may call it from workers.
     ///
-    /// Precedence: blackout (per-VM, then domain-wide) → loss (flaky then
-    /// global) → hard timeout → straggler and domain-congestion inflation →
-    /// the honest deadline check every attempt gets.
+    /// Precedence: domain blackout → loss (flaky then global) → hard
+    /// timeout → straggler inflation → the honest deadline check every
+    /// attempt gets.
     pub fn apply(
         &self,
         i: usize,
@@ -295,22 +241,13 @@ impl FaultPlan {
         if i == j {
             return ProbeAttempt::Ok(0.0);
         }
-        if self.blackouts.iter().any(|b| b.covers(i, j, now)) {
-            return ProbeAttempt::Lost;
-        }
-        let domain_pair = if self.domains.is_empty() || self.domain_window <= 0.0 {
-            None
-        } else {
+        if self.has_domain_events() && self.domain_window > 0.0 {
             let w = self.window_index(now);
             let (di, dj) = (self.domain_of(i), self.domain_of(j));
             if di.into_iter().chain(dj).any(|d| self.domain_dark(d, w)) {
                 return ProbeAttempt::Lost;
             }
-            match (di, dj) {
-                (Some(a), Some(b)) if a != b => Some((self.domains[a].id, self.domains[b].id, w)),
-                _ => None,
-            }
-        };
+        }
         let tb = now.to_bits();
         let (iu, ju) = (i as u64, j as u64);
         let flaky = self.flaky_loss(i, j);
@@ -341,11 +278,6 @@ impl FaultPlan {
         {
             let (lo, hi) = self.straggler_factor;
             secs *= hash::uniform(&[self.seed, STREAM_STRAGGLE_FAC, iu, ju, tb, bytes], lo, hi);
-        }
-        if let Some((da, db, w)) = domain_pair {
-            if let Some(factor) = self.pair_congestion(da, db, w) {
-                secs *= factor;
-            }
         }
         if secs > deadline {
             ProbeAttempt::TimedOut
@@ -489,35 +421,6 @@ mod tests {
     }
 
     #[test]
-    fn blackout_swallows_probes_touching_the_vm() {
-        let plan = FaultPlan {
-            blackouts: vec![Blackout {
-                vm: 2,
-                start: 100.0,
-                end: 200.0,
-            }],
-            ..FaultPlan::none(0)
-        };
-        let faulty = FaultyCloud::new(cloud(6), plan);
-        // Inside the window, both directions die; unrelated links do not.
-        assert_eq!(faulty.try_probe(2, 4, 1, 150.0, 1e9), ProbeAttempt::Lost);
-        assert_eq!(faulty.try_probe(4, 2, 1, 150.0, 1e9), ProbeAttempt::Lost);
-        assert!(matches!(
-            faulty.try_probe(0, 1, 1, 150.0, 1e9),
-            ProbeAttempt::Ok(_)
-        ));
-        // Outside the window the VM answers again.
-        assert!(matches!(
-            faulty.try_probe(2, 4, 1, 200.0, 1e9),
-            ProbeAttempt::Ok(_)
-        ));
-        assert!(matches!(
-            faulty.try_probe(2, 4, 1, 99.9, 1e9),
-            ProbeAttempt::Ok(_)
-        ));
-    }
-
-    #[test]
     fn flaky_link_is_directional_and_local() {
         let plan = FaultPlan {
             flaky_links: vec![FlakyLink {
@@ -655,44 +558,6 @@ mod tests {
             any_dark_window |= dark == 1;
         }
         assert!(any_dark_window, "0.6/window over 200 windows never fired");
-    }
-
-    #[test]
-    fn rack_pair_congestion_shares_one_factor_across_the_pair() {
-        let c = cloud(12);
-        let placement = c.placement(0).clone();
-        let plan = FaultPlan {
-            domain_congestion_prob: 1.0,
-            domain_congestion_factor: (3.0, 3.0),
-            domain_window: 500.0,
-            ..FaultPlan::none(8)
-        }
-        .with_rack_domains(&placement);
-        let faulty = FaultyCloud::new(c.clone(), plan.clone());
-        let mut cross = 0;
-        for i in 0..12 {
-            for j in 0..12 {
-                if i == j {
-                    continue;
-                }
-                let truth = c.probe_pure(i, j, BETA_PROBE_BYTES, 42.0);
-                let got = match faulty.try_probe(i, j, BETA_PROBE_BYTES, 42.0, 1e9) {
-                    ProbeAttempt::Ok(s) => s,
-                    other => panic!("congestion never loses probes: {other:?}"),
-                };
-                if placement.rack_of(i) != placement.rack_of(j) {
-                    cross += 1;
-                    assert!(
-                        (got - 3.0 * truth).abs() < 1e-9 * truth.max(1.0),
-                        "cross-rack ({i},{j}) factor {}",
-                        got / truth
-                    );
-                } else {
-                    assert_eq!(got.to_bits(), truth.to_bits(), "same-rack ({i},{j})");
-                }
-            }
-        }
-        assert!(cross > 0, "test cloud has no cross-rack links");
     }
 
     #[test]

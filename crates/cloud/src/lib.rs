@@ -30,44 +30,6 @@ pub mod placement;
 mod synthetic;
 
 pub use config::CloudConfig;
-pub use faults::{Blackout, FaultDomain, FaultPlan, FaultyCloud, FlakyLink};
+pub use faults::{FaultDomain, FaultPlan, FaultyCloud, FlakyLink};
 pub use placement::{Placement, PlacementDistance};
 pub use synthetic::SyntheticCloud;
-
-use cloudconst_netmodel::{Calibrator, NetTrace, NetworkProbe};
-
-/// Record a calibration trace against any probe: one all-link calibration
-/// every `interval` seconds for `samples` samples starting at `start`.
-///
-/// This is the synthetic analogue of the paper's week-long EC2 recording
-/// ("one experimental run every 30 minutes", §V-A).
-pub fn record_trace<P: NetworkProbe>(
-    probe: &mut P,
-    calibrator: &Calibrator,
-    start: f64,
-    interval: f64,
-    samples: usize,
-) -> NetTrace {
-    let mut trace = NetTrace::new(probe.n());
-    for k in 0..samples {
-        let t = start + k as f64 * interval;
-        let run = calibrator.calibrate(probe, t);
-        trace.record(t, run.perf);
-    }
-    trace
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn record_trace_produces_ordered_samples() {
-        let mut cloud = SyntheticCloud::new(CloudConfig::small_test(8, 7));
-        let trace = record_trace(&mut cloud, &Calibrator::new(), 0.0, 1800.0, 4);
-        assert_eq!(trace.len(), 4);
-        assert_eq!(trace.n(), 8);
-        let times: Vec<f64> = trace.samples().iter().map(|s| s.time).collect();
-        assert_eq!(times, vec![0.0, 1800.0, 3600.0, 5400.0]);
-    }
-}

@@ -1,6 +1,6 @@
 //! Property-based tests of the synthetic cloud's guarantees.
 
-use cloudconst_cloud::{Blackout, CloudConfig, FaultPlan, FaultyCloud, FlakyLink, SyntheticCloud};
+use cloudconst_cloud::{CloudConfig, FaultPlan, FaultyCloud, FlakyLink, SyntheticCloud};
 use cloudconst_netmodel::{FallibleNetworkProbe, NetworkProbe, ProbeAttempt};
 use proptest::prelude::*;
 
@@ -97,7 +97,6 @@ proptest! {
         // produce the same attempt outcome for every (link, time, size),
         // regardless of probe order — faults are data, not RNG state.
         let mut plan = FaultPlan::uniform(fault_seed, rate);
-        plan.blackouts.push(Blackout { vm: 0, start: t0 + 3.0, end: t0 + 7.0 });
         plan.flaky_links.push(FlakyLink { i: 1, j: 2, loss_prob: 0.5 });
         let a = FaultyCloud::new(SyntheticCloud::new(CloudConfig::small_test(n, seed)), plan.clone());
         let b = FaultyCloud::new(SyntheticCloud::new(CloudConfig::small_test(n, seed)), plan);

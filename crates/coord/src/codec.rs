@@ -14,8 +14,8 @@
 //! byte is interpreted. Decoding never panics: every malformed input maps
 //! to a typed [`CodecError`].
 //!
-//! Frame kind 5 is retired and stays reserved: traces go to disk as JSON
-//! only (`NetTrace::save`/`load` in `cloudconst-netmodel`).
+//! Frame kind 5 is retired and stays reserved: it once carried a recorded
+//! trace, and no message of the protocol does now.
 
 use std::fmt;
 

@@ -15,7 +15,7 @@
 //!
 //! Wire hash streams are `0xFA` (loss) and `0xFB` (latency) — disjoint
 //! from the cloud's `0xA1–0xE8` noise streams and the fault plan's
-//! `0xF1–0xF5`.
+//! `0xF1–0xF6`.
 
 use crate::worker::ShardWorker;
 use crate::CoordError;

@@ -53,11 +53,20 @@ pub fn eigh(a: &Mat) -> Result<EighResult> {
         });
     }
 
-    // Symmetrized working copy.
+    // Symmetrized working copy. Two finite entries above f64::MAX / 2
+    // overflow their sum, and only then are they halved before adding: a
+    // finite sum keeps `0.5 * (x + y)`, so halving a subnormal first
+    // cannot move a bit.
     let mut sym = Mat::zeros(n, n);
     for i in 0..n {
         for j in 0..n {
-            sym[(i, j)] = 0.5 * (a[(i, j)] + a[(j, i)]);
+            let (x, y) = (a[(i, j)], a[(j, i)]);
+            let sum = x + y;
+            sym[(i, j)] = if sum.is_finite() {
+                0.5 * sum
+            } else {
+                0.5 * x + 0.5 * y
+            };
         }
     }
     // A NaN off the diagonal would fail every `off > tol` test and skip
@@ -265,6 +274,12 @@ mod tests {
         // infinity.
         let big = Mat::full(3, 3, 8e307);
         assert!(matches!(eigh(&big), Err(LinalgError::NonFinite)));
+        // Entries above f64::MAX / 2 overflow a plain `a + aᵀ`; the
+        // eigenvalues ±1e308 are finite.
+        let wide = Mat::from_rows(&[&[0.0, 1e308], &[1e308, 0.0]]);
+        let r = eigh(&wide).unwrap();
+        assert!((r.values[0] / 1e308 - 1.0).abs() < 1e-15, "{:?}", r.values);
+        assert!((r.values[1] / -1e308 - 1.0).abs() < 1e-15, "{:?}", r.values);
     }
 
     #[test]

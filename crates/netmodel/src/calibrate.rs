@@ -355,7 +355,7 @@ impl Calibrator {
         let mut run = FaultyTpRun::new(n, steps);
         for k in 0..steps {
             let t = snapshot_time(start, interval, k);
-            let plan = adaptive.plan(n, history.as_ref(), &[]);
+            let plan = adaptive.plan(n, history.as_ref());
             let snapshot = self.calibrate_planned(probe, t, |i, j| plan.policy_for(i, j));
             match &mut history {
                 Some(h) => h.absorb(&snapshot.outcomes),
@@ -765,7 +765,7 @@ mod tests {
             hot_attempts: fixed.max_attempts,
             budget: 0,
         };
-        let plan = adaptive.plan(6, None, &[]);
+        let plan = adaptive.plan(6, None);
         let a = Calibrator::new().calibrate_planned(&probe, 7.0, |i, j| plan.policy_for(i, j));
         let b = Calibrator::new().calibrate_par(&probe, 7.0, &fixed);
         assert_eq!(a.outcomes, b.outcomes);

@@ -349,17 +349,11 @@ impl AdaptiveRetryPolicy {
     /// Allocate per-link attempt counts for an `n`-instance calibration.
     ///
     /// A directed link is *hot* when `history` recorded a `Failed` outcome
-    /// or a retried success for it, or when it appears in `quarantined`.
-    /// Hot links are ranked worst-first (quarantine beats `Failed` beats
-    /// retried-`Ok`, ties broken by `(i, j)` order) and upgraded to
-    /// `hot_attempts` while the budget lasts; everything else gets
-    /// `cold_attempts`.
-    pub fn plan(
-        &self,
-        n: usize,
-        history: Option<&ProbeLog>,
-        quarantined: &[(usize, usize)],
-    ) -> RetryPlan {
+    /// or a retried success for it. Hot links are ranked worst-first
+    /// (`Failed` beats retried-`Ok`, ties broken by `(i, j)` order) and
+    /// upgraded to `hot_attempts` while the budget lasts; everything else
+    /// gets `cold_attempts`.
+    pub fn plan(&self, n: usize, history: Option<&ProbeLog>) -> RetryPlan {
         let cold = self.cold_attempts.max(1);
         let hot = self.hot_attempts.max(cold);
         let mut max_attempts = vec![cold; n * n];
@@ -372,14 +366,11 @@ impl AdaptiveRetryPolicy {
                     if i == j {
                         continue;
                     }
-                    let mut score = match history.filter(|h| h.n() == n).map(|h| h.outcome(i, j)) {
+                    let score = match history.filter(|h| h.n() == n).map(|h| h.outcome(i, j)) {
                         Some(ProbeOutcome::Failed(a)) => 1_000 + a as u64,
                         Some(ProbeOutcome::Ok(a)) if a > 1 => a as u64,
                         _ => 0,
                     };
-                    if quarantined.contains(&(i, j)) {
-                        score += 1_000_000;
-                    }
                     if score > 0 {
                         scored.push((score, i, j));
                     }
@@ -565,7 +556,7 @@ mod tests {
         history.set_outcome(1, 0, ProbeOutcome::Ok(1)); // clean
 
         let adaptive = AdaptiveRetryPolicy::default(); // cold 2, hot 4
-        let plan = adaptive.plan(4, Some(&history), &[]);
+        let plan = adaptive.plan(4, Some(&history));
         assert_eq!(plan.policy_for(0, 1).max_attempts, 4, "failed link is hot");
         assert_eq!(plan.policy_for(2, 3).max_attempts, 4, "retried link is hot");
         assert_eq!(plan.policy_for(1, 0).max_attempts, 2, "clean link is cold");
@@ -590,28 +581,13 @@ mod tests {
             budget: 10,
             ..AdaptiveRetryPolicy::default()
         };
-        let plan = adaptive.plan(4, Some(&history), &[]);
+        let plan = adaptive.plan(4, Some(&history));
         assert_eq!(plan.hot_links(), 2);
     }
 
     #[test]
-    fn adaptive_plan_ranks_quarantined_links_first() {
-        let mut history = ProbeLog::new(3);
-        history.set_outcome(0, 1, ProbeOutcome::Failed(3));
-        let adaptive = AdaptiveRetryPolicy {
-            budget: 4, // exactly one upgrade
-            ..AdaptiveRetryPolicy::default()
-        };
-        // The quarantined link outranks the merely-failed one.
-        let plan = adaptive.plan(3, Some(&history), &[(2, 0)]);
-        assert_eq!(plan.policy_for(2, 0).max_attempts, 4);
-        assert_eq!(plan.policy_for(0, 1).max_attempts, 2);
-        assert_eq!(plan.hot_links(), 1);
-    }
-
-    #[test]
     fn adaptive_plan_without_history_is_all_cold() {
-        let plan = AdaptiveRetryPolicy::default().plan(5, None, &[]);
+        let plan = AdaptiveRetryPolicy::default().plan(5, None);
         assert_eq!(plan.hot_links(), 0);
         assert_eq!(plan.policy_for(0, 4).max_attempts, 2);
     }

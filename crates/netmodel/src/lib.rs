@@ -9,9 +9,8 @@
 //!   (latency and inverse bandwidth).
 //! * [`tp_matrix`] — [`TpMatrix`], the temporal performance matrix: `n`
 //!   calibration snapshots flattened row-wise into an `n × N²` matrix, the
-//!   direct input to RPCA.
-//! * [`trace`] — recorded network performance traces, saved and loaded
-//!   as JSON; the trace-replay methodology of paper §V-D3.
+//!   direct input to RPCA and the one container of recorded snapshots (the
+//!   record/replay method of §V-D3 replays a `TpMatrix` in memory).
 //! * [`calibrate`] — the SKaMPI-style ping-pong calibration protocol with
 //!   the paper's `N/2`-concurrent-pairs round schedule (§IV-B), expressed
 //!   against two backend-agnostic probe traits: [`NetworkProbe`] through a
@@ -34,7 +33,6 @@ pub mod coords;
 pub mod fallible;
 pub mod perf_matrix;
 pub mod tp_matrix;
-pub mod trace;
 
 pub use alpha_beta::LinkPerf;
 pub use calibrate::{
@@ -47,7 +45,6 @@ pub use fallible::{
 };
 pub use perf_matrix::PerfMatrix;
 pub use tp_matrix::{ImputePolicy, TpMatrix};
-pub use trace::{NetTrace, TraceSample};
 
 /// One megabyte, in bytes.
 pub const MB: u64 = 1 << 20;
@@ -59,7 +56,7 @@ pub const ALPHA_PROBE_BYTES: u64 = 1;
 pub const BETA_PROBE_BYTES: u64 = 8 * MB;
 
 /// Backend-agnostic interface to something that can carry a measured
-/// message: the synthetic cloud, the discrete-event simulator, or a trace.
+/// message: the synthetic cloud or the discrete-event simulator.
 ///
 /// `now` is the simulated time at which the transfer starts; implementors
 /// may use it to sample time-varying link state. The returned value is the

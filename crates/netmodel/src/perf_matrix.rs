@@ -60,19 +60,6 @@ impl PerfMatrix {
         self.n
     }
 
-    /// The latency and inverse-bandwidth planes, as the trace file stores
-    /// them.
-    pub(crate) fn planes(&self) -> [&Mat; 2] {
-        [&self.alpha, &self.inv_beta]
-    }
-
-    /// Rebuild from the two planes [`PerfMatrix::planes`] returns; panics
-    /// unless both are `n × n`.
-    pub(crate) fn from_planes(n: usize, alpha: Mat, inv_beta: Mat) -> Self {
-        assert!(alpha.shape() == (n, n) && inv_beta.shape() == (n, n));
-        PerfMatrix { n, alpha, inv_beta }
-    }
-
     /// Link performance from `i` to `j` ([`LinkPerf::SELF`] when `i == j`).
     pub fn link(&self, i: usize, j: usize) -> LinkPerf {
         if i == j {

@@ -1,6 +1,6 @@
 //! Property-based tests of the network model and calibration protocol.
 
-use cloudconst_netmodel::{pairing_rounds, LinkPerf, NetTrace, PerfMatrix, TpMatrix};
+use cloudconst_netmodel::{pairing_rounds, LinkPerf, PerfMatrix, TpMatrix};
 use proptest::prelude::*;
 use std::collections::HashSet;
 
@@ -110,24 +110,5 @@ proptest! {
                 }
             }
         }
-    }
-
-    #[test]
-    fn trace_replay_returns_a_recorded_sample(pm in perf_strategy(4), times in proptest::collection::vec(0.0f64..1e6, 1..8), query in 0.0f64..1e6) {
-        let mut sorted = times.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        sorted.dedup();
-        let mut trace = NetTrace::new(pm.n());
-        for &t in &sorted {
-            trace.record(t, pm.clone());
-        }
-        // Replay returns the nearest sample: its time distance must be
-        // minimal over all recorded samples.
-        let got = trace.at(query);
-        prop_assert!(got.is_some());
-        // With identical matrices we can't identify which sample returned;
-        // instead check window extraction consistency.
-        let tp = trace.to_tp_matrix();
-        prop_assert_eq!(tp.steps(), sorted.len());
     }
 }

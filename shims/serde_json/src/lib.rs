@@ -28,12 +28,6 @@ impl std::fmt::Display for Error {
 
 impl std::error::Error for Error {}
 
-impl From<std::io::Error> for Error {
-    fn from(e: std::io::Error) -> Self {
-        Error(format!("io: {e}"))
-    }
-}
-
 pub type Result<T> = std::result::Result<T, Error>;
 
 // ---------------------------------------------------------------------------
@@ -108,12 +102,6 @@ pub fn to_string(value: &Value) -> Result<String> {
     let mut out = String::new();
     write_value(&mut out, value);
     Ok(out)
-}
-
-/// Print to a writer (compact).
-pub fn to_writer<W: std::io::Write>(mut w: W, value: &Value) -> Result<()> {
-    w.write_all(to_string(value)?.as_bytes())?;
-    Ok(())
 }
 
 /// Print as a JSON string with two-space indentation.
@@ -454,6 +442,25 @@ mod tests {
             let s = to_string(&Value::Float(f)).unwrap();
             let back = float(&s);
             assert_eq!(back.to_bits(), f.to_bits(), "{f} -> {s} -> {back}");
+        }
+    }
+
+    /// The exact text of the float printer: shortest round-trip digits,
+    /// exponent form where `{:?}` chooses it, and `.0` on integral values
+    /// below 1e15.
+    #[test]
+    fn float_strings_are_pinned() {
+        for (f, s) in [
+            (1.5e16, "1.5e16"),
+            (1e-4 / 3.0, "3.3333333333333335e-5"),
+            (7e-8, "7e-8"),
+            (1.0 / 3.0, "0.3333333333333333"),
+            (30.125, "30.125"),
+            (0.0, "0.0"),
+            (-0.0, "-0.0"),
+        ] {
+            assert_eq!(to_string(&Value::Float(f)).unwrap(), s);
+            assert_eq!(float(s).to_bits(), f.to_bits(), "{s}");
         }
     }
 

@@ -2,8 +2,7 @@
 //! (`cloudconst-coord`) with the rest of the stack: bit-identity against
 //! both unsharded calibrators for K ∈ {1, 2, 4, 8}, replay determinism of
 //! the simulated transport (including under frame loss with re-dispatch),
-//! Advisor adoption of sharded runs, and a lossless JSON `NetTrace`
-//! round-trip of a volatile trace.
+//! and Advisor adoption of sharded runs.
 
 use cloudconst::cloud::{CloudConfig, FaultPlan, FaultyCloud, FlakyLink, SyntheticCloud};
 use cloudconst::coord::{
@@ -12,7 +11,7 @@ use cloudconst::coord::{
 };
 use cloudconst::core::{Advisor, AdvisorConfig};
 use cloudconst::netmodel::{
-    AdaptiveRetryPolicy, Calibrator, FaultyTpRun, ImputePolicy, NetTrace, RetryPolicy, TpMatrix,
+    AdaptiveRetryPolicy, Calibrator, FaultyTpRun, ImputePolicy, RetryPolicy, TpMatrix,
 };
 
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
@@ -379,27 +378,4 @@ fn quarantine_survives_sharded_merge() {
         assert_eq!(hi.probe_success_rate, he.probe_success_rate, "K={k}");
         assert_eq!(hi.masked_fraction, he.masked_fraction, "K={k}");
     }
-}
-
-/// A *volatile* trace (every sample different) round-trips bit-exactly
-/// through the JSON format, down to the TP-matrix it yields.
-#[test]
-fn json_trace_is_lossless_on_volatile_traces() {
-    let cloud = SyntheticCloud::new(CloudConfig::ec2_like(12, 29));
-    let mut trace = NetTrace::new(12);
-    for s in 0..6 {
-        let t = s as f64 * 60.0;
-        let perf =
-            cloudconst::netmodel::PerfMatrix::from_fn(12, |i, j| cloud.instantaneous(i, j, t));
-        trace.record(t, perf);
-    }
-    let mut json = Vec::new();
-    trace.save(&mut json).unwrap();
-    let loaded = NetTrace::load(&json[..]).unwrap();
-    assert_eq!(loaded, trace);
-    assert_tp_bits_equal(
-        &loaded.to_tp_matrix(),
-        &trace.to_tp_matrix(),
-        "volatile round-trip",
-    );
 }
