@@ -21,7 +21,10 @@ use cloudconst_netmodel::{
     AdaptiveRetryPolicy, Calibrator, ImputePolicy, LinkPerf, PerfMatrix, RetryPolicy, MB,
 };
 use cloudconst_rpca::{apg, ApgOptions};
-use cloudconst_simnet::{BackgroundSpec, Simulator, Topology};
+use cloudconst_simnet::{BackgroundSpec, ClusterView, LinkSpec, Simulator, Topology};
+use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
+use rand::SeedableRng;
 use serde::Value;
 use std::time::Instant;
 
@@ -443,6 +446,57 @@ pub fn bench_simnet(reps: usize) -> BenchRecord {
     }
 }
 
+/// Time the Fig. 13 calibration on the flow simulator: the `experiments
+/// fig13` quick datacenter (8 racks × 32 hosts at 1 and 10 Gb/s, 120
+/// background pairs of 100 MB, λ = 2 s, churn 0.15, seed 59) and its
+/// 48-VM cluster, warmed up for 3λ, then `ClusterView` calibration of 5
+/// snapshots 30 s apart. Only the calibration is timed; each rep builds
+/// and warms up a fresh datacenter. The metric is flows completed
+/// (background included) per wall second of the calibration.
+pub fn bench_simnet_calibrate_fig13(reps: usize) -> BenchRecord {
+    let seed = 59;
+    let spec = |gbit: f64, latency| LinkSpec {
+        capacity: gbit * 1e9 / 8.0,
+        latency,
+    };
+    let mut seconds = f64::INFINITY;
+    let mut flows = 0;
+    for _ in 0..reps {
+        let topo = Topology::tree(8, 32, spec(1.0, 20e-6), spec(10.0, 30e-6));
+        let mut hosts: Vec<usize> = (0..topo.hosts()).collect();
+        hosts.shuffle(&mut StdRng::seed_from_u64(seed ^ 0x5E1));
+        hosts.truncate(48);
+        let mut sim = Simulator::new(topo, seed);
+        BackgroundSpec {
+            pairs: 120,
+            message_bytes: 100 * MB,
+            lambda: 2.0,
+            churn: 0.15,
+            seed: seed ^ 0xB6,
+        }
+        .install(&mut sim, 0.0);
+        sim.run_until(6.0);
+        let before = sim.flows_completed();
+        let mut view = ClusterView::new(&mut sim, hosts);
+        let start = view.simulator().time();
+        let t0 = Instant::now();
+        let run = Calibrator::new().calibrate_tp(&mut view, start, 30.0, 5);
+        seconds = seconds.min(t0.elapsed().as_secs_f64());
+        std::hint::black_box(run);
+        flows = sim.flows_completed() - before;
+    }
+    BenchRecord {
+        name: "simnet_calibrate_fig13".into(),
+        n: 48,
+        seconds,
+        metric: if seconds > 0.0 {
+            flows as f64 / seconds
+        } else {
+            0.0
+        },
+    }
+}
+
 /// Run the whole suite.
 pub fn run_suite(sizes: &[usize], date: String) -> RegressReport {
     let mut records = Vec::new();
@@ -480,6 +534,7 @@ pub fn run_suite(sizes: &[usize], date: String) -> RegressReport {
     records.extend(bench_calibration_sharded(sharded_n, 4, 1));
     records.push(bench_calibration_tcp_localhost(sharded_n, 4, 1));
     records.push(bench_simnet(2));
+    records.push(bench_simnet_calibrate_fig13(3));
     records.push(bench_svd_jacobi(30));
     records.push(bench_fnf_tree(100));
 
@@ -541,6 +596,16 @@ mod tests {
             "the build's APG iterations are recorded"
         );
         assert!(names.contains(&"simnet_background_60s"));
+        let calibrate = report
+            .records
+            .iter()
+            .find(|r| r.name == "simnet_calibrate_fig13")
+            .unwrap();
+        assert!(
+            calibrate.metric > 0.0,
+            "flows-per-second metric must be recorded: {}",
+            calibrate.metric
+        );
         let faulty = report
             .records
             .iter()

@@ -578,7 +578,7 @@ fn serve_conn<P: FallibleNetworkProbe>(mut stream: TcpStream, shared: &ServerSha
                     if seen > shared.kill_after[shard].load(Ordering::SeqCst) {
                         None // the wedged-host hook: swallow silently
                     } else {
-                        match shared.workers[shard].lock().unwrap().handle(frame) {
+                        match shared.workers[shard].lock().unwrap().handle_message(msg) {
                             Ok(response) => Some(response),
                             Err(_) => break,
                         }

@@ -98,7 +98,14 @@ impl<P: FallibleNetworkProbe> ShardWorker<P> {
 
     /// Handle one coordinator frame, returning the response frame.
     pub fn handle(&mut self, frame: &[u8]) -> Result<Vec<u8>, CoordError> {
-        let Message { seq, body, .. } = Message::decode(frame)?;
+        self.handle_message(Message::decode(frame)?)
+    }
+
+    /// Handle one decoded coordinator message, returning the response
+    /// frame: [`ShardWorker::handle`] for a transport that has already
+    /// decoded the frame to route it.
+    pub fn handle_message(&mut self, msg: Message) -> Result<Vec<u8>, CoordError> {
+        let Message { seq, body, .. } = msg;
         let stage = match &body {
             Body::Task(t) => Stage::Task(t.round, t.phase),
             Body::Flush { snapshot } => Stage::Flush(*snapshot),

@@ -1,7 +1,7 @@
 //! The fluid discrete-event engine.
 
-use crate::fairshare::FairShare;
-use crate::topology::{LinkId, Topology};
+use crate::fairshare::{FairShare, FlowSlot};
+use crate::topology::Topology;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rand_distr::{Distribution, Exp};
@@ -27,23 +27,18 @@ impl ActiveFlow {
     }
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct ActiveFlow {
     id: FlowId,
-    path: Vec<LinkId>,
+    /// The flow's slot in the max-min solver, which holds its path.
+    slot: FlowSlot,
     remaining: f64,
     rate: f64,
     latency: f64,
     tracked: bool,
 }
 
-impl AsRef<[LinkId]> for ActiveFlow {
-    fn as_ref(&self) -> &[LinkId] {
-        &self.path
-    }
-}
-
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 enum EventKind {
     FlowStart {
         id: FlowId,
@@ -57,7 +52,7 @@ enum EventKind {
     },
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct TimedEvent {
     time: f64,
     seq: u64,
@@ -102,7 +97,10 @@ struct BackgroundGen {
 /// holds a max-min fair share of its path, re-solved whenever the active
 /// set changes. A flow "finishes" when its bytes drain; its *arrival*
 /// (what a measurement observes) adds the fixed path latency.
-#[derive(Debug)]
+///
+/// A clone continues exactly as the original would: given the same
+/// submissions, both produce the same arrivals bit for bit.
+#[derive(Debug, Clone)]
 pub struct Simulator {
     topo: Topology,
     time: f64,
@@ -250,9 +248,10 @@ impl Simulator {
         let path = self.topo.path(src, dst);
         assert!(!path.is_empty());
         let latency = self.topo.path_latency(&path);
+        let slot = self.fair.add(&self.topo, &path);
         self.active.push(ActiveFlow {
             id,
-            path,
+            slot,
             remaining: bytes,
             rate: 0.0,
             latency,
@@ -262,9 +261,9 @@ impl Simulator {
     }
 
     fn recompute_rates(&mut self) {
-        let rates = self.fair.rates(&self.topo, &self.active);
-        for (f, &r) in self.active.iter_mut().zip(rates) {
-            f.rate = r;
+        let rates = self.fair.solve();
+        for f in &mut self.active {
+            f.rate = rates[f.slot];
         }
         self.rates_dirty = false;
     }
@@ -325,10 +324,12 @@ impl Simulator {
             let now = self.time;
             let before = self.active.len();
             let tracked = &mut self.tracked;
+            let fair = &mut self.fair;
             self.active.retain(|f| {
                 if !f.is_done() {
                     return true;
                 }
+                fair.remove(f.slot);
                 if f.tracked {
                     // Arrival = transmission end + path latency.
                     tracked.insert(f.id, Some(now + f.latency));
@@ -511,6 +512,26 @@ mod tests {
         };
         assert_eq!(run(5), run(5));
         assert_ne!(run(5), run(6));
+    }
+
+    #[test]
+    fn clone_mid_run_replays_bit_identically() {
+        let mut sim = Simulator::new(topo(), 11);
+        sim.add_background_with_churn(1, 3, 30, 0.5, 0.0, 0.3);
+        sim.add_background(2, 0, 20, 0.7, 0.0);
+        // In flight when the copy is made.
+        let early = sim.submit(0, 3, 400, 1.0);
+        sim.run_until(5.0);
+        let mut copy = sim.clone();
+        let probe = |s: &mut Simulator| {
+            let ids = [s.submit(0, 1, 500, 6.0), s.submit(3, 1, 800, 6.5), early];
+            let arrivals: Vec<u64> = s.wait_for(&ids).iter().map(|t| t.to_bits()).collect();
+            s.run_until(40.0);
+            (arrivals, s.flows_completed())
+        };
+        let (arrivals, flows) = probe(&mut sim);
+        assert_eq!(probe(&mut copy), (arrivals, flows));
+        assert!(flows > 20, "the background kept running: {flows} flows");
     }
 
     #[test]

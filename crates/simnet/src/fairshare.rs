@@ -1,60 +1,107 @@
-//! Max-min fair rate allocation (progressive filling).
+//! Max-min fair rate allocation (progressive filling), kept up to date
+//! across flow arrivals and departures.
 //!
-//! The solve is indexed. A per-solve CSR incidence lists, for each used
-//! link, the flows crossing it in ascending flow order, so a bottleneck
-//! round visits only the flows it freezes and the links they cross.
-//! Bottlenecks come from a queue of link fair shares keyed by
-//! `(share, first-seen rank)`: the initial shares sorted once, plus a lazy
-//! min-heap for shares that changed. A link's share never grows smaller
-//! in exact arithmetic, so a changed share is queued only when rounding
-//! made it smaller, or when its stale entry reaches the front. A solve
-//! runs in `O(I + L log L)` for `I` flow-link incidences over `L` used
-//! links, plus `O(log L)` per re-queued share. The bottleneck order, its
-//! tie-breaking (the first-seen link wins among equal shares) and the
-//! order of every per-link subtraction are those of the plain linear-scan
-//! progressive filling, so the rates are bit-identical to it.
+//! A [`FairShare`] holds the live flows and, between events, everything a
+//! solve needs that does not change within it:
+//!
+//! * each used link's *tie key* `(arrival number of its first flow,
+//!   position in that flow's path)`, which orders links exactly as the
+//!   order in which a walk of the paths in arrival order first meets them;
+//! * each link's flows in ascending arrival order (the link → flow
+//!   incidence), with its capacity and flow count;
+//! * every used link's initial fair share `capacity / count`, sorted by
+//!   `(share, tie key)`.
+//!
+//! An arrival or departure of a flow crossing `p` links touches only
+//! those links: it removes and re-inserts their sorted entries (`O(p log
+//! L)` comparisons and `O(p L)` entry moves over `L` used links), edits
+//! their flow lists, and recomputes their tie keys. A solve then resets
+//! its `O(L + F)` working arrays for `F` flows and runs the progressive
+//! filling: bottlenecks come from the sorted initial shares consumed from
+//! the front, plus a lazy min-heap for shares that changed. A link's share
+//! never grows smaller in exact arithmetic, so a changed share is queued
+//! only when rounding made it smaller, or when its stale entry reaches the
+//! front. A bottleneck round visits only the flows it freezes and the
+//! links they cross, so the filling runs in `O(I + L)` for `I` flow-link
+//! incidences, plus `O(log L)` per re-queued share.
+//!
+//! The bottleneck order, its tie-breaking (the first-seen link wins among
+//! equal shares) and the order of every per-link subtraction are those of
+//! the plain linear-scan progressive filling over the flows in arrival
+//! order, so the rates are bit-identical to it. Debug builds rebuild the
+//! tie keys, the incidence and the sorted shares from scratch at every
+//! solve and assert that they equal the kept state.
 
 use crate::topology::{LinkId, Topology};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// `rank_of` entry of a link no flow of the current solve crosses.
-const UNSEEN: u32 = u32::MAX;
+/// A queued link: `(share key, tie key, link)`, ordered as the bottleneck
+/// choice is.
+type Entry = (u64, u64, u32);
 
-/// A queued link: `(share key, rank)`, ordered as the bottleneck choice is.
-type Entry = (u64, u32);
+/// Handle of a flow added to a [`FairShare`]: the index of its rate in
+/// [`FairShare::solve`]'s output. A removed flow's slot is reused.
+pub type FlowSlot = usize;
 
-/// Reusable scratch for max-min solves: after the first few solves of a
-/// similar size, [`FairShare::rates`] allocates nothing.
-///
-/// Links are renumbered by *rank*, the order in which the solve first meets
-/// them walking the paths in flow order; every per-link array below is
-/// indexed by rank.
-#[derive(Debug, Default)]
+/// Bits of a tie key below the arrival number: a link's position in its
+/// first flow's path.
+const POS_BITS: u32 = 16;
+
+/// A live flow, or a free slot (empty path).
+#[derive(Debug, Clone, Default)]
+struct Flow {
+    /// Arrival number: flows are ordered by it.
+    seq: u64,
+    path: Vec<LinkId>,
+}
+
+/// A link's state between events.
+#[derive(Debug, Clone, Default)]
+struct Link {
+    capacity: f64,
+    /// The live flows crossing the link, one entry per crossing, in
+    /// ascending arrival order.
+    flows: Vec<u32>,
+    /// `(arrival number of flows[0], position of the link in its path)`,
+    /// packed; meaningful while `flows` is non-empty.
+    tie: u64,
+}
+
+impl Link {
+    fn entry(&self, l: LinkId) -> Entry {
+        let share = self.capacity / self.flows.len() as f64;
+        (share_key(share), self.tie, l as u32)
+    }
+}
+
+/// Stateful max-min solver: add and remove flows as they arrive and
+/// depart, and [`solve`](FairShare::solve) after each batch of events.
+/// After the first few events of a similar size it allocates nothing.
+#[derive(Debug, Clone, Default)]
 pub struct FairShare {
-    /// Rank of each topology link in the current solve, or `UNSEEN`.
-    rank_of: Vec<u32>,
-    /// Topology link of each rank.
-    used: Vec<LinkId>,
-    /// Remaining capacity per rank.
-    cap: Vec<f64>,
-    /// Unfrozen flows crossing each rank.
-    cnt: Vec<u32>,
-    /// Fair share `cap / cnt` per rank, as of the last round that touched it.
-    share: Vec<f64>,
-    /// The last round that touched each rank.
-    touched_in: Vec<u32>,
-    /// Flow `f`'s path as ranks: `path_ranks[path_end[f - 1]..path_end[f]]`.
-    path_ranks: Vec<u32>,
-    path_end: Vec<u32>,
-    /// The flows crossing rank `r`, ascending:
-    /// `link_flows[link_end[r - 1]..link_end[r]]`.
-    link_flows: Vec<u32>,
-    link_end: Vec<u32>,
-    frozen: Vec<bool>,
-    touched: Vec<u32>,
-    /// Every rank's initial share, sorted; consumed from the front.
+    /// Flows by slot.
+    flows: Vec<Flow>,
+    /// Free slots.
+    free: Vec<u32>,
+    /// Arrival number of the next flow.
+    next_seq: u64,
+    /// Links by topology id.
+    links: Vec<Link>,
+    /// Every used link's initial entry, ascending.
     sorted: Vec<Entry>,
+    // Working arrays of a solve: per link, except `frozen` and `rates`
+    // (per slot).
+    /// Remaining capacity.
+    cap: Vec<f64>,
+    /// Unfrozen flows crossing the link.
+    cnt: Vec<u32>,
+    /// Fair share `cap / cnt`, as of the last round that touched the link.
+    share: Vec<f64>,
+    /// The last round that touched each link.
+    touched_in: Vec<u32>,
+    touched: Vec<u32>,
+    frozen: Vec<bool>,
     /// Shares queued after the start.
     heap: BinaryHeap<Reverse<Entry>>,
     rates: Vec<f64>,
@@ -67,103 +114,140 @@ fn share_key(share: f64) -> u64 {
     (share + 0.0).to_bits()
 }
 
-/// `[end[i - 1], end[i])` with `end[-1] = 0`.
-fn span(end: &[u32], i: usize) -> std::ops::Range<usize> {
-    let lo = if i == 0 { 0 } else { end[i - 1] as usize };
-    lo..end[i] as usize
+/// Tie key of the link at `pos` in the path of the flow that arrived
+/// `seq`-th.
+fn tie_key(seq: u64, pos: usize) -> u64 {
+    debug_assert!(seq < 1 << (64 - POS_BITS), "arrival number overflow");
+    seq << POS_BITS | pos as u64
 }
 
 impl FairShare {
-    /// Max-min fair rates of `paths` on `topo`, one per flow.
+    /// Add a flow along `path` (directed links of `topo`, non-empty). It
+    /// arrives after every flow added before it.
+    pub fn add(&mut self, topo: &Topology, path: &[LinkId]) -> FlowSlot {
+        assert!(!path.is_empty(), "flows must traverse at least one link");
+        assert!(path.len() < 1 << POS_BITS, "path too long");
+        if self.links.len() < topo.link_count() {
+            self.links.resize_with(topo.link_count(), Link::default);
+        }
+        let slot = match self.free.pop() {
+            Some(s) => s as usize,
+            None => {
+                self.flows.push(Flow::default());
+                self.flows.len() - 1
+            }
+        };
+        self.flows[slot].seq = self.next_seq;
+        self.next_seq += 1;
+        self.flows[slot].path.extend_from_slice(path);
+        self.unqueue(slot);
+        for &l in path {
+            let link = &mut self.links[l];
+            link.capacity = topo.link(l).capacity;
+            link.flows.push(slot as u32);
+        }
+        self.requeue(slot);
+        slot
+    }
+
+    /// Remove the live flow in `slot`.
+    pub fn remove(&mut self, slot: FlowSlot) {
+        assert!(
+            !self.flows[slot].path.is_empty(),
+            "slot {slot} holds no live flow"
+        );
+        self.unqueue(slot);
+        for &l in &self.flows[slot].path {
+            let flows = &mut self.links[l].flows;
+            let i = flows
+                .iter()
+                .position(|&f| f as usize == slot)
+                .expect("a live flow is listed on its links");
+            flows.remove(i);
+        }
+        self.requeue(slot);
+        self.flows[slot].path.clear();
+        self.free.push(slot as u32);
+    }
+
+    /// Drop the sorted entries of `slot`'s links.
+    fn unqueue(&mut self, slot: usize) {
+        for &l in &self.flows[slot].path {
+            let link = &self.links[l];
+            if link.flows.is_empty() {
+                continue;
+            }
+            // A link crossed twice is found once.
+            if let Ok(i) = self.sorted.binary_search(&link.entry(l)) {
+                self.sorted.remove(i);
+            }
+        }
+    }
+
+    /// Recompute the tie keys of `slot`'s links and insert their entries.
+    fn requeue(&mut self, slot: usize) {
+        for &l in &self.flows[slot].path {
+            let link = &mut self.links[l];
+            let Some(&first) = link.flows.first() else {
+                continue;
+            };
+            let first = &self.flows[first as usize];
+            let pos = first
+                .path
+                .iter()
+                .position(|&x| x == l)
+                .expect("a listed flow crosses the link");
+            link.tie = tie_key(first.seq, pos);
+            let entry = link.entry(l);
+            if let Err(i) = self.sorted.binary_search(&entry) {
+                self.sorted.insert(i, entry);
+            }
+        }
+    }
+
+    /// Max-min fair rates of the live flows, indexed by [`FlowSlot`] (a
+    /// free slot reads 0).
     ///
-    /// `paths[f]` is flow `f`'s directed link path (non-empty). Progressive
-    /// filling: repeatedly take the most contended link (smallest remaining
-    /// capacity per unfrozen flow; the first-seen link on ties), freeze its
-    /// unfrozen flows at that share in ascending flow order, subtract each
-    /// from every link on its path, and continue until every flow is frozen.
-    pub fn rates<P: AsRef<[LinkId]>>(&mut self, topo: &Topology, paths: &[P]) -> &[f64] {
-        let nf = paths.len();
+    /// Progressive filling: repeatedly take the most contended link
+    /// (smallest remaining capacity per unfrozen flow; the first-seen link
+    /// in arrival order on ties), freeze its unfrozen flows at that share
+    /// in arrival order, subtract each from every link on its path, and
+    /// continue until every flow is frozen.
+    pub fn solve(&mut self) -> &[f64] {
+        #[cfg(debug_assertions)]
+        self.check_kept_state();
+        let nf = self.flows.len();
         self.rates.clear();
         self.rates.resize(nf, 0.0);
-        if nf == 0 {
+        let mut remaining = nf - self.free.len();
+        if remaining == 0 {
             return &self.rates;
         }
-        if self.rank_of.len() < topo.link_count() {
-            self.rank_of.resize(topo.link_count(), UNSEEN);
-        }
-
-        // Rank the used links and write each path as ranks.
-        self.used.clear();
-        self.cap.clear();
-        self.cnt.clear();
-        self.path_ranks.clear();
-        self.path_end.clear();
-        for path in paths {
-            let path = path.as_ref();
-            debug_assert!(!path.is_empty(), "flows must traverse at least one link");
-            for &l in path {
-                let mut r = self.rank_of[l];
-                if r == UNSEEN {
-                    r = self.used.len() as u32;
-                    self.rank_of[l] = r;
-                    self.used.push(l);
-                    self.cap.push(topo.link(l).capacity);
-                    self.cnt.push(0);
-                }
-                self.cnt[r as usize] += 1;
-                self.path_ranks.push(r);
-            }
-            self.path_end.push(self.path_ranks.len() as u32);
-        }
-        let nl = self.used.len();
-
-        // Link → flows incidence: `link_end` starts as each rank's start
-        // offset and is advanced to its end by the fill.
-        self.link_end.clear();
-        let mut offset = 0;
-        for &c in &self.cnt {
-            self.link_end.push(offset);
-            offset += c;
-        }
-        self.link_flows.clear();
-        self.link_flows.resize(offset as usize, 0);
-        for f in 0..nf {
-            for &r in &self.path_ranks[span(&self.path_end, f)] {
-                let end = &mut self.link_end[r as usize];
-                self.link_flows[*end as usize] = f as u32;
-                *end += 1;
-            }
-        }
-
-        self.share.clear();
-        self.share.extend(
-            self.cap
-                .iter()
-                .zip(&self.cnt)
-                .map(|(&c, &n)| c / f64::from(n)),
-        );
-        self.sorted.clear();
-        self.sorted.extend(
-            self.share
-                .iter()
-                .enumerate()
-                .map(|(r, &s)| (share_key(s), r as u32)),
-        );
-        self.sorted.sort_unstable();
-        self.heap.clear();
-        self.touched_in.clear();
+        let nl = self.links.len();
+        self.cap.resize(nl, 0.0);
+        self.cnt.resize(nl, 0);
+        self.share.resize(nl, 0.0);
         self.touched_in.resize(nl, 0);
+        for &(_, _, l) in &self.sorted {
+            let l = l as usize;
+            let link = &self.links[l];
+            let n = link.flows.len() as u32;
+            self.cap[l] = link.capacity;
+            self.cnt[l] = n;
+            self.share[l] = link.capacity / f64::from(n);
+            self.touched_in[l] = 0;
+        }
         self.frozen.clear();
         self.frozen.resize(nf, false);
+        self.heap.clear();
 
-        // Every live rank has a queued entry no larger than its current
-        // key, so a popped entry equal to its rank's current key is the
+        // Every live link has a queued entry no larger than its current
+        // key, so a popped entry equal to its link's current key is the
         // smallest live key: the bottleneck.
         let mut next_sorted = 0;
-        let mut remaining = nf;
         let mut round = 0;
         while remaining > 0 {
-            let (key, b) = match (self.sorted.get(next_sorted), self.heap.peek()) {
+            let (key, _, b) = match (self.sorted.get(next_sorted), self.heap.peek()) {
                 (Some(&s), Some(&Reverse(h))) if h < s => {
                     self.heap.pop();
                     h
@@ -185,13 +269,14 @@ impl FairShare {
             let share = self.share[b];
             if share_key(share) != key {
                 // Stale: its share has grown since the entry was queued.
-                self.heap.push(Reverse((share_key(share), b as u32)));
+                self.heap
+                    .push(Reverse((share_key(share), self.links[b].tie, b as u32)));
                 continue;
             }
             round += 1;
 
             // Freeze every unfrozen flow crossing the bottleneck.
-            for &f in &self.link_flows[span(&self.link_end, b)] {
+            for &f in &self.links[b].flows {
                 let f = f as usize;
                 if self.frozen[f] {
                     continue;
@@ -199,8 +284,7 @@ impl FairShare {
                 self.frozen[f] = true;
                 remaining -= 1;
                 self.rates[f] = share;
-                for &r in &self.path_ranks[span(&self.path_end, f)] {
-                    let r = r as usize;
+                for &r in &self.flows[f].path {
                     self.cap[r] -= share;
                     self.cnt[r] -= 1;
                     if self.cap[r] < 0.0 {
@@ -218,22 +302,75 @@ impl FairShare {
                     let share = self.cap[r] / f64::from(self.cnt[r]);
                     if share < self.share[r] {
                         // Rounding shrank it below its queued entries.
-                        self.heap.push(Reverse((share_key(share), r as u32)));
+                        self.heap
+                            .push(Reverse((share_key(share), self.links[r].tie, r as u32)));
                     }
                     self.share[r] = share;
                 }
             }
             self.touched.clear();
         }
-
-        for &l in &self.used {
-            self.rank_of[l] = UNSEEN;
-        }
         &self.rates
+    }
+
+    /// Max-min fair rates of `paths` on `topo`, one per flow: drop every
+    /// flow, add `paths[f]` as the `f`-th arrival, and [`solve`].
+    ///
+    /// [`solve`]: FairShare::solve
+    pub fn rates<P: AsRef<[LinkId]>>(&mut self, topo: &Topology, paths: &[P]) -> &[f64] {
+        for link in &mut self.links {
+            link.flows.clear();
+        }
+        self.flows.clear();
+        self.free.clear();
+        self.sorted.clear();
+        self.next_seq = 0;
+        for path in paths {
+            self.add(topo, path.as_ref());
+        }
+        self.solve()
+    }
+
+    /// Rebuild the first-seen ranking, the incidence and the sorted initial
+    /// shares from the live flows alone, as a solve without kept state
+    /// would, and assert that the kept state equals them.
+    #[cfg(debug_assertions)]
+    fn check_kept_state(&self) {
+        let mut order: Vec<usize> = (0..self.flows.len())
+            .filter(|&s| !self.flows[s].path.is_empty())
+            .collect();
+        debug_assert_eq!(order.len(), self.flows.len() - self.free.len());
+        order.sort_by_key(|&s| self.flows[s].seq);
+        let mut tie = vec![None; self.links.len()];
+        let mut used = Vec::new();
+        let mut incidence = vec![Vec::new(); self.links.len()];
+        for &s in &order {
+            for (pos, &l) in self.flows[s].path.iter().enumerate() {
+                if tie[l].is_none() {
+                    tie[l] = Some(tie_key(self.flows[s].seq, pos));
+                    used.push(l);
+                }
+                incidence[l].push(s as u32);
+            }
+        }
+        // Ranks are positions in `used`: tie keys must ascend along it.
+        debug_assert!(
+            used.windows(2).all(|w| tie[w[0]] < tie[w[1]]),
+            "tie keys disagree with the first-seen ranking"
+        );
+        for (l, link) in self.links.iter().enumerate() {
+            debug_assert_eq!(link.flows, incidence[l], "link {l}'s flows");
+            if let Some(t) = tie[l] {
+                debug_assert_eq!(link.tie, t, "link {l}'s tie key");
+            }
+        }
+        let mut sorted: Vec<Entry> = used.iter().map(|&l| self.links[l].entry(l)).collect();
+        sorted.sort_unstable();
+        debug_assert_eq!(sorted, self.sorted, "sorted initial shares");
     }
 }
 
-/// Max-min fair rates of `paths` on `topo`, with a one-off scratch (see
+/// Max-min fair rates of `paths` on `topo`, with a one-off solver (see
 /// [`FairShare::rates`]; a caller that solves repeatedly keeps a
 /// [`FairShare`]).
 pub fn max_min_rates<P: AsRef<[LinkId]>>(topo: &Topology, paths: &[P]) -> Vec<f64> {

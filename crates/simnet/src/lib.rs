@@ -12,7 +12,8 @@
 //!
 //! * [`topology`] — the 2-level tree of the paper's Fig. 3 (32 racks × 32
 //!   servers, 1 Gb/s host links, 10 Gb/s core links) and routing.
-//! * [`fairshare`] — progressive-filling max-min rate allocation.
+//! * [`fairshare`] — progressive-filling max-min rate allocation, kept
+//!   up to date across flow arrivals and departures.
 //! * [`engine`] — the event loop: submit flows, advance fluid state, wake
 //!   on arrivals/completions.
 //! * [`background`] — per-link Poisson background traffic ("message size"

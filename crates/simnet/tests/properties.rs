@@ -176,6 +176,61 @@ proptest! {
     }
 }
 
+/// One step of an event sequence: `(departures, arrivals, pick)`.
+type Step = (usize, usize, usize);
+
+/// A tree, a palette of at most 12 host pairs (so flows repeat pairs),
+/// and up to 150 steps: each removes up to 3 flows from anywhere in the
+/// arrival order and adds up to 4 at once before the next solve.
+fn events_strategy() -> impl Strategy<Value = (Topology, Vec<(usize, usize)>, Vec<Step>)> {
+    tree_strategy().prop_flat_map(|t| {
+        let hosts = t.hosts();
+        (
+            proptest::collection::vec((0..hosts, 0..hosts), 1..12),
+            proptest::collection::vec((0usize..4, 0usize..5, 0usize..1000), 1..150),
+        )
+            .prop_map(move |(palette, steps)| {
+                let pairs = palette
+                    .into_iter()
+                    .map(|(a, b)| if a == b { (a, (b + 1) % hosts) } else { (a, b) })
+                    .collect();
+                (t.clone(), pairs, steps)
+            })
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn stateful_solver_matches_reference_after_every_event(
+        (topo, pairs, steps) in events_strategy()
+    ) {
+        let mut fair = FairShare::default();
+        // Live flows in arrival order: `(slot, path)`.
+        let mut live: Vec<(usize, Vec<LinkId>)> = Vec::new();
+        for (step, &(departures, arrivals, pick)) in steps.iter().enumerate() {
+            for d in 0..departures.min(live.len()) {
+                let (slot, _) = live.remove((pick + 7 * d) % live.len());
+                fair.remove(slot);
+            }
+            for a in 0..arrivals {
+                let (src, dst) = pairs[(pick + a) % pairs.len()];
+                let path = topo.path(src, dst);
+                live.push((fair.add(&topo, &path), path));
+            }
+            let rates = fair.solve();
+            let got: Vec<f64> = live.iter().map(|&(slot, _)| rates[slot]).collect();
+            let paths: Vec<Vec<LinkId>> = live.iter().map(|(_, p)| p.clone()).collect();
+            prop_assert!(
+                same_bits(&got, &reference_rates(&topo, &paths)),
+                "step {step}: {} live flows",
+                live.len()
+            );
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
